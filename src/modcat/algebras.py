@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .fields import Field, PrimeField
 from .linalg import Matrix, kernel_basis, rank, rref, solve
-from .poly import Poly, factor_list
+from .poly import Poly, factor_list, xgcd
 
 
 class NotAssociative(ValidationError):
@@ -136,32 +136,28 @@ class StructureConstantAlgebra:
                 if self.mult[i][j] != self.mult[j][i]:
                     raise NotCommutative(i, j)
 
-    def is_commutative(self) -> bool:
-        try:
-            self.check_commutative()
-        except NotCommutative:
-            return False
-        return True
-
-    def center_basis(self) -> list[list]:
-        """Echelonized basis of the center {x : xy = yx for all y}."""
+    def center_basis(self, conditions=()) -> list[list]:
+        """Echelonized basis of the center {x : xy = yx for all y}, cut down
+        by the extra linear conditions: rows c with sum_k c[k] x[k] = 0."""
         stacked = []
         basis = Matrix.identity(self.field, self.dim).rows
         for j in range(self.dim):
             diff = self.left_mult_matrix(basis[j]) - self.right_mult_matrix(basis[j])
             stacked.extend(diff.rows)
+        stacked.extend(conditions)
         if not stacked:
             return []
         return kernel_basis(Matrix(self.field, stacked))
 
 
-def _coordinates(field: Field, span_vectors: list[list], target: list) -> list:
-    """Coordinates of target in the given independent spanning set."""
-    mat = Matrix(field, [list(col) for col in zip(*span_vectors)])
-    coords = solve(mat, list(target))
-    if coords is None:
-        raise ValueError("target not in span")
-    return coords
+def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[list]:
+    """Coordinates of each vector in an independent basis, from one rref of
+    [basis columns | vector columns]."""
+    k = len(basis)
+    reduced, pivots = rref(Matrix(field, [list(row) for row in zip(*basis, *vectors)]))
+    if pivots != list(range(k)):
+        raise ValueError("basis is not independent or a vector is outside its span")
+    return [[reduced.rows[r][k + j] for r in range(k)] for j in range(len(vectors))]
 
 
 def min_poly_of_matrix(m: Matrix) -> Poly:
@@ -186,16 +182,21 @@ def min_poly_of_matrix(m: Matrix) -> Poly:
 
 def _restricted_operator(algebra: StructureConstantAlgebra, x, block_basis: list[list]) -> Matrix:
     """Matrix of multiplication by x on the subspace spanned by block_basis."""
-    field = algebra.field
-    k = len(block_basis)
     images = [algebra.mul_vec(x, w) for w in block_basis]
-    # solve all coordinate systems at once: [basis columns | image columns]
-    augmented = Matrix(field, [[block_basis[j][r] for j in range(k)] + [im[r] for im in images]
-                               for r in range(algebra.dim)])
-    reduced, pivots = rref(augmented)
-    if len(pivots) != k or any(p >= k for p in pivots):
-        raise ValueError("block basis is not independent or not invariant")
-    return Matrix(field, [[reduced.rows[r][k + j] for j in range(k)] for r in range(k)])
+    coords = _coordinates(algebra.field, block_basis, images)
+    return Matrix(algebra.field, [list(row) for row in zip(*coords)])
+
+
+def _frobenius_matrix(algebra: StructureConstantAlgebra) -> Matrix:
+    """Matrix of the F_p-linear map x -> x^p of a commutative F_p-algebra."""
+    p = algebra.field.p
+    cols = []
+    for e in Matrix.identity(algebra.field, algebra.dim).rows:
+        power = e
+        for _ in range(p - 1):
+            power = algebra.mul_vec(power, e)
+        cols.append(power)
+    return Matrix(algebra.field, [list(row) for row in zip(*cols)])
 
 
 def _nilradical(algebra: StructureConstantAlgebra) -> list[list]:
@@ -204,21 +205,12 @@ def _nilradical(algebra: StructureConstantAlgebra) -> list[list]:
     if isinstance(field, PrimeField):
         # Frobenius x -> x^p is F_p-linear on a commutative F_p-algebra;
         # the nilradical is the kernel of a high enough Frobenius power
-        p = field.p
-        basis = Matrix.identity(field, algebra.dim).rows
-        frob_cols = []
-        for e in basis:
-            power = e
-            for _ in range(p - 1):
-                power = algebra.mul_vec(power, e)
-            frob_cols.append(power)
-        frob = Matrix(field, [[frob_cols[j][k] for j in range(algebra.dim)]
-                              for k in range(algebra.dim)])
+        frob = _frobenius_matrix(algebra)
         iterated = frob
-        size = p
+        size = field.p
         while size < algebra.dim:
             iterated = frob * iterated
-            size *= p
+            size *= field.p
         return kernel_basis(iterated)
     # characteristic zero: the radical is the kernel of the trace form
     basis = Matrix.identity(field, algebra.dim).rows
@@ -290,7 +282,7 @@ def _split_with_generator(algebra: StructureConstantAlgebra, blocks: list[dict],
                 fpow = fpow * f
             cofactor, _ = divmod(mp, fpow)
             # t * cofactor == 1 mod fpow gives the idempotent of this factor
-            g, s, t = _xgcd_pair(fpow, cofactor)
+            g, s, t = xgcd(fpow, cofactor)
             if g.degree != 0:
                 raise AssertionError("minimal polynomial factors must be coprime")
             h = t * cofactor
@@ -301,11 +293,6 @@ def _split_with_generator(algebra: StructureConstantAlgebra, blocks: list[dict],
         blocks[idx:idx + 1] = new_blocks
         return True
     return False
-
-
-def _xgcd_pair(a: Poly, b: Poly):
-    from .poly import xgcd
-    return xgcd(a, b)
 
 
 def _eval_poly_at(algebra: StructureConstantAlgebra, p: Poly, x, unit_element):
@@ -356,15 +343,7 @@ def split_commutative_algebra(algebra: StructureConstantAlgebra):
     if isinstance(field, PrimeField):
         # basis of the Frobenius-fixed subalgebra; eigen-splitting along these
         # generators separates every pair of blocks
-        p = field.p
-        frob_cols = []
-        for e in generators:
-            power = e
-            for _ in range(p - 1):
-                power = quotient.mul_vec(power, e)
-            frob_cols.append(power)
-        frob = Matrix(field, [[frob_cols[j][k] for j in range(quotient.dim)]
-                              for k in range(quotient.dim)])
+        frob = _frobenius_matrix(quotient)
         fixed = kernel_basis(frob - Matrix.identity(field, quotient.dim))
         generators = generators + fixed
     changed = True

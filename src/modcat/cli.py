@@ -12,7 +12,8 @@ Subcommands mirror the library modules:
 All payloads are exact (integers, fraction strings, coefficient vectors) and
 serialized with sorted keys, so identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 on a validation error (the message names
-the violated axiom and its indices), 2 on a usage error.
+the violated axiom and its indices), 2 on a usage error: bad arguments or a
+malformed input file.
 
 File formats (JSON):
 
@@ -37,15 +38,18 @@ from .fieldprofile import profile_from_code
 from .fields import field_from_code
 
 
+_EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
+
+
 @dataclass
 class CommandResult:
-    status: str                 # "ok" or "error"
+    status: str                 # "ok", "error" or "usage"
     payload: dict
     human_table: str | None = None
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status == "ok" else 1
+        return _EXIT_CODES[self.status]
 
 
 def _load_json(path: str):
@@ -402,7 +406,7 @@ def run(argv) -> tuple[CommandResult, int]:
         result = args.func(args)
     except ModcatError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        for attr in ("indices", "index", "degree"):
+        for attr in ("indices", "index", "degree", "size", "guard"):
             if hasattr(exc, attr):
                 payload["error"][attr] = getattr(exc, attr)
         result = CommandResult("error", payload, f"error: {exc}")
@@ -410,6 +414,12 @@ def run(argv) -> tuple[CommandResult, int]:
         result = CommandResult("error",
                                {"error": {"type": "FileNotFound", "message": str(exc)}},
                                f"error: {exc}")
+    except (ValueError, KeyError, TypeError) as exc:
+        # a bad argument value or a malformed input file (JSONDecodeError is a
+        # ValueError, a missing key a KeyError): a usage error, not a crash
+        result = CommandResult("usage",
+                               {"error": {"type": type(exc).__name__, "message": str(exc)}},
+                               f"usage error: {exc}")
     return result, result.exit_code
 
 
@@ -424,11 +434,14 @@ def render(result: CommandResult, fmt: str) -> str:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # --format is global but argparse wants it before the subcommand; accept both
+    # positions, and the --format=md spelling, by moving it to the front
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--format=") else [a])]
     fmt = "json"
     if "--format" in argv:
         i = argv.index("--format")
         if i + 1 < len(argv):
             fmt = argv[i + 1]
+            argv = argv[i:i + 2] + argv[:i] + argv[i + 2:]
     result, code = run(argv)
     print(render(result, fmt))
     return code

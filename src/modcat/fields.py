@@ -125,9 +125,6 @@ class RationalField:
     def sort_key(self, x: Fraction):
         return (x.numerator, x.denominator)
 
-    def to_payload(self, x: Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -210,9 +207,6 @@ class PrimeField:
 
     def sort_key(self, x: FpElem):
         return (x.v,)
-
-    def to_payload(self, x: FpElem):
-        return x.v
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -341,11 +335,6 @@ class CyclotomicField:
 
     def sort_key(self, x: CycElem):
         return tuple((c.numerator, c.denominator) for c in x.coeffs)
-
-    def to_payload(self, x: CycElem):
-        return {"zeta_order": self.n,
-                "coeffs": [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                           for c in x.coeffs]}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CyclotomicField) and other.n == self.n

@@ -13,9 +13,15 @@ Each product is computed honestly from algebra objects:
   rational structure-constant algebras; the center splits over Q and each
   central block maps to a class through Brauer arithmetic (real-central
   blocks) or to the complexified class (imaginary-quadratic centers).
-* prime field family: extensions F_{p^q} (x) F_{p^r}, computed by counting
-  the irreducible factors of a degree-r irreducible polynomial over the
-  degree-q extension tower, by distinct-degree gcds.
+* prime field family: extensions F_{p^q} (x) F_{p^r} = F_{p^q}[y]/(f), with f
+  the lex-first irreducible of degree r over F_p.  The summands are the
+  irreducible factors of f over F_{p^q}, which are the orbits of
+  y -> y^(p^q) on the roots of f: r/d factors of degree d, where d is the
+  least exponent with y^(p^(q d)) = y in F_p[y]/(f).
+
+The first two families share one path: :func:`tensor_algebra`, then the
+(degree-zero) center, then :func:`_central_blocks`, which splits the center
+and returns each block's idempotent and echelon basis.
 
 The coefficient field for the braided family is the smallest cyclotomic
 field that both contains the braiding root of unity and splits the twisted
@@ -25,17 +31,19 @@ square root of -1 is needed to split the sign-twisted part.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .algebras import StructureConstantAlgebra, split_commutative_algebra
+from .algebras import (StructureConstantAlgebra, _coordinates, _image_basis,
+                       split_commutative_algebra)
 from .errors import ModcatError, SizeGuardExceeded, ValidationError
 from .fields import CyclotomicField, Field, PrimeField, QQ
 from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel,
                            brauer_add, finite_ext, real_closed)
-from .linalg import Matrix, kernel_basis, rref
+from .linalg import Matrix, rank, rref
 from .pointed import BraidingParam, FiniteAbelianGroup, ModuleClass
-from .poly import Poly
+from .poly import Poly, factor_list
 
 FFIELD_DEGREE_GUARD = 64
 
@@ -88,12 +96,6 @@ class GradedAlgebraObject:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def components(self) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
-
 
 def coefficient_field(p: int) -> CyclotomicField:
     """Q(zeta_p) for odd p; Q(zeta_4) for p = 2 (a square root of -1 is
@@ -118,6 +120,39 @@ def graded_group_algebra(p: int, field: Field) -> GradedAlgebraObject:
                                algebra=algebra)
 
 
+def tensor_algebra(a: StructureConstantAlgebra, b: StructureConstantAlgebra,
+                   twist=None) -> StructureConstantAlgebra:
+    """Tensor product with basis x_i (x) y_j at index i * b.dim + j.
+
+    ``twist(j1, i2)``, when given, is the scalar c in
+    (x_i1 (x) y_j1)(x_i2 (x) y_j2) = c (x_i1 x_i2 (x) y_j1 y_j2).
+    """
+    field = a.field
+    da, db = a.dim, b.dim
+    dim = da * db
+    zero, one = field.zero(), field.one()
+    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for i1 in range(da):
+        for j1 in range(db):
+            row = i1 * db + j1
+            for i2 in range(da):
+                scale = one if twist is None else twist(j1, i2)
+                ca = a.mult[i1][i2]
+                for j2 in range(db):
+                    cb = b.mult[j1][j2]
+                    cell = mult[row][i2 * db + j2]
+                    for k1 in range(da):
+                        if ca[k1] == zero:
+                            continue
+                        for k2 in range(db):
+                            if cb[k2] == zero:
+                                continue
+                            cell[k1 * db + k2] = cell[k1 * db + k2] + scale * ca[k1] * cb[k2]
+    unit = [ua * ub for ua in a.unit for ub in b.unit]
+    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
+    return StructureConstantAlgebra(field, mult, unit, labels=labels)
+
+
 def braided_tensor_algebra(p: int, zeta: BraidingParam, a: GradedAlgebraObject,
                            b: GradedAlgebraObject) -> GradedAlgebraObject:
     """Tensor product twisted by the braiding: (x1 (x) y1)(x2 (x) y2) =
@@ -133,47 +168,25 @@ def braided_tensor_algebra(p: int, zeta: BraidingParam, a: GradedAlgebraObject,
     if zeta.p != p:
         raise GradingMismatch("braiding parameter is for a different prime")
     root_step = field.n // p  # zeta_p = zeta_n^(n/p)
-    group = a.group
 
-    da, db = a.dim, b.dim
-    dim = da * db
-    zero = field.zero()
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(da):
-        for j1 in range(db):
-            row = i1 * db + j1
-            twist_base = b.degrees[j1][0] * zeta.zeta_exponent
-            for i2 in range(da):
-                twist = field.zeta(root_step * twist_base * a.degrees[i2][0])
-                for j2 in range(db):
-                    col = i2 * db + j2
-                    ca = a.algebra.mult[i1][i2]
-                    cb = b.algebra.mult[j1][j2]
-                    cell = mult[row][col]
-                    for k1 in range(da):
-                        if ca[k1] == zero:
-                            continue
-                        for k2 in range(db):
-                            if cb[k2] == zero:
-                                continue
-                            cell[k1 * db + k2] = cell[k1 * db + k2] + twist * ca[k1] * cb[k2]
-    unit = [zero] * dim
-    for k1 in range(da):
-        for k2 in range(db):
-            unit[k1 * db + k2] = a.algebra.unit[k1] * b.algebra.unit[k2]
-    labels = [f"{la}(x){lb}" for la in a.algebra.labels for lb in b.algebra.labels]
-    degrees = tuple(group.add(a.degrees[i], b.degrees[j])
-                    for i in range(da) for j in range(db))
+    def twist(j1, i2):
+        return field.zeta(root_step * b.degrees[j1][0] * zeta.zeta_exponent * a.degrees[i2][0])
+
     try:
-        algebra = StructureConstantAlgebra(field, mult, unit, labels=labels)
+        algebra = tensor_algebra(a.algebra, b.algebra, twist)
     except ValidationError as exc:
         raise ValidationFailed(f"braided tensor is not a valid algebra: {exc}") from exc
-    return GradedAlgebraObject(group=group, degrees=degrees, algebra=algebra)
+    degrees = tuple(a.group.add(x, y) for x in a.degrees for y in b.degrees)
+    return GradedAlgebraObject(group=a.group, degrees=degrees, algebra=algebra)
 
 
 @dataclass(frozen=True)
 class Fusion2Product:
-    """A multiset of simple summands, as canonically sorted labels."""
+    """A multiset of simple summands, as canonically sorted labels.
+
+    ``block_dims`` holds the dimension of each block over the family's base
+    field.
+    """
 
     summands: tuple[str, ...]
     block_dims: tuple[int, ...] = ()
@@ -186,44 +199,26 @@ class Fusion2Product:
 
 def _subalgebra_on(algebra: StructureConstantAlgebra, basis: list[list], unit: list):
     """Structure constants of the subalgebra spanned by the given basis."""
-    field = algebra.field
     k = len(basis)
-    columns = Matrix(field, [[basis[j][r] for j in range(k)] for r in range(algebra.dim)])
-    reduced, pivots = rref(columns)
-    if len(pivots) != k:
-        raise ValueError("subalgebra basis is not independent")
-
-    def coords(v):
-        augmented = Matrix(field, [[basis[j][r] for j in range(k)] + [v[r]]
-                                   for r in range(algebra.dim)])
-        red, piv = rref(augmented)
-        if k in piv:
-            raise ValueError("vector not in subalgebra span")
-        return [red.rows[r][k] for r in range(k)]
-
-    mult = [[coords(algebra.mul_vec(basis[i], basis[j])) for j in range(k)]
-            for i in range(k)]
-    return StructureConstantAlgebra(field, mult, coords(unit), validate=False)
+    products = [algebra.mul_vec(x, y) for x in basis for y in basis]
+    coords = _coordinates(algebra.field, basis, products + [unit])
+    mult = [coords[i * k:(i + 1) * k] for i in range(k)]
+    return StructureConstantAlgebra(algebra.field, mult, coords[k * k], validate=False)
 
 
-def _degree_zero_center_basis(obj: GradedAlgebraObject) -> list[list]:
-    algebra = obj.algebra
-    field = algebra.field
-    zero_deg = obj.group.zero()
-    stacked = []
-    basis = Matrix.identity(field, algebra.dim).rows
-    for j in range(algebra.dim):
-        diff = algebra.left_mult_matrix(basis[j]) - algebra.right_mult_matrix(basis[j])
-        stacked.extend(diff.rows)
-    # kill every coordinate of nonzero degree
-    zero = field.zero()
-    one = field.one()
-    for k in range(algebra.dim):
-        if obj.degrees[k] != zero_deg:
-            row = [zero] * algebra.dim
-            row[k] = one
-            stacked.append(row)
-    return kernel_basis(Matrix(field, stacked))
+def _central_blocks(algebra: StructureConstantAlgebra, center: list[list]):
+    """Split the commutative subalgebra spanned by ``center`` (which holds the
+    unit) into blocks; returns (center-block dim, idempotent, echelon basis of
+    e * algebra) for each block."""
+    zero = algebra.field.zero()
+    blocks = []
+    for center_dim, coords in split_commutative_algebra(
+            _subalgebra_on(algebra, center, algebra.unit)):
+        idem = [zero] * algebra.dim
+        for coeff, vec in zip(coords, center):
+            idem = [x + coeff * v for x, v in zip(idem, vec)]
+        blocks.append((center_dim, idem, _image_basis(algebra, idem)))
+    return blocks
 
 
 def _block_support(obj: GradedAlgebraObject, block_basis: list[list]) -> frozenset:
@@ -236,24 +231,16 @@ def _block_support(obj: GradedAlgebraObject, block_basis: list[list]) -> frozens
     return frozenset(support)
 
 
-def _block_degree_zero_simple_count(obj: GradedAlgebraObject, idempotent: list) -> int:
-    algebra = obj.algebra
-    field = algebra.field
+def _block_degree_zero_simple_count(obj: GradedAlgebraObject, idempotent: list,
+                                    block_basis: list[list]) -> int:
+    # e has degree zero, so e * A is a graded subspace and its echelon basis
+    # is homogeneous: the rows of degree zero are the echelon basis of e * A_0
+    zero = obj.field.zero()
     zero_deg = obj.group.zero()
-    zero = field.zero()
-    # basis of e * A_0
-    images = []
-    for k in range(algebra.dim):
-        if obj.degrees[k] != zero_deg:
-            continue
-        basis_vec = [field.one() if t == k else zero for t in range(algebra.dim)]
-        images.append(algebra.mul_vec(idempotent, basis_vec))
-    reduced, pivots = rref(Matrix(field, images))
-    deg0_basis = [reduced.rows[r] for r in range(len(pivots))]
-    deg0 = _subalgebra_on(algebra, deg0_basis, idempotent)
-    center = deg0.center_basis()
-    center_sub = _subalgebra_on(deg0, center, deg0.unit)
-    return len(split_commutative_algebra(center_sub))
+    deg0_basis = [vec for vec in block_basis
+                  if all(obj.degrees[k] == zero_deg for k, c in enumerate(vec) if c != zero)]
+    deg0 = _subalgebra_on(obj.algebra, deg0_basis, idempotent)
+    return len(_central_blocks(deg0, deg0.center_basis()))
 
 
 def realize_module_class(cls: ModuleClass, field: Field) -> GradedAlgebraObject:
@@ -292,26 +279,18 @@ def pointed_braided_product(p: int, zeta: BraidingParam, class_a: ModuleClass,
     a = realize_module_class(class_a, field)
     b = realize_module_class(class_b, field)
     product = braided_tensor_algebra(p, zeta, a, b)
-
-    z0 = _degree_zero_center_basis(product)
-    z0_sub = _subalgebra_on(product.algebra, z0, product.algebra.unit)
-    blocks = split_commutative_algebra(z0_sub)
+    # the degree-zero center: central elements with no coordinate of nonzero degree
+    off_degree = [row for row, deg in zip(Matrix.identity(field, product.dim).rows,
+                                          product.degrees) if deg != product.group.zero()]
+    center = product.algebra.center_basis(off_degree)
 
     unit_label = f"Vect(Z/{p})"
     regular_label = "Vect"
     summands = []
     dims = []
-    for _, idem_coords in blocks:
-        zero = field.zero()
-        idem = [zero] * product.dim
-        for coeff, vec in zip(idem_coords, z0):
-            for r in range(product.dim):
-                idem[r] = idem[r] + coeff * vec[r]
-        lm = product.algebra.left_mult_matrix(idem)
-        reduced, pivots = rref(lm.transpose())
-        block_basis = [reduced.rows[r] for r in range(len(pivots))]
+    for _, idem, block_basis in _central_blocks(product.algebra, center):
         support = _block_support(product, block_basis)
-        count = _block_degree_zero_simple_count(product, idem)
+        count = _block_degree_zero_simple_count(product, idem, block_basis)
         full = len(support) == p
         if support == frozenset({product.group.zero()}) and count == 1:
             summands.append(unit_label)
@@ -358,37 +337,6 @@ def rational_division_algebra(cls: DivisionAlgebraClass) -> StructureConstantAlg
     return StructureConstantAlgebra.from_int_constants(QQ, mult, unit, labels=labels)
 
 
-def _tensor_algebras(a: StructureConstantAlgebra,
-                     b: StructureConstantAlgebra) -> StructureConstantAlgebra:
-    field = a.field
-    da, db = a.dim, b.dim
-    dim = da * db
-    zero = field.zero()
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(da):
-        for j1 in range(db):
-            row = i1 * db + j1
-            for i2 in range(da):
-                for j2 in range(db):
-                    col = i2 * db + j2
-                    ca = a.mult[i1][i2]
-                    cb = b.mult[j1][j2]
-                    cell = mult[row][col]
-                    for k1 in range(da):
-                        if ca[k1] == zero:
-                            continue
-                        for k2 in range(db):
-                            if cb[k2] == zero:
-                                continue
-                            cell[k1 * db + k2] = cell[k1 * db + k2] + ca[k1] * cb[k2]
-    unit = [zero] * dim
-    for k1 in range(da):
-        for k2 in range(db):
-            unit[k1 * db + k2] = a.unit[k1] * b.unit[k2]
-    labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    return StructureConstantAlgebra(field, mult, unit, labels=labels)
-
-
 def real_division_tensor(d: DivisionAlgebraClass,
                          e: DivisionAlgebraClass) -> Fusion2Product:
     """Relative product of two real division classes, from rational models.
@@ -402,22 +350,14 @@ def real_division_tensor(d: DivisionAlgebraClass,
         if x.label not in (DivisionLabel.BASE, DivisionLabel.COMPLEXIFICATION,
                            DivisionLabel.QUATERNION):
             raise ValueError("inputs must be real division classes")
-    tensor = _tensor_algebras(rational_division_algebra(d), rational_division_algebra(e))
+    tensor = tensor_algebra(rational_division_algebra(d), rational_division_algebra(e))
     center = tensor.center_basis()
-    center_sub = _subalgebra_on(tensor, center, tensor.unit)
-    blocks = split_commutative_algebra(center_sub)
 
     profile = real_closed()
     summands = []
     dims = []
-    from .linalg import rank as _rank
-    for center_dim, idem_coords in blocks:
-        zero = QQ.zero()
-        idem = [zero] * tensor.dim
-        for coeff, vec in zip(idem_coords, center):
-            for r in range(tensor.dim):
-                idem[r] = idem[r] + coeff * vec[r]
-        block_dim = _rank(tensor.left_mult_matrix(idem))
+    for center_dim, idem, block_basis in _central_blocks(tensor, center):
+        block_dim = len(block_basis)
         if center_dim == 1:
             for x in (d, e):
                 if x.label == DivisionLabel.COMPLEXIFICATION:
@@ -425,7 +365,7 @@ def real_division_tensor(d: DivisionAlgebraClass,
                         "complexified input should never give a real-central block")
             cls = brauer_add(profile, d, e)
         elif center_dim == 2:
-            if not _center_block_is_imaginary(tensor, center, idem_coords):
+            if not _center_block_is_imaginary(tensor, center, idem):
                 raise IdentificationAmbiguous("real quadratic center is out of scope")
             cls = COMPLEXIFICATION
         else:
@@ -442,26 +382,19 @@ def real_division_tensor(d: DivisionAlgebraClass,
 
 
 def _center_block_is_imaginary(tensor: StructureConstantAlgebra, center: list[list],
-                               idem_coords: list) -> bool:
-    """True if the 2-dimensional center block is an imaginary quadratic field."""
+                               idem: list) -> bool:
+    """True if the 2-dimensional center block e * Z is an imaginary quadratic field."""
     zero = QQ.zero()
-    idem = [zero] * tensor.dim
-    for coeff, vec in zip(idem_coords, center):
-        for r in range(tensor.dim):
-            idem[r] = idem[r] + coeff * vec[r]
-    # basis of e * Z
     images = [tensor.mul_vec(idem, vec) for vec in center]
     reduced, pivots = rref(Matrix(QQ, images))
-    block = [reduced.rows[r] for r in range(len(pivots))]
-    sub = _subalgebra_on(tensor, block, idem)
+    sub = _subalgebra_on(tensor, reduced.rows[:len(pivots)], idem)
     # find w independent of the unit; its minimal quadratic has negative
     # discriminant exactly in the imaginary case
-    from .linalg import rank as _rank
     unit = sub.unit
     for t in range(sub.dim):
         w = [QQ.one() if s == t else zero for s in range(sub.dim)]
         mat = Matrix(QQ, [[unit[s], w[s]] for s in range(sub.dim)])
-        if _rank(mat) == 2:
+        if rank(mat) == 2:
             w2 = sub.mul_vec(w, w)
             # w^2 = alpha * 1 + beta * w
             aug = Matrix(QQ, [[unit[s], w[s], w2[s]] for s in range(sub.dim)])
@@ -474,121 +407,15 @@ def _center_block_is_imaginary(tensor: StructureConstantAlgebra, center: list[li
 
 # -- prime field family ------------------------------------------------------
 
-class _ExtField:
-    """F_p[y]/(g): arithmetic for polynomials over an inner prime field."""
-
-    def __init__(self, base: PrimeField, modulus: Poly):
-        self.base = base
-        self.modulus = modulus
-        self.degree = modulus.degree
-        self.tag = f"fp{base.p}^{self.degree}"
-
-    def zero(self) -> "_ExtElem":
-        return _ExtElem(self, Poly(self.base, []))
-
-    def one(self) -> "_ExtElem":
-        return _ExtElem(self, Poly(self.base, [self.base.one()]))
-
-    def from_int(self, k: int) -> "_ExtElem":
-        return _ExtElem(self, Poly(self.base, [self.base.from_int(k)]))
-
-    def gen(self) -> "_ExtElem":
-        return _ExtElem(self, Poly(self.base, [self.base.zero(), self.base.one()]))
-
-    def sort_key(self, x: "_ExtElem"):
-        return tuple(c.v for c in x.rep.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, _ExtField) and other.base == self.base
-                and other.modulus == self.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.base, tuple(c.v for c in self.modulus.coeffs)))
-
-
-class _ExtElem:
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field: _ExtField, rep: Poly):
-        self.field = field
-        self.rep = rep % field.modulus if rep.degree >= field.degree else rep
-
-    def _lift(self, other):
-        if isinstance(other, _ExtElem):
-            return other
-        raise TypeError("mixed arithmetic")
-
-    def __add__(self, other):
-        return _ExtElem(self.field, self.rep + self._lift(other).rep)
-
-    def __sub__(self, other):
-        return _ExtElem(self.field, self.rep - self._lift(other).rep)
-
-    def __neg__(self):
-        return _ExtElem(self.field, Poly(self.rep.field, [-c for c in self.rep.coeffs]))
-
-    def __mul__(self, other):
-        return _ExtElem(self.field, (self.rep * self._lift(other).rep) % self.field.modulus)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other.rep.is_zero():
-            raise ZeroDivisionError("division by zero in extension field")
-        from .poly import xgcd
-        g, s, _ = xgcd(other.rep, self.field.modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError("non-invertible element")
-        inv = _ExtElem(self.field, s % self.field.modulus)
-        return self * inv
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, _ExtElem) and other.field == self.field
-                and other.rep == self.rep)
-
-    def __hash__(self) -> int:
-        return hash((self.field.tag, tuple(c.v for c in self.rep.coeffs)))
-
-    def __repr__(self) -> str:
-        return f"ExtElem({self.rep.coeffs})"
-
-
 def irreducible_polynomial(p: int, degree: int) -> Poly:
     """First monic irreducible of the given degree over F_p, in lex order."""
     base = PrimeField(p)
     if degree == 1:
         return Poly.from_ints(base, [0, 1])  # x itself
-
-    def is_irreducible(f: Poly) -> bool:
-        x = Poly.from_ints(base, [0, 1])
-        # x^(p^degree) == x mod f, and no proper-subfield coincidences
-        power = _pow_mod(x, p ** degree, f)
-        if power != x % f:
-            return False
-        n = degree
-        d = 2
-        prime_divs = []
-        while d * d <= n:
-            if n % d == 0:
-                prime_divs.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            prime_divs.append(n)
-        for ell in prime_divs:
-            power = _pow_mod(x, p ** (degree // ell), f)
-            diff = power - (x % f)
-            if not diff.is_zero() and f.gcd(diff).degree > 0:
-                return False
-            if diff.is_zero():
-                return False
-        return True
-
-    import itertools as _it
-    for tail in _it.product(range(p), repeat=degree):
-        coeffs = list(tail) + [1]
-        f = Poly.from_ints(base, coeffs)
-        if is_irreducible(f):
+    # lex order on (c_0, c_1, ...); every candidate with c_0 = 0 is divisible by x
+    for tail in itertools.product(range(1, p), *[range(p)] * (degree - 1)):
+        f = Poly.from_ints(base, list(tail) + [1])
+        if factor_list(f) == [(f, 1)]:
             return f
     raise AssertionError(f"no irreducible polynomial of degree {degree} over F_{p}")
 
@@ -607,8 +434,14 @@ def _pow_mod(base_poly: Poly, exponent: int, modulus: Poly) -> Poly:
 
 
 def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
-    """Summands of F_{p^q} (x)_{F_p} F_{p^r}: one per irreducible factor of a
-    degree-r irreducible polynomial over the degree-q extension.
+    """Summands of F_{p^q} (x)_{F_p} F_{p^r} = F_{p^q}[y]/(f), with f the
+    lex-first irreducible of degree r over F_p: one per irreducible factor of
+    f over F_{p^q}.
+
+    The factors are the orbits of y -> y^(p^q) on the roots of f, so there
+    are r/d of them, each of degree d, the least d with y^(p^(q d)) = y in
+    F_p[y]/(f).  Each summand is F_{p^(q d)}, a block of dimension q d over
+    F_p.
 
     The computed answer is gcd(q, r) copies of the lcm(q, r) extension.  The
     widely quoted shortcut "min(q, r) copies of the larger field" agrees with
@@ -619,39 +452,14 @@ def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
         raise ValueError("extension degrees must be positive")
     if p * q > FFIELD_DEGREE_GUARD or p * r > FFIELD_DEGREE_GUARD:
         raise SizeGuardExceeded(p * max(q, r), FFIELD_DEGREE_GUARD)
-    base = PrimeField(p)
-    g = irreducible_polynomial(p, q)
-    ext = _ExtField(base, g)
-    f_base = irreducible_polynomial(p, r)
-    # lift f to the extension
-    f = Poly(ext, [ _ExtElem(ext, Poly(base, [c])) for c in f_base.coeffs ])
-
-    # distinct-degree factor counting over the extension
-    Q = p ** q
-    x = Poly(ext, [ext.zero(), ext.one()])
-    remaining = f
-    w = x % f
-    counts: list[tuple[int, int]] = []  # (factor degree, how many)
-    d = 0
-    while remaining.degree > 0:
-        d += 1
-        w = _pow_mod(w, Q, f)
-        if remaining.degree < 2 * d:
-            counts.append((remaining.degree, 1))
-            break
-        h = remaining.gcd(w - x % f)
-        if h.degree > 0:
-            counts.append((d, h.degree // d))
-            remaining, rem = divmod(remaining, h)
-            assert rem.is_zero()
-    summands = []
-    for degree, how_many in counts:
-        for _ in range(how_many):
-            summands.append(finite_ext(q * degree).name)
-    summands.sort()
-    expected_rule = sorted([finite_ext(max(q, r)).name] * min(q, r))
-    computed_total = gcd(q, r)
-    assert len(summands) == computed_total, "factor count must equal gcd(q, r)"
-    return Fusion2Product(summands=tuple(summands),
-                          block_dims=tuple([p ** (q * deg) for deg, n in counts for _ in range(n)]),
+    f = irreducible_polynomial(p, r)
+    y = Poly.from_ints(PrimeField(p), [0, 1]) % f
+    w, d = _pow_mod(y, p ** q, f), 1
+    while w != y:
+        w, d = _pow_mod(w, p ** q, f), d + 1
+    copies = r // d
+    assert copies == gcd(q, r), "factor count must equal gcd(q, r)"
+    summands = (finite_ext(q * d).name,) * copies
+    expected_rule = (finite_ext(max(q, r)).name,) * min(q, r)
+    return Fusion2Product(summands=summands, block_dims=(q * d,) * copies,
                           r_copies_rule_holds=(summands == expected_rule))

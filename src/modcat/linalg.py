@@ -43,9 +43,6 @@ class Matrix:
         z = field.zero()
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and other.field == self.field
                 and other.rows == self.rows)
@@ -81,9 +78,6 @@ class Matrix:
         if not cols:
             out = [[] for _ in self.rows]
         return Matrix(self.field, out)
-
-    def scale(self, s) -> "Matrix":
-        return Matrix(self.field, [[s * a for a in r] for r in self.rows])
 
     def transpose(self) -> "Matrix":
         if not self.rows:

@@ -343,10 +343,6 @@ class BraidingParam:
         if not (0 <= self.zeta_exponent < self.p):
             raise ValueError("zeta exponent must lie in [0, p)")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.zeta_exponent == 0
-
 
 def braidings_on_cyclic(p: int, field: FieldProfile) -> list[BraidingParam]:
     """All braidings on Z/p-graded vector spaces over the given closed field.

@@ -110,36 +110,6 @@ class Poly:
             return a
         return a.monic()
 
-    def derivative(self) -> "Poly":
-        if self.degree < 1:
-            return Poly(self.field, [])
-        return Poly(self.field, [self.field.from_int(i) * c
-                                 for i, c in enumerate(self.coeffs)][1:])
-
-    def eval_scalar(self, x):
-        """Evaluate at a field element, by Horner's rule."""
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_in_algebra(self, mul, unit, x):
-        """Evaluate at an element of a unital algebra.
-
-        ``mul`` multiplies two algebra elements, ``unit`` is the algebra unit
-        and scalar action is ``coeff * element`` computed by ``scale``.
-        """
-        acc = None
-        for c in reversed(self.coeffs):
-            if acc is None:
-                acc = [c * u for u in unit]
-            else:
-                acc = mul(acc, x)
-                acc = [a + c * u for a, u in zip(acc, unit)]
-        if acc is None:
-            return [self.field.zero() * u for u in unit]
-        return acc
-
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
 

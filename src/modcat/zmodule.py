@@ -92,12 +92,6 @@ class ValidatedModule:
         self.rank = data.rank
         self.action = data.action
 
-    def total_action(self):
-        """Matrix of the action of b = sum of all ring basis elements."""
-        r = self.rank
-        return tuple(tuple(sum(mat[l][k] for mat in self.action) for k in range(r))
-                     for l in range(r))
-
     def canonical_key(self):
         """Lexicographically minimal concatenated action matrices over
         simultaneous permutations of the module basis."""

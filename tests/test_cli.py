@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modcat.cli import render, run
+from modcat.cli import main, render, run
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -186,3 +186,47 @@ def test_markdown_format():
     result, _ = invoke(["zmod", "enumerate", str(DATA / "z2.ring.json")])
     md = render(result, "md")
     assert md.startswith("| # | rank |")
+
+
+@pytest.mark.parametrize("argv,file_text,error_type", [
+    (["fusion2", "ffield", "2", "12", "0"], None, "ValueError"),
+    (["fusion2", "ffield", "4", "2", "2"], None, "ValueError"),
+    (["dy", "dims", "--group", "0", "--coeff", "q"], None, "ValueError"),
+    (["dy", "dims", "--group", "2", "--coeff", "fp4"], None, "ValueError"),
+    (["pointed", "classes", "--group", "x"], None, "ValueError"),
+    (["ring", "validate"], '{"rank": 1, "unit": [1]}', "KeyError"),
+    (["ring", "validate"], "not json", "JSONDecodeError"),
+], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
+        "bad-group", "ring-without-mult", "not-json"])
+def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
+    if file_text is not None:
+        path = tmp_path / "ring.json"
+        path.write_text(file_text)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == error_type
+    assert set(error) == {"type", "message"}
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fusion2", "real", "--format", "md"],
+    ["fusion2", "real", "--format=md"],
+    ["--format=md", "fusion2", "real"],
+])
+def test_format_accepted_in_either_position(capsys, argv):
+    assert main(["--format", "md", "fusion2", "real"]) == 0
+    expected, _ = capsys.readouterr()
+    assert expected.startswith("| left | right | product |")
+    assert main(argv) == 0
+    assert capsys.readouterr()[0] == expected
+
+
+def test_guard_error_reports_size_and_guard():
+    result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
+    assert code == 1
+    assert result.payload["error"]["type"] == "SizeGuardExceeded"
+    assert result.payload["error"]["size"] == 80
+    assert result.payload["error"]["guard"] == 64

@@ -1,5 +1,8 @@
 """Fusion product tables for the three worked families."""
 
+import itertools
+from math import gcd
+
 import pytest
 
 from modcat.errors import SizeGuardExceeded
@@ -8,9 +11,10 @@ from modcat.fieldprofile import (BASE, COMPLEXIFICATION, QUATERNION, alg_closed,
 from modcat.fusion2 import (GradingMismatch, UnsupportedPrime,
                             braided_tensor_algebra, coefficient_field,
                             finite_field_tensor, graded_group_algebra,
+                            irreducible_polynomial,
                             pointed_braided_product, rational_division_algebra,
                             real_division_tensor, realize_module_class,
-                            unit_algebra_object)
+                            tensor_algebra, unit_algebra_object)
 from modcat.pointed import BraidingParam, FiniteAbelianGroup, module_classes
 
 
@@ -206,9 +210,8 @@ def test_quaternion_model_is_associative():
 def test_complex_times_complex_center_splits_by_ts():
     # independent check of the splitting element: t = i (x) 1, s = 1 (x) i,
     # and (ts)^2 = 1 gives the two idempotents (1 +- ts)/2
-    from modcat.fusion2 import _tensor_algebras
-    tensor = _tensor_algebras(rational_division_algebra(COMPLEXIFICATION),
-                              rational_division_algebra(COMPLEXIFICATION))
+    tensor = tensor_algebra(rational_division_algebra(COMPLEXIFICATION),
+                            rational_division_algebra(COMPLEXIFICATION))
     field = tensor.field
     ts = [field.from_int(x) for x in [0, 0, 0, 1]]
     assert tensor.mul_vec(ts, ts) == [field.from_int(x) for x in [1, 0, 0, 0]]
@@ -255,6 +258,43 @@ def test_finite_field_guard():
 def test_finite_field_tensor_against_group_algebra_blocks():
     # independent route: F_4 arises inside F_2[Z/3], so the block count of
     # F_2[Z/3 x Z/3] implies F_4 (x) F_4 = F_4 + F_4 (see test_algebras);
-    # the tower computation must agree
+    # the orbit count must agree
     product = finite_field_tensor(2, 2, 2)
     assert product.summands == ("FINITE_EXT(2)", "FINITE_EXT(2)")
+
+
+@pytest.mark.parametrize("p,q,r", [
+    (p, q, r) for p in (2, 3, 5, 7) for q in range(1, 5) for r in range(1, 5)
+] + [(2, 12, 16), (7, 9, 8), (2, 16, 32)])
+def test_finite_field_tensor_oracle(p, q, r):
+    # F_{p^q} (x) F_{p^r} = gcd(q, r) copies of F_{p^lcm(q, r)}; the last three
+    # inputs sit on the degree guard
+    product = finite_field_tensor(p, q, r)
+    lcm = q * r // gcd(q, r)
+    assert product.summands == (finite_ext(lcm).name,) * gcd(q, r)
+    assert product.r_copies_rule_holds == (q % r == 0 or r % q == 0)
+    assert sum(product.block_dims) == q * r
+
+
+def _trial_division_irreducible(p, coeffs):
+    """Monic coeffs (ascending) over F_p has no monic factor of degree 1..n/2."""
+    n = len(coeffs) - 1
+    for k in range(1, n // 2 + 1):
+        for tail in itertools.product(range(p), repeat=k):
+            divisor = list(tail) + [1]
+            rem = list(coeffs)
+            for shift in range(n - k, -1, -1):
+                c = rem[shift + k]
+                for i, b in enumerate(divisor):
+                    rem[shift + i] = (rem[shift + i] - c * b) % p
+            if not any(rem[:k]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_irreducible_polynomial_is_lex_first(p, degree):
+    expected = next(list(tail) + [1] for tail in itertools.product(range(p), repeat=degree)
+                    if _trial_division_irreducible(p, list(tail) + [1]))
+    assert [c.v for c in irreducible_polynomial(p, degree).coeffs] == expected
