@@ -12,7 +12,10 @@ exact field, splitting exactly as far as the field allows.  The algorithm:
 3. lift the primitive idempotents of the quotient back through the nilradical
    by Hensel iteration, keeping them orthogonal.
 
-All data is immutable after construction and every output is deterministic.
+An algebra stores only its nonzero structure constants, one dict {k: c} per
+basis pair (i, j), and is validated once, when it is built; products and
+the validation run over the nonzero terms only.  All data is immutable after
+construction and every output is deterministic.
 """
 
 from __future__ import annotations
@@ -41,93 +44,82 @@ class NotCommutative(ValidationError):
 
 
 class StructureConstantAlgebra:
-    """Finite-dimensional associative algebra e_i e_j = sum_k c[i][j][k] e_k."""
+    """Finite-dimensional associative unital algebra e_i e_j = sum_k c[i][j][k] e_k.
 
-    def __init__(self, field: Field, mult, unit, labels=None, validate: bool = True):
+    The constructor takes the dense constants c[i][j][k] and keeps only the
+    nonzero ones: ``mult[i][j]`` is the dict {k: c} of the nonzero constants
+    of e_i e_j, with k ascending.  Every instance is validated (associativity
+    and the two-sided unit) exactly once, at construction.
+    """
+
+    def __init__(self, field: Field, mult, unit, labels=None):
         self.field = field
         self.dim = len(mult)
-        self.mult = [[[entry for entry in cell] for cell in row] for row in mult]
         self.unit = list(unit)
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
         if len(self.unit) != self.dim or len(self.labels) != self.dim:
             raise ValueError("unit/label length must equal dim")
-        for row in self.mult:
-            if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValueError("mult must be dim x dim x dim")
-        if validate:
-            self.validate()
+        if any(len(row) != self.dim or any(len(cell) != self.dim for cell in row)
+               for row in mult):
+            raise ValueError("mult must be dim x dim x dim")
+        zero = field.zero()
+        self.mult = [[{k: c for k, c in enumerate(cell) if c != zero} for cell in row]
+                     for row in mult]
+        self.validate()
 
     @classmethod
-    def from_int_constants(cls, field: Field, mult, unit, labels=None,
-                           validate: bool = True) -> "StructureConstantAlgebra":
+    def from_int_constants(cls, field: Field, mult, unit,
+                           labels=None) -> "StructureConstantAlgebra":
         conv = field.from_int
         return cls(field,
                    [[[conv(x) for x in cell] for cell in row] for row in mult],
-                   [conv(x) for x in unit], labels, validate)
+                   [conv(x) for x in unit], labels)
+
+    def _combine(self, terms) -> dict:
+        """Nonzero entries of sum coeff * cell over the (coeff, cell) terms."""
+        zero = self.field.zero()
+        out = {}
+        for coeff, cell in terms:
+            for k, c in cell.items():
+                out[k] = out.get(k, zero) + coeff * c
+        return {k: c for k, c in out.items() if c != zero}
 
     def mul_vec(self, x, y):
         zero = self.field.zero()
         out = [zero] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj != zero]
         for i, xi in enumerate(x):
             if xi == zero:
                 continue
-            for j, yj in enumerate(y):
-                if yj == zero:
-                    continue
+            row = self.mult[i]
+            for j, yj in ys:
                 coeff = xi * yj
-                for k, c in enumerate(self.mult[i][j]):
-                    if c != zero:
-                        out[k] = out[k] + coeff * c
+                for k, c in row[j].items():
+                    out[k] = out[k] + coeff * c
         return out
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x * y acting on coordinate columns."""
-        zero = self.field.zero()
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, xi in enumerate(x):
-                if xi == zero:
-                    continue
-                for k, c in enumerate(self.mult[i][j]):
-                    if c != zero:
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return Matrix(self.field, [[cols[j][k] for j in range(self.dim)]
-                                   for k in range(self.dim)])
-
-    def right_mult_matrix(self, x) -> Matrix:
-        """Matrix of y -> y * x acting on coordinate columns."""
-        zero = self.field.zero()
-        cols = []
-        for j in range(self.dim):
-            col = [zero] * self.dim
-            for i, xi in enumerate(x):
-                if xi == zero:
-                    continue
-                for k, c in enumerate(self.mult[j][i]):
-                    if c != zero:
-                        col[k] = col[k] + xi * c
-            cols.append(col)
-        return Matrix(self.field, [[cols[j][k] for j in range(self.dim)]
-                                   for k in range(self.dim)])
+        cols = [self.mul_vec(x, e) for e in Matrix.identity(self.field, self.dim).rows]
+        return Matrix(self.field, [list(row) for row in zip(*cols)])
 
     def validate(self) -> None:
-        zero = self.field.zero()
-        basis = [[self.field.one() if i == j else zero for j in range(self.dim)]
-                 for i in range(self.dim)]
+        """Check (e_i e_j) e_k = e_i (e_j e_k) for every triple in lex order,
+        expanding both sides over the nonzero constants, then the unit."""
+        c = self.mult
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.mult[i][j]
                 for k in range(self.dim):
-                    left = self.mul_vec(ij, basis[k])
-                    right = self.mul_vec(basis[i], self.mult[j][k])
+                    left = self._combine((cm, c[m][k]) for m, cm in c[i][j].items())
+                    right = self._combine((cm, c[i][m]) for m, cm in c[j][k].items())
                     if left != right:
                         raise NotAssociative(i, j, k)
+        units = [(m, um) for m, um in enumerate(self.unit) if um != self.field.zero()]
         for i in range(self.dim):
-            if self.mul_vec(self.unit, basis[i]) != basis[i]:
+            basis_i = {i: self.field.one()}
+            if self._combine((um, c[m][i]) for m, um in units) != basis_i:
                 raise NoUnit(f"1 * e{i} != e{i}")
-            if self.mul_vec(basis[i], self.unit) != basis[i]:
+            if self._combine((um, c[i][m]) for m, um in units) != basis_i:
                 raise NoUnit(f"e{i} * 1 != e{i}")
 
     def check_commutative(self) -> None:
@@ -139,15 +131,13 @@ class StructureConstantAlgebra:
     def center_basis(self, conditions=()) -> list[list]:
         """Echelonized basis of the center {x : xy = yx for all y}, cut down
         by the extra linear conditions: rows c with sum_k c[k] x[k] = 0."""
-        stacked = []
-        basis = Matrix.identity(self.field, self.dim).rows
-        for j in range(self.dim):
-            diff = self.left_mult_matrix(basis[j]) - self.right_mult_matrix(basis[j])
-            stacked.extend(diff.rows)
-        stacked.extend(conditions)
-        if not stacked:
-            return []
-        return kernel_basis(Matrix(self.field, stacked))
+        zero = self.field.zero()
+        c = self.mult
+        # row (j, k), column i: the e_k coordinate of e_j e_i - e_i e_j
+        rows = ([c[j][i].get(k, zero) - c[i][j].get(k, zero) for i in range(self.dim)]
+                for j in range(self.dim) for k in range(self.dim))
+        stacked = [row for row in rows if any(x != zero for x in row)]
+        return kernel_basis(Matrix(self.field, stacked + list(conditions), ncols=self.dim))
 
 
 def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[list]:
@@ -257,8 +247,7 @@ def _quotient_algebra(algebra: StructureConstantAlgebra, radical: list[list]):
     basis = Matrix.identity(field, algebra.dim).rows
     mult = [[project(algebra.mul_vec(basis[i], basis[j])) for j in kept] for i in kept]
     quotient = StructureConstantAlgebra(field, mult, project(algebra.unit),
-                                        labels=[algebra.labels[j] for j in kept],
-                                        validate=False)
+                                        labels=[algebra.labels[j] for j in kept])
     return quotient, project, lift
 
 
@@ -326,10 +315,10 @@ def split_commutative_algebra(algebra: StructureConstantAlgebra):
     far as the coefficient field allows.  Output is sorted lexicographically
     on the idempotent coordinate vectors.
 
-    Raises NotCommutative / NotAssociative / NoUnit when the input is not a
-    commutative associative unital algebra.
+    Raises NotCommutative when the input is not commutative.  An algebra that
+    is not associative or has no unit never reaches this function: its
+    construction raises NotAssociative / NoUnit.
     """
-    algebra.validate()
     algebra.check_commutative()
     field = algebra.field
 

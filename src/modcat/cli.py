@@ -13,7 +13,7 @@ All payloads are exact (integers, fraction strings, coefficient vectors) and
 serialized with sorted keys, so identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 on a validation error (the message names
 the violated axiom and its indices), 2 on a usage error: bad arguments or a
-malformed input file.
+missing, unreadable or malformed input file.
 
 File formats (JSON):
 
@@ -410,13 +410,10 @@ def run(argv) -> tuple[CommandResult, int]:
             if hasattr(exc, attr):
                 payload["error"][attr] = getattr(exc, attr)
         result = CommandResult("error", payload, f"error: {exc}")
-    except FileNotFoundError as exc:
-        result = CommandResult("error",
-                               {"error": {"type": "FileNotFound", "message": str(exc)}},
-                               f"error: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
-        # a bad argument value or a malformed input file (JSONDecodeError is a
-        # ValueError, a missing key a KeyError): a usage error, not a crash
+    except (ValueError, KeyError, TypeError, OSError) as exc:
+        # a bad argument value, an unreadable path (missing file, directory)
+        # or a malformed input file (JSONDecodeError is a ValueError, a
+        # missing key a KeyError): a usage error, not a crash
         result = CommandResult("usage",
                                {"error": {"type": type(exc).__name__, "message": str(exc)}},
                                f"usage error: {exc}")

@@ -45,7 +45,7 @@ from .linalg import Matrix, rank, rref
 from .pointed import BraidingParam, FiniteAbelianGroup, ModuleClass
 from .poly import Poly, factor_list
 
-FFIELD_DEGREE_GUARD = 64
+FFIELD_DEGREE_GUARD = 64  # bound on p * r in finite_field_tensor
 
 
 class GradingMismatch(ValidationError):
@@ -75,15 +75,15 @@ class GradedAlgebraObject:
     def __post_init__(self):
         if len(self.degrees) != self.algebra.dim:
             raise ValidationFailed("need one degree per basis element")
-        zero = self.algebra.field.zero()
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
+        for i, row in enumerate(self.algebra.mult):
+            for j, cell in enumerate(row):
                 expected = self.group.add(self.degrees[i], self.degrees[j])
-                for k in range(self.algebra.dim):
-                    if self.algebra.mult[i][j][k] != zero and self.degrees[k] != expected:
+                for k in cell:
+                    if self.degrees[k] != expected:
                         raise GradingMismatch(
                             f"product of degrees {self.degrees[i]} and {self.degrees[j]} "
                             f"hits degree {self.degrees[k]}")
+        zero = self.algebra.field.zero()
         for k in range(self.algebra.dim):
             if self.algebra.unit[k] != zero and self.degrees[k] != self.group.zero():
                 raise GradingMismatch("unit must be concentrated in degree zero")
@@ -134,20 +134,14 @@ def tensor_algebra(a: StructureConstantAlgebra, b: StructureConstantAlgebra,
     mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i1 in range(da):
         for j1 in range(db):
-            row = i1 * db + j1
+            row = mult[i1 * db + j1]
             for i2 in range(da):
                 scale = one if twist is None else twist(j1, i2)
-                ca = a.mult[i1][i2]
                 for j2 in range(db):
-                    cb = b.mult[j1][j2]
-                    cell = mult[row][i2 * db + j2]
-                    for k1 in range(da):
-                        if ca[k1] == zero:
-                            continue
-                        for k2 in range(db):
-                            if cb[k2] == zero:
-                                continue
-                            cell[k1 * db + k2] = cell[k1 * db + k2] + scale * ca[k1] * cb[k2]
+                    cell = row[i2 * db + j2]
+                    for k1, ca in a.mult[i1][i2].items():
+                        for k2, cb in b.mult[j1][j2].items():
+                            cell[k1 * db + k2] = cell[k1 * db + k2] + scale * ca * cb
     unit = [ua * ub for ua in a.unit for ub in b.unit]
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     return StructureConstantAlgebra(field, mult, unit, labels=labels)
@@ -203,7 +197,7 @@ def _subalgebra_on(algebra: StructureConstantAlgebra, basis: list[list], unit: l
     products = [algebra.mul_vec(x, y) for x in basis for y in basis]
     coords = _coordinates(algebra.field, basis, products + [unit])
     mult = [coords[i * k:(i + 1) * k] for i in range(k)]
-    return StructureConstantAlgebra(algebra.field, mult, coords[k * k], validate=False)
+    return StructureConstantAlgebra(algebra.field, mult, coords[k * k])
 
 
 def _central_blocks(algebra: StructureConstantAlgebra, center: list[list]):
@@ -317,16 +311,10 @@ def _division_algebra_constants(label: DivisionLabel):
         mult = [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]
         return mult, [1, 0], ["1", "i"]
     if label == DivisionLabel.QUATERNION:
-        # basis 1, i, j, k
-        table = {
-            (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-            (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-            (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-            (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-        }
-        mult = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-        for (i, j), (k, sign) in table.items():
-            mult[i][j][k] = sign
+        # basis 1, i, j, k; entry (a, b) is +-(c + 1) for e_a e_b = +-e_c
+        table = [[1, 2, 3, 4], [2, -1, 4, -3], [3, -4, -1, 2], [4, 3, -2, -1]]
+        mult = [[[s // abs(s) if abs(s) == k + 1 else 0 for k in range(4)] for s in row]
+                for row in table]
         return mult, [1, 0, 0, 0], ["1", "i", "j", "k"]
     raise ValueError(f"no rational model for {label}")
 
@@ -447,16 +435,21 @@ def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
     widely quoted shortcut "min(q, r) copies of the larger field" agrees with
     the computation only when one degree divides the other; the result flags
     whether it holds for these inputs.
+
+    The work, the lex search for f and at most r powers by p^(q mod r) modulo
+    f, depends on p and r only, so the guard bounds p * r.
     """
     if q < 1 or r < 1:
         raise ValueError("extension degrees must be positive")
-    if p * q > FFIELD_DEGREE_GUARD or p * r > FFIELD_DEGREE_GUARD:
-        raise SizeGuardExceeded(p * max(q, r), FFIELD_DEGREE_GUARD)
+    if p * r > FFIELD_DEGREE_GUARD:
+        raise SizeGuardExceeded(p * r, FFIELD_DEGREE_GUARD)
     f = irreducible_polynomial(p, r)
     y = Poly.from_ints(PrimeField(p), [0, 1]) % f
-    w, d = _pow_mod(y, p ** q, f), 1
+    # y -> y^p has order r on F_p[y]/(f), so y^(p^q) = y^(p^(q mod r))
+    step = p ** (q % r)
+    w, d = _pow_mod(y, step, f), 1
     while w != y:
-        w, d = _pow_mod(w, p ** q, f), d + 1
+        w, d = _pow_mod(w, step, f), d + 1
     copies = r // d
     assert copies == gcd(q, r), "factor count must equal gcd(q, r)"
     summands = (finite_ext(q * d).name,) * copies

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcat.algebras import (NoUnit, NotAssociative, NotCommutative,
                              StructureConstantAlgebra, split_commutative_algebra)
 from modcat.fields import CyclotomicField, PrimeField, QQ
+from modcat.linalg import Matrix, kernel_basis
 
 
 def cyclic_group_algebra(field, n):
@@ -156,3 +158,126 @@ def test_split_f4_x_f4_over_f2():
     blocks = split_commutative_algebra(algebra)
     assert sorted(d for d, _ in blocks) == [1, 2, 2, 2, 2]
     idempotent_properties(algebra, blocks)
+
+
+# -- dense oracle: the full d x d x d scan, kept here in test code only -------
+
+def dense_product(field, c, x, y):
+    d = len(c)
+    out = [field.zero()] * d
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                out[k] = out[k] + x[i] * y[j] * c[i][j][k]
+    return out
+
+
+def dense_first_failure(field, mult, unit):
+    """The first failing axiom in the order validate checks them: the lex-first
+    triple with (e_i e_j) e_k != e_i (e_j e_k), else the first unit-law
+    message, else None."""
+    c = [[[field.from_int(x) for x in cell] for cell in row] for row in mult]
+    u = [field.from_int(x) for x in unit]
+    d = len(c)
+    basis = [[field.one() if i == j else field.zero() for j in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if (dense_product(field, c, c[i][j], basis[k])
+                        != dense_product(field, c, basis[i], c[j][k])):
+                    return ("associativity", (i, j, k))
+    for i in range(d):
+        if dense_product(field, c, u, basis[i]) != basis[i]:
+            return ("unit", f"1 * e{i} != e{i}")
+        if dense_product(field, c, basis[i], u) != basis[i]:
+            return ("unit", f"e{i} * 1 != e{i}")
+    return None
+
+
+def dense_center(field, mult):
+    """Kernel of the dense commutator matrix: row (j, k), column i holds the
+    e_k coordinate of e_j e_i - e_i e_j."""
+    d = len(mult)
+    rows = [[field.from_int(mult[j][i][k] - mult[i][j][k]) for i in range(d)]
+            for j in range(d) for k in range(d)]
+    return kernel_basis(Matrix(field, rows, ncols=d))
+
+
+# associative unital algebras with integer constants: (mult, unit)
+ASSOCIATIVE_BASES = [
+    ([[[1]]], [1]),
+    ([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]),                  # Z/2
+    ([[[1 if k == (i + j) % 3 else 0 for k in range(3)] for j in range(3)]
+      for i in range(3)], [1, 0, 0]),                                 # Z/3
+    ([[[1 if k == i + j else 0 for k in range(3)] for j in range(3)]
+      for i in range(3)], [1, 0, 0]),                                 # x^3 = 0
+    ([[[1, 0, 0], [0, 1, 0], [0, 0, 0]],                              # upper
+      [[0, 0, 0], [0, 0, 0], [0, 1, 0]],                              # triangular
+      [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [1, 0, 1]),                 # 2 x 2
+    ([[[1 if (b == c and k == 2 * a + d) else 0 for k in range(4)]    # 2 x 2
+       for c, d in ((0, 0), (0, 1), (1, 0), (1, 1))]                  # matrices,
+      for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))], [1, 0, 0, 1]),   # E_ab E_cd
+]
+
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2])
+FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)])
+
+
+@st.composite
+def associative_tables(draw):
+    """A base algebra in a random unimodular integer basis f = P e."""
+    mult, unit = draw(st.sampled_from(ASSOCIATIVE_BASES))
+    d = len(mult)
+    p = [[int(a == b) for b in range(d)] for a in range(d)]
+    q = [row[:] for row in p]  # q = p^-1, kept in step
+    for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+        a, b = draw(st.permutations(range(d)))[:2]
+        t = draw(st.integers(-2, 2))
+        p[a] = [x + t * y for x, y in zip(p[a], p[b])]  # row a += t row b
+        for row in q:
+            row[b] -= t * row[a]                         # column b -= t column a
+    new = [[[sum(p[a][i] * p[b][j] * mult[i][j][k] * q[k][c]
+                 for i in range(d) for j in range(d) for k in range(d))
+             for c in range(d)] for b in range(d)] for a in range(d)]
+    return new, [sum(unit[k] * q[k][c] for k in range(d)) for c in range(d)]
+
+
+@st.composite
+def tables(draw):
+    """Associative, perturbed-associative, or random integer tables."""
+    kind = draw(st.sampled_from(["associative", "perturbed", "random"]))
+    if kind == "random":
+        d = draw(st.integers(1, 3))
+        cell = st.lists(SMALL, min_size=d, max_size=d)
+        mult = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d))
+        return mult, draw(cell)
+    mult, unit = draw(associative_tables())
+    if kind == "perturbed":
+        d = len(mult)
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        mult[i][j][k] += draw(st.sampled_from([-1, 1, 2]))
+    return mult, unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), field=FIELDS)
+def test_validate_matches_dense_oracle(table, field):
+    mult, unit = table
+    expected = dense_first_failure(field, mult, unit)
+    try:
+        StructureConstantAlgebra.from_int_constants(field, mult, unit)
+    except NotAssociative as exc:
+        assert expected == ("associativity", exc.indices)
+    except NoUnit as exc:
+        assert expected is not None and expected[0] == "unit"
+        assert str(exc).endswith(": " + expected[1])
+    else:
+        assert expected is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=associative_tables(), field=FIELDS)
+def test_center_basis_matches_dense_commutator_kernel(table, field):
+    mult, unit = table
+    algebra = StructureConstantAlgebra.from_int_constants(field, mult, unit)
+    assert algebra.center_basis() == dense_center(field, mult)

@@ -131,18 +131,15 @@ def test_fusion2_pointed_table():
     assert result.payload["table"]["Vect x Vect"] == ["Vect(Z/3)"]
 
 
-def test_validation_error_exits_one_with_named_axiom():
-    bad = DATA.parent / "tests" / "bad_ring.json"
+def test_validation_error_exits_one_with_named_axiom(tmp_path):
+    bad = tmp_path / "bad_ring.json"
     bad.write_text(json.dumps({
         "rank": 2, "labels": ["e", "b"], "unit": [1, 1],
         "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]}))
-    try:
-        result, code = invoke(["ring", "validate", str(bad)])
-        assert code == 1
-        assert result.payload["error"]["type"] == "UnitLawFails"
-        assert "index" in result.payload["error"]
-    finally:
-        bad.unlink()
+    result, code = invoke(["ring", "validate", str(bad)])
+    assert code == 1
+    assert result.payload["error"]["type"] == "UnitLawFails"
+    assert "index" in result.payload["error"]
 
 
 def test_usage_error_exits_two():
@@ -196,9 +193,12 @@ def test_markdown_format():
     (["pointed", "classes", "--group", "x"], None, "ValueError"),
     (["ring", "validate"], '{"rank": 1, "unit": [1]}', "KeyError"),
     (["ring", "validate"], "not json", "JSONDecodeError"),
+    (["ring", "validate", "{tmp}/missing.json"], None, "FileNotFoundError"),
+    (["ring", "validate", "{tmp}"], None, "IsADirectoryError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
-        "bad-group", "ring-without-mult", "not-json"])
+        "bad-group", "ring-without-mult", "not-json", "missing-file", "directory"])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
         path = tmp_path / "ring.json"
         path.write_text(file_text)
@@ -225,8 +225,12 @@ def test_format_accepted_in_either_position(capsys, argv):
 
 
 def test_guard_error_reports_size_and_guard():
-    result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
+    result, code = invoke(["fusion2", "ffield", "2", "2", "40"])
     assert code == 1
     assert result.payload["error"]["type"] == "SizeGuardExceeded"
     assert result.payload["error"]["size"] == 80
     assert result.payload["error"]["guard"] == 64
+    # the guard bounds p * r only: the mirrored input is admitted
+    result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
+    assert code == 0
+    assert result.payload["summands"] == ["FINITE_EXT(40)"] * 2

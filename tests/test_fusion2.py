@@ -251,8 +251,26 @@ def test_finite_field_tensor_symmetry():
 
 
 def test_finite_field_guard():
+    # the guard is on p * r, the size of the degree-r search and orbit loop;
+    # q enters only through q mod r
     with pytest.raises(SizeGuardExceeded):
-        finite_field_tensor(2, 40, 2)
+        finite_field_tensor(2, 1, 33)
+    product = finite_field_tensor(2, 40, 2)
+    assert product.summands == ("FINITE_EXT(40)",) * 2
+
+
+def _primes_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", _primes_to(64))
+def test_finite_field_guard_corners_finish(p):
+    # the largest r the guard admits for p, with q mod r = r - 1: the most
+    # orbit steps (r) of the largest Frobenius power (p^(r-1))
+    r = 64 // p
+    product = finite_field_tensor(p, 2 * r - 1, r)
+    assert product.summands == (finite_ext((2 * r - 1) * r).name,)
 
 
 def test_finite_field_tensor_against_group_algebra_blocks():
@@ -268,7 +286,7 @@ def test_finite_field_tensor_against_group_algebra_blocks():
 ] + [(2, 12, 16), (7, 9, 8), (2, 16, 32)])
 def test_finite_field_tensor_oracle(p, q, r):
     # F_{p^q} (x) F_{p^r} = gcd(q, r) copies of F_{p^lcm(q, r)}; the last three
-    # inputs sit on the degree guard
+    # inputs are large cases inside the guard
     product = finite_field_tensor(p, q, r)
     lcm = q * r // gcd(q, r)
     assert product.summands == (finite_ext(lcm).name,) * gcd(q, r)
