@@ -73,17 +73,26 @@ class PointedFunctorData:
 
 @dataclass(frozen=True)
 class DYComplex:
+    """Differentials up to degree n_max, checked to satisfy d of d = 0."""
+
     n_max: int
     cochain_dims: tuple[int, ...]
     deltas: tuple[Matrix, ...]  # deltas[n]: C^n -> C^{n+1}, |G|^{n+1} x |G|^n
 
-    def delta_sparse(self, n: int):
-        """Rows of deltas[n] as {column: coefficient} dicts (zero-free)."""
-        zero = self.deltas[n].field.zero()
-        rows = []
-        for row in self.deltas[n].rows:
-            rows.append({j: c for j, c in enumerate(row) if c != zero})
-        return rows
+    def __post_init__(self):
+        # compose d^{n+1} d^n over the nonzero entries only
+        sparse = []
+        for m in self.deltas:
+            zero = m.field.zero()
+            sparse.append([{j: c for j, c in enumerate(row) if c != zero} for row in m.rows])
+        for n in range(self.n_max - 1):
+            for row in sparse[n + 1]:
+                acc: dict = {}
+                for mid, c1 in row.items():
+                    for col, c2 in sparse[n][mid].items():
+                        acc[col] = acc.get(col, zero) + c1 * c2
+                if any(v != zero for v in acc.values()):
+                    raise ComplexNotValid(n)
 
 
 def _delta_entries(group: FiniteAbelianGroup, n: int):
@@ -109,7 +118,7 @@ def _delta_entries(group: FiniteAbelianGroup, n: int):
 
 
 def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
-    """Assemble the cochain complex up to degree n_max and check d d = 0."""
+    """Assemble the cochain complex up to degree n_max; construction checks d d = 0."""
     group = functor.source
     field = functor.field
     if n_max < 1:
@@ -119,57 +128,23 @@ def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
     if group.order ** (n_max + 1) > SIZE_GUARD:
         raise SizeGuardExceeded(group.order ** (n_max + 1))
 
-    sparse_deltas = []
-    dims = [group.order ** n for n in range(n_max + 1)]
-    for n in range(n_max):
-        rows, ncols = _delta_entries(group, n)
-        sparse_deltas.append((rows, ncols))
-
-    # d after d must vanish; compose sparsely before materializing
-    char = _char_or_zero(field)
-    for n in range(n_max - 1):
-        lower, ncols = sparse_deltas[n]
-        upper, _ = sparse_deltas[n + 1]
-        for row in upper:
-            acc: dict[int, int] = {}
-            for mid, c1 in row.items():
-                for col, c2 in lower[mid].items():
-                    acc[col] = acc.get(col, 0) + c1 * c2
-            if any((v % char if char else v) != 0 for v in acc.values()):
-                raise ComplexNotValid(n)
-
     zero = field.zero()
     deltas = []
     for n in range(n_max):
-        rows, ncols = sparse_deltas[n]
+        rows, ncols = _delta_entries(group, n)
         dense = []
         for terms in rows:
             row = [zero] * ncols
             for col, c in terms.items():
                 row[col] = field.from_int(c)
             dense.append(row)
-        deltas.append(Matrix(field, dense) if dense else Matrix(field, []))
-    return DYComplex(n_max=n_max, cochain_dims=tuple(dims), deltas=tuple(deltas))
-
-
-def _char_or_zero(field: Field) -> int:
-    return getattr(field, "char", 0)
+        deltas.append(Matrix(field, dense))
+    dims = tuple(group.order ** n for n in range(n_max + 1))
+    return DYComplex(n_max=n_max, cochain_dims=dims, deltas=tuple(deltas))
 
 
 def dy_cohomology_dims(complex_: DYComplex) -> list[int]:
     """dim H^n for n = 0..n_max-1; the top degree is truncated away."""
-    for n in range(complex_.n_max - 1):
-        upper = complex_.delta_sparse(n + 1)
-        lower = complex_.delta_sparse(n)
-        field = complex_.deltas[n].field
-        zero = field.zero()
-        for row in upper:
-            acc: dict = {}
-            for mid, c1 in row.items():
-                for col, c2 in lower[mid].items():
-                    acc[col] = acc.get(col, zero) + c1 * c2
-            if any(v != zero for v in acc.values()):
-                raise ComplexNotValid(n)
     dims = []
     prev_rank = 0
     for n in range(complex_.n_max):

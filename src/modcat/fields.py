@@ -7,7 +7,9 @@ representation:
 * ``PrimeField(p)``: elements are :class:`FpElem` with residue in ``[0, p)``.
 * ``CyclotomicField(n)``: elements are :class:`CycElem`, polynomials in a
   primitive n-th root of unity ``zeta`` of degree < phi(n), with ``Fraction``
-  coefficients, reduced modulo the n-th cyclotomic polynomial.
+  coefficients, reduced modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is
+  computed once per n as a :class:`~modcat.poly.Poly` over QQ, and products
+  are reduced by ``Poly`` arithmetic; this module needs no sympy.
 
 All arithmetic is exact; there is no floating point anywhere.  Field objects
 are lightweight handles that compare equal when they describe the same field,
@@ -18,6 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+
+from .poly import Poly
 
 
 def _is_prime(p: int) -> bool:
@@ -31,80 +36,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _euler_phi(n: int) -> int:
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-# -- dense Fraction polynomials, ascending coefficients (internal helpers) --
-
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(rem) >= len(b) and rem:
-        shift = len(rem) - len(b)
-        coef = rem[-1] / lead
-        quo[shift] = coef
-        for i, bi in enumerate(b):
-            rem[shift + i] -= coef * bi
-        _poly_trim(rem)
-    return _poly_trim(quo), rem
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, ascending degree.
-
-    Computed by dividing x^n - 1 by the product of all lower Phi_d, d | n.
-    """
+def _phi_poly(n: int) -> Poly:
+    """Phi_n over QQ: x^n - 1 divided once by the product of the lower Phi_d."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
-    den = [Fraction(1)]
+    den = Poly(QQ, [Fraction(1)])
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    quo, rem = _poly_divmod(num, den)
-    assert not rem, "x^n - 1 must be divisible by the product of lower Phi_d"
-    return tuple(quo)
+            den = den * _phi_poly(d)
+    quo, rem = divmod(Poly(QQ, [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]), den)
+    assert rem.is_zero(), "x^n - 1 must be divisible by the product of lower Phi_d"
+    return quo
+
+
+def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
+    return tuple(_phi_poly(n).coeffs)
 
 
 class RationalField:
@@ -219,18 +167,21 @@ class PrimeField:
 
 
 class CycElem:
-    """Element of Q(zeta_n): polynomial in zeta of degree < phi(n)."""
+    """Element of Q(zeta_n): polynomial in zeta of degree < phi(n).
+
+    ``coeffs`` must already hold ``Fraction``s; more than phi(n) of them are
+    reduced modulo Phi_n, fewer are padded with zeros.
+    """
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        phi = _euler_phi(n)
+        phi = _phi_poly(n)
         c = list(coeffs)
-        if len(c) > phi:
-            c = _reduce_mod_phi(n, c)
-        c += [Fraction(0)] * (phi - len(c))
+        if len(c) > phi.degree:
+            c = (Poly(QQ, c) % phi).coeffs
         self.n = n
-        self.coeffs = tuple(Fraction(x) for x in c)
+        self.coeffs = tuple(c + [Fraction(0)] * (phi.degree - len(c)))
 
     def _check(self, other: "CycElem") -> None:
         if not isinstance(other, CycElem) or other.n != self.n:
@@ -249,30 +200,27 @@ class CycElem:
 
     def __mul__(self, other):
         self._check(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CycElem(self.n, _reduce_mod_phi(self.n, prod))
+        prod = Poly(QQ, self.coeffs) * Poly(QQ, other.coeffs)
+        return CycElem(self.n, (prod % _phi_poly(self.n)).coeffs)
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def inverse(self) -> "CycElem":
-        # extended Euclid against Phi_n; Phi_n is irreducible over Q, so any
-        # nonzero element is a unit
-        a = _poly_trim(list(self.coeffs))
-        if not a:
+        # a times its other Galois conjugates zeta -> zeta^k is the norm of a,
+        # a rational that is nonzero because Phi_n is irreducible over Q
+        if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        phi = list(cyclotomic_polynomial(self.n))
-        r0, r1 = phi, a
-        s0, s1 = [], [Fraction(1)]  # s_i tracks the coefficient of a in r_i
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd, a nonzero constant, and s0 * a == r0 mod Phi_n
-        const = r0[0]
-        inv = [x / const for x in s0]
-        return CycElem(self.n, inv)
+        others = CycElem(self.n, [Fraction(1)])
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                conj = [Fraction(0)] * self.n
+                for i, a in enumerate(self.coeffs):
+                    conj[i * k % self.n] += a
+                others = others * CycElem(self.n, conj)
+        norm = (self * others).coeffs[0]
+        return CycElem(self.n, [c / norm for c in others.coeffs])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CycElem) and other.n == self.n and other.coeffs == self.coeffs
@@ -297,12 +245,6 @@ class CycElem:
         return " + ".join(terms) if terms else "0"
 
 
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    phi = list(cyclotomic_polynomial(n))
-    _, rem = _poly_divmod(_poly_trim(list(coeffs)), phi)
-    return rem
-
-
 class CyclotomicField:
     """Cyclotomic field Q(zeta_n), zeta_n a primitive n-th root of unity."""
 
@@ -312,7 +254,7 @@ class CyclotomicField:
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.degree = _euler_phi(n)
+        self.degree = _phi_poly(n).degree
         self.tag = f"cyclo{n}"
 
     def zero(self) -> CycElem:

@@ -1,21 +1,22 @@
 """Dense univariate polynomials over the exact coefficient fields.
 
-Provides the arithmetic needed by the algebra-splitting routines (division,
-gcd, evaluation) plus irreducible factorization.  Factorization is delegated
-to sympy's exact polynomial domains: GF(p) for prime fields, QQ for the
-rationals, and QQ(alpha) with alpha a primitive root of unity for cyclotomic
-fields.  Everything crossing the sympy boundary is converted exactly; no
-floats are involved.
+Provides the arithmetic needed by the cyclotomic fields (whose elements are
+multiplied and reduced modulo Phi_n as ``Poly`` over QQ) and by the
+algebra-splitting routines (division, gcd, extended gcd), plus irreducible
+factorization.  Factorization is delegated to sympy's exact polynomial
+domains: GF(p) for prime fields, QQ for the rationals, and QQ(alpha) with
+alpha a primitive root of unity for cyclotomic fields.  sympy is imported on
+the first factorization, not with this module.  Everything crossing the sympy
+boundary is converted exactly; no floats are involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import sympy
-from sympy.polys.polyclasses import ANP
-
-from .fields import CyclotomicField, Field, PrimeField, RationalField
+if TYPE_CHECKING:
+    from .fields import Field
 
 
 class Poly:
@@ -114,45 +115,40 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
-def _to_sympy_rational(c) -> sympy.Rational:
-    return sympy.Rational(c.numerator, c.denominator)
-
-
-_X = sympy.symbols("x")
-
-
-def _cyclo_domain(n: int):
-    alpha = sympy.CRootOf(sympy.cyclotomic_poly(n, _X), 0)
-    K = sympy.QQ.algebraic_field(alpha)
-    return K, K.mod.to_list()
-
-
 def factor_list(p: Poly) -> list[tuple[Poly, int]]:
     """Irreducible monic factors of p with multiplicities, sorted canonically.
 
     The constant content is dropped; callers factoring minimal polynomials
     only need the monic factors.
     """
+    import sympy
+    from sympy.polys.polyclasses import ANP
+
+    from .fields import CyclotomicField, PrimeField, RationalField
+
     field = p.field
     if p.degree < 1:
         return []
+    x = sympy.symbols("x")
     if isinstance(field, PrimeField):
-        sp = sympy.Poly([x.v for x in reversed(p.coeffs)], _X, modulus=field.p)
+        sp = sympy.Poly([c.v for c in reversed(p.coeffs)], x, modulus=field.p)
         factors = []
         for f, mult in sp.factor_list()[1]:
             coeffs = [field.from_int(int(c)) for c in reversed(f.all_coeffs())]
             factors.append((Poly(field, coeffs).monic(), mult))
     elif isinstance(field, RationalField):
-        sp = sympy.Poly([_to_sympy_rational(c) for c in reversed(p.coeffs)], _X, domain=sympy.QQ)
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                        x, domain=sympy.QQ)
         factors = []
         for f, mult in sp.factor_list()[1]:
             coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
             factors.append((Poly(field, coeffs).monic(), mult))
     elif isinstance(field, CyclotomicField):
-        K, mod = _cyclo_domain(field.n)
+        K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.cyclotomic_poly(field.n, x), 0))
+        mod = K.mod.to_list()
         anp_coeffs = [ANP([sympy.QQ(c.numerator, c.denominator) for c in reversed(el.coeffs)], mod, sympy.QQ)
                       for el in reversed(p.coeffs)]
-        sp = sympy.Poly(anp_coeffs, _X, domain=K)
+        sp = sympy.Poly(anp_coeffs, x, domain=K)
         factors = []
         for f, mult in sp.factor_list()[1]:
             coeffs = []

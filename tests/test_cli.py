@@ -234,3 +234,16 @@ def test_guard_error_reports_size_and_guard():
     result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
     assert code == 0
     assert result.payload["summands"] == ["FINITE_EXT(40)"] * 2
+
+
+def test_sympy_is_imported_only_for_factorization():
+    # importing the CLI and validating a ring never factor a polynomial
+    script = (
+        "import sys\n"
+        "import modcat.cli\n"
+        "assert 'sympy' not in sys.modules, 'import modcat.cli loaded sympy'\n"
+        "assert modcat.cli.run(['ring', 'validate', 'data/fib.ring.json'])[1] == 0\n"
+        "assert 'sympy' not in sys.modules, 'ring validate loaded sympy'\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(DATA.parent))
+    assert result.returncode == 0, result.stderr

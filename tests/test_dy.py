@@ -122,11 +122,10 @@ def test_size_guard():
 def test_hand_built_invalid_complex_is_rejected():
     from modcat.dy import ComplexNotValid, DYComplex
     good = identity_complex((2,), QQ, n_max=2)
-    broken = DYComplex(n_max=2, cochain_dims=good.cochain_dims,
-                       deltas=(Matrix.from_ints(QQ, [[1], [0]]),
-                               Matrix.from_ints(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])))
     with pytest.raises(ComplexNotValid):
-        dy_cohomology_dims(broken)
+        DYComplex(n_max=2, cochain_dims=good.cochain_dims,
+                  deltas=(Matrix.from_ints(QQ, [[1], [0]]),
+                          Matrix.from_ints(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])))
 
 
 def test_functor_hom_well_definedness():

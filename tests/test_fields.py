@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,13 @@ def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
     assert cyclotomic_polynomial(12) == (Fraction(1), Fraction(0), Fraction(-1),
                                          Fraction(0), Fraction(1))
+    # Phi_105 = 3 * 5 * 7 is the first with a coefficient outside {-1, 0, 1}
+    phi_105 = {0: 1, 1: 1, 2: 1, 5: -1, 6: -1, 7: -2, 8: -1, 9: -1,
+               12: 1, 13: 1, 14: 1, 15: 1, 16: 1, 17: 1,
+               20: -1, 22: -1, 24: -1, 26: -1, 28: -1,
+               31: 1, 32: 1, 33: 1, 34: 1, 35: 1, 36: 1,
+               39: -1, 40: -1, 41: -2, 42: -1, 43: -1, 46: 1, 47: 1, 48: 1}
+    assert cyclotomic_polynomial(105) == tuple(Fraction(phi_105.get(i, 0)) for i in range(49))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15])
@@ -128,3 +137,92 @@ def test_canonical_sums_and_products_stay_reduced():
     # multiplication reduces degree below phi(4) = 2
     b = a * a
     assert len(b.coeffs) == 2
+
+
+def test_degree_is_the_number_of_units_mod_n():
+    for n in range(1, 61):
+        units = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert CyclotomicField(n).degree == units
+        assert len(cyclotomic_polynomial(n)) == units + 1
+
+
+# -- oracle: dense Fraction-list kernels (schoolbook product, long division
+# by Phi_n, extended Euclid), kept in test code only --
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _oracle_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _oracle_sub(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def _oracle_divmod(a, b):
+    rem = _trim(list(a))
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        coef = rem[-1] / b[-1]
+        quo[shift] = coef
+        for i, bi in enumerate(b):
+            rem[shift + i] -= coef * bi
+        _trim(rem)
+    return _trim(quo), rem
+
+
+@cache
+def _oracle_phi(n):
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _oracle_mul(den, _oracle_phi(d))
+    quo, rem = _oracle_divmod([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)], den)
+    assert not rem
+    return tuple(quo)
+
+
+def _oracle_reduce(n, c):
+    phi = _oracle_phi(n)
+    rem = _oracle_divmod(c, phi)[1]
+    return tuple(rem + [Fraction(0)] * (len(phi) - 1 - len(rem)))
+
+
+def _oracle_inverse(n, a):
+    r0, r1 = list(_oracle_phi(n)), _trim(list(a))
+    s0, s1 = [], [Fraction(1)]  # s_i * a == r_i mod Phi_n
+    while r1:
+        q, r = _oracle_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _oracle_sub(s0, _oracle_mul(q, s1))
+    return _oracle_reduce(n, [x / r0[0] for x in s0])
+
+
+_coefficient_lists = st.lists(
+    st.fractions(min_value=-8, max_value=8, max_denominator=6), max_size=20)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15]),
+       _coefficient_lists, _coefficient_lists)
+@settings(max_examples=300, deadline=None)
+def test_cyclotomic_arithmetic_matches_dense_oracle(n, raw_a, raw_b):
+    field = CyclotomicField(n)
+    a, b = field.from_fractions(raw_a), field.from_fractions(raw_b)
+    assert a.coeffs == _oracle_reduce(n, raw_a)
+    assert b.coeffs == _oracle_reduce(n, raw_b)
+    assert (a + b).coeffs == _oracle_reduce(n, _oracle_sub(raw_a, [-x for x in raw_b]))
+    assert (a - b).coeffs == _oracle_reduce(n, _oracle_sub(raw_a, raw_b))
+    assert (a * b).coeffs == _oracle_reduce(n, _oracle_mul(raw_a, raw_b))
+    if a:
+        assert a.inverse().coeffs == _oracle_inverse(n, a.coeffs)
