@@ -11,9 +11,11 @@ representation:
   computed once per n as a :class:`~modcat.poly.Poly` over QQ, and products
   are reduced by ``Poly`` arithmetic; this module needs no sympy.
 
-All arithmetic is exact; there is no floating point anywhere.  Field objects
-are lightweight handles that compare equal when they describe the same field,
-so they can be passed around and stored on matrices and algebras.
+All arithmetic is exact; there is no floating point anywhere.  Every
+element is false exactly when it is zero, so sparse code can test entries by
+truth value.  Field objects are lightweight handles that compare equal when
+they describe the same field, so they can be passed around and stored on
+matrices and algebras.
 """
 
 from __future__ import annotations

@@ -1,9 +1,13 @@
 """Exact linear algebra over the coefficient fields.
 
-Matrices store their field handle and a list of rows.  Echelon forms follow
-one fixed convention so that every output is canonical:
+Matrices store their field handle and a list of dense rows.  Elimination
+works on the nonzero entries of each row only, so its cost follows the
+nonzeros, not the shape.  Echelon forms follow one fixed convention so that
+every output is canonical:
 
-* Gauss-Jordan with leftmost pivot selection, pivots normalized to 1.
+* the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
+  nonzero entry of each row, normalized to 1, with zeros above and below
+  them, and zero rows last.
 * ``kernel_basis`` returns one vector per free column, carrying 1 in its free
   column, the negated reduced-echelon entries in the pivot columns, and 0 in
   the other free columns, ordered by free column index.
@@ -15,7 +19,11 @@ from .fields import Field
 
 
 class Matrix:
-    """Dense matrix over an exact field."""
+    """Matrix over an exact field, stored as dense rows.
+
+    ``rref`` and everything built on it (``rank``, ``kernel_basis``,
+    ``solve``) read only the nonzero entries, from :meth:`nonzero_rows`.
+    """
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         self.field = field
@@ -64,7 +72,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         zero = self.field.zero()
-        cols = list(zip(*other.rows)) if other.rows else []
+        cols = other.transpose().rows
         out = []
         for r in self.rows:
             row = []
@@ -75,14 +83,15 @@ class Matrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        if not cols:
-            out = [[] for _ in self.rows]
-        return Matrix(self.field, out)
+        return Matrix(self.field, out, ncols=other.ncols)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix(self.field, [])
-        return Matrix(self.field, [list(c) for c in zip(*self.rows)])
+        cols = [list(c) for c in zip(*self.rows)] if self.rows else [[]] * self.ncols
+        return Matrix(self.field, cols, ncols=self.nrows)
+
+    def nonzero_rows(self) -> list[dict]:
+        """Each row as the dict ``{column: entry}`` of its nonzero entries."""
+        return [{j: c for j, c in enumerate(row) if c} for row in self.rows]
 
     def is_zero(self) -> bool:
         zero = self.field.zero()
@@ -94,32 +103,47 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Each row, as its nonzero entries, is reduced against a basis of earlier
+    rows kept in reduced form, one row per pivot column.  What is left, if
+    anything, is scaled to 1 at its leftmost column, that column is cleared
+    from the basis, and the row joins it.  The reduced form is unique, so the
+    result is the Gauss-Jordan one: basis rows in pivot order, then zero rows.
+    """
     field = m.field
     zero = field.zero()
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.ncols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc] != zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    basis: dict[int, dict] = {}
+    for row in m.nonzero_rows():
+        # basis rows vanish at each other's pivots, so the row's own entries
+        # at the pivot columns are the multiples to subtract
+        for pc in [c for c in row if c in basis]:
+            _subtract_multiple(row, row[pc], basis[pc], zero)
+        if not row:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = field.one() / rows[pr][pc]
-        rows[pr] = [inv * a for a in rows[pr]]
-        for r in range(len(rows)):
-            if r != pr and rows[r][pc] != zero:
-                factor = rows[r][pc]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
+        pc = min(row)
+        inv = field.one() / row[pc]
+        row = {j: inv * v for j, v in row.items()}
+        for other in basis.values():
+            if pc in other:
+                _subtract_multiple(other, other[pc], row, zero)
+        basis[pc] = row
+        if len(basis) == m.ncols:
             break
+    pivots = sorted(basis)
+    rows = [[basis[pc].get(j, zero) for j in range(m.ncols)] for pc in pivots]
+    rows += [[zero] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Matrix(field, rows, ncols=m.ncols), pivots
+
+
+def _subtract_multiple(row: dict, factor, other: dict, zero) -> None:
+    """row -= factor * other on the entries of other, dropping any that cancel."""
+    for j, b in other.items():
+        v = row.get(j, zero) - factor * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def rank(m: Matrix) -> int:

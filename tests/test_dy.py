@@ -1,8 +1,10 @@
 """Deformation cochain complexes: differential identities and dimensions."""
 
+import math
+
 import pytest
 
-from modcat.dy import (PointedFunctorData, SeparabilityDiagnostic,
+from modcat.dy import (NMAX_GUARD, SIZE_GUARD, PointedFunctorData, SeparabilityDiagnostic,
                        build_dy_complex, dy_cohomology_dims,
                        separability_diagnostic)
 from modcat.errors import SizeGuardExceeded, ValidationError
@@ -113,10 +115,51 @@ def test_char_zero_vanishing_above_degree_zero():
 def test_size_guard():
     with pytest.raises(SizeGuardExceeded):
         identity_complex((32,), QQ, n_max=4)
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded) as info:
         identity_complex((2,), QQ, n_max=9)
+    assert (info.value.size, info.value.guard) == (9, NMAX_GUARD)
     with pytest.raises(ValidationError):
         identity_complex((2,), QQ, n_max=0)
+
+
+# size = sum over n < n_max of |G|^(n+1) rows times (|G|^n entries + 7)
+@pytest.mark.parametrize("orders,n_max,size", [
+    ((17,), 3, 1_461_320),
+    ((8,), 4, 2_163_200),       # admitted by the old |G|^(n_max+1) proxy
+    ((137_501,), 1, 1_100_008),  # one entry per row: the row headers dominate
+])
+def test_size_guard_counts_dense_rows_and_entries(orders, n_max, size):
+    with pytest.raises(SizeGuardExceeded) as info:
+        identity_complex(orders, QQ, n_max=n_max)
+    assert (info.value.size, info.value.guard) == (size, SIZE_GUARD)
+
+
+@pytest.mark.slow
+def test_size_guard_boundary_finishes():
+    # Z/16 at n_max 3 holds 1,052,688 entries in 4,368 rows: size 1,083,264
+    assert dy_cohomology_dims(identity_complex((16,), QQ, n_max=3)) == [1, 0, 0]
+
+
+# every abelian group of order at most 8, by invariant factors
+SMALL_GROUPS = [(), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)]
+
+
+def closed_form_dims(orders, char, n_max):
+    """dim H^n in characteristic p is the t^n coefficient of (1 - t)^(-k), k the
+    number of cyclic factors of order divisible by p; 1, 0, 0, ... in characteristic 0."""
+    k = sum(1 for m in orders if char and m % char == 0)
+    if k == 0:
+        return [1] + [0] * (n_max - 1)
+    return [math.comb(n + k - 1, k - 1) for n in range(n_max)]
+
+
+@pytest.mark.parametrize("orders,field,n_max",
+                         [(orders, field, 3) for orders in SMALL_GROUPS
+                          for field in (QQ, PrimeField(2), PrimeField(3))]
+                         + [((5,), QQ, 4)])
+def test_dims_match_p_rank_closed_form(orders, field, n_max):
+    dims = dy_cohomology_dims(identity_complex(orders, field, n_max=n_max))
+    assert dims == closed_form_dims(orders, field.char, n_max)
 
 
 def test_hand_built_invalid_complex_is_rejected():

@@ -31,6 +31,18 @@ def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(105) == tuple(Fraction(phi_105.get(i, 0)) for i in range(49))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5), CyclotomicField(3),
+                                   CyclotomicField(12)])
+def test_elements_are_false_exactly_at_zero(field):
+    # sparse elimination tests entries by truth value
+    values = [field.from_int(k) for k in range(-6, 7)]
+    if isinstance(field, CyclotomicField):
+        values += [field.zeta(k) - field.zeta(k) for k in range(field.n)]
+        values += [field.zeta(k) for k in range(field.n)]
+    for x in values:
+        assert bool(x) == (x != field.zero())
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15])
 def test_zeta_power_and_minimal_polynomial(n):
     field = CyclotomicField(n)

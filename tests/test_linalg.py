@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcat.fields import CyclotomicField, PrimeField, QQ
 from modcat.linalg import Matrix, kernel_basis, rank, rref, solve
@@ -86,3 +87,100 @@ def test_matrix_product_shapes_and_values():
     assert (a * b).rows == Matrix.from_ints(QQ, [[2, 1], [4, 3]]).rows
     with pytest.raises(ValueError):
         _ = a * Matrix.from_ints(QQ, [[1, 2, 3]])
+
+
+def test_transpose_of_empty_matrices_keeps_the_swapped_shape():
+    t = Matrix.zero(QQ, 0, 3).transpose()
+    assert (t.nrows, t.ncols) == (3, 0)
+    t = Matrix.zero(QQ, 3, 0).transpose()
+    assert (t.nrows, t.ncols) == (0, 3)
+
+
+def test_product_through_an_empty_inner_dimension_is_zero():
+    product = Matrix.zero(QQ, 2, 0) * Matrix.zero(QQ, 0, 3)
+    assert (product.nrows, product.ncols) == (2, 3)
+    assert product == Matrix.zero(QQ, 2, 3)
+    product = Matrix.zero(QQ, 2, 3) * Matrix.zero(QQ, 3, 0)
+    assert (product.nrows, product.ncols) == (2, 0)
+
+
+# -- dense Gauss-Jordan oracle ---------------------------------------------------
+
+def dense_rref(m):
+    """Leftmost-pivot Gauss-Jordan on whole dense rows, zeros included."""
+    field = m.field
+    zero = field.zero()
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        pivot_row = next((r for r in range(pr, len(rows)) if rows[r][pc] != zero), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        inv = field.one() / rows[pr][pc]
+        rows[pr] = [inv * a for a in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and rows[r][pc] != zero:
+                factor = rows[r][pc]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    return Matrix(field, rows, ncols=m.ncols), pivots
+
+
+ORACLE_FIELDS = [QQ, PrimeField(2), PrimeField(3), CyclotomicField(4)]
+SMALL_INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+
+
+@st.composite
+def entries(draw, field):
+    """Mostly zero; over Q a small fraction, over Q(zeta_4) a + b i."""
+    if field == QQ:
+        return Fraction(draw(SMALL_INTS), draw(st.sampled_from([1, 1, 2, 3])))
+    if isinstance(field, CyclotomicField):
+        return field.from_fractions([draw(SMALL_INTS), draw(SMALL_INTS)])
+    return field.from_int(draw(SMALL_INTS))
+
+
+@st.composite
+def matrices(draw):
+    """Random, redundant (zero, duplicate and scaled rows, zero columns) or
+    tall and very sparse, like the DY differentials; 0 x n included."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    zero = field.zero()
+    kind = draw(st.sampled_from(["random", "redundant", "sparse-tall"]))
+    if kind == "sparse-tall":
+        ncols = draw(st.integers(1, 8))
+        rows = []
+        for _ in range(draw(st.integers(ncols, 5 * ncols))):
+            row = [zero] * ncols
+            for col in draw(st.lists(st.integers(0, ncols - 1), min_size=0, max_size=3)):
+                row[col] = row[col] + field.from_int(draw(st.sampled_from([1, -1, 2])))
+            rows.append(row)
+        return Matrix(field, rows, ncols=ncols)
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(entries(field), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=0, max_size=6))
+    if kind == "redundant" and rows:
+        for _ in range(draw(st.integers(1, 6))):
+            source = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(st.sampled_from([zero, field.one(), field.from_int(-1),
+                                          field.from_int(2)]))
+            rows.append([scale * a for a in source])
+        zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+        rows = [[zero if j in zero_cols else a for j, a in enumerate(r)] for r in rows]
+        rows = draw(st.permutations(rows))
+    return Matrix(field, rows, ncols=ncols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=matrices())
+def test_rref_matches_dense_oracle(m):
+    reduced, pivots = rref(m)
+    expected, expected_pivots = dense_rref(m)
+    assert pivots == expected_pivots
+    assert (reduced.nrows, reduced.ncols) == (expected.nrows, expected.ncols) == (m.nrows, m.ncols)
+    assert reduced.rows == expected.rows
