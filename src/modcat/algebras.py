@@ -2,15 +2,11 @@
 
 The central operation is :func:`split_commutative_algebra`: the complete list
 of primitive idempotents of a commutative associative unital algebra over an
-exact field, splitting exactly as far as the field allows.  The algorithm:
-
-1. compute the nilradical (trace-form kernel in characteristic zero, iterated
-   Frobenius kernel over a prime field) and pass to the semisimple quotient;
-2. refine idempotent blocks by factoring minimal polynomials of multiplication
-   operators: over a prime field the basis of the Frobenius-fixed subalgebra
-   is added to the generator pool, which makes the refinement complete;
-3. lift the primitive idempotents of the quotient back through the nilradical
-   by Hensel iteration, keeping them orthogonal.
+exact field, splitting exactly as far as the field allows.  It refines blocks
+of the algebra itself in one pass over its basis: each basis vector x splits
+every current block e along the coprime factor powers of the minimal
+polynomial of x * e on e * A, with idempotents taken by CRT (Friedl and
+Ronyai, STOC 1985).
 
 An algebra stores only its nonzero structure constants, one dict {k: c} per
 basis pair (i, j), and is validated once, when it is built; products and
@@ -21,8 +17,8 @@ construction and every output is deterministic.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .fields import Field, PrimeField
-from .linalg import Matrix, kernel_basis, rank, rref, solve
+from .fields import Field
+from .linalg import Matrix, kernel_basis, rref, solve
 from .poly import Poly, factor_list, xgcd
 
 
@@ -177,126 +173,39 @@ def _restricted_operator(algebra: StructureConstantAlgebra, x, block_basis: list
     return Matrix(algebra.field, [list(row) for row in zip(*coords)])
 
 
-def _frobenius_matrix(algebra: StructureConstantAlgebra) -> Matrix:
-    """Matrix of the F_p-linear map x -> x^p of a commutative F_p-algebra."""
-    p = algebra.field.p
-    cols = []
-    for e in Matrix.identity(algebra.field, algebra.dim).rows:
-        power = e
-        for _ in range(p - 1):
-            power = algebra.mul_vec(power, e)
-        cols.append(power)
-    return Matrix(algebra.field, [list(row) for row in zip(*cols)])
+def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> list:
+    """Pieces (idempotent, echelon basis of idempotent * A) of the block
+    (e, basis of e * A) along the coprime factor powers of the minimal
+    polynomial of x * e on e * A; the block itself when that has one factor.
 
-
-def _nilradical(algebra: StructureConstantAlgebra) -> list[list]:
-    """Echelonized basis of the nilradical of a commutative algebra."""
-    field = algebra.field
-    if isinstance(field, PrimeField):
-        # Frobenius x -> x^p is F_p-linear on a commutative F_p-algebra;
-        # the nilradical is the kernel of a high enough Frobenius power
-        frob = _frobenius_matrix(algebra)
-        iterated = frob
-        size = field.p
-        while size < algebra.dim:
-            iterated = frob * iterated
-            size *= field.p
-        return kernel_basis(iterated)
-    # characteristic zero: the radical is the kernel of the trace form
-    basis = Matrix.identity(field, algebra.dim).rows
-    gram = []
-    for i in range(algebra.dim):
-        row = []
-        for j in range(algebra.dim):
-            product = algebra.mul_vec(basis[i], basis[j])
-            lm = algebra.left_mult_matrix(product)
-            tr = field.zero()
-            for k in range(algebra.dim):
-                tr = tr + lm.rows[k][k]
-            row.append(tr)
-        gram.append(row)
-    return kernel_basis(Matrix(field, gram))
-
-
-def _quotient_algebra(algebra: StructureConstantAlgebra, radical: list[list]):
-    """Quotient by the span of radical; returns (quotient, project, lift)."""
-    field = algebra.field
-    zero = field.zero()
-    if radical:
-        reduced, pivots = rref(Matrix(field, radical))
-        pivot_rows = reduced.rows[:len(pivots)]
-    else:
-        pivots, pivot_rows = [], []
-    pivot_set = set(pivots)
-    kept = [j for j in range(algebra.dim) if j not in pivot_set]
-
-    def project(v: list) -> list:
-        w = list(v)
-        for r, pc in enumerate(pivots):
-            factor = w[pc]
-            if factor != zero:
-                w = [a - factor * b for a, b in zip(w, pivot_rows[r])]
-        return [w[j] for j in kept]
-
-    def lift(v: list) -> list:
-        out = [zero] * algebra.dim
-        for coeff, j in zip(v, kept):
-            out[j] = coeff
-        return out
-
-    basis = Matrix.identity(field, algebra.dim).rows
-    mult = [[project(algebra.mul_vec(basis[i], basis[j])) for j in kept] for i in kept]
-    quotient = StructureConstantAlgebra(field, mult, project(algebra.unit),
-                                        labels=[algebra.labels[j] for j in kept])
-    return quotient, project, lift
-
-
-def _split_with_generator(algebra: StructureConstantAlgebra, blocks: list[dict], x) -> bool:
-    """Try to split some block using multiplication by x; returns True on a split."""
-    field = algebra.field
-    zero = field.zero()
-    for idx, block in enumerate(blocks):
-        e = block["idempotent"]
-        basis = block["basis"]
-        xe = algebra.mul_vec(x, e)
-        op = _restricted_operator(algebra, xe, basis)
-        mp = min_poly_of_matrix(op)
-        factors = factor_list(mp)
-        if len(factors) < 2:
-            continue
-        new_blocks = []
-        for f, mult in factors:
-            fpow = f
-            for _ in range(mult - 1):
-                fpow = fpow * f
-            cofactor, _ = divmod(mp, fpow)
-            # t * cofactor == 1 mod fpow gives the idempotent of this factor
-            g, s, t = xgcd(fpow, cofactor)
-            if g.degree != 0:
-                raise AssertionError("minimal polynomial factors must be coprime")
-            h = t * cofactor
-            # evaluate h at xe inside the block: e plays the role of the unit
-            e_i = _eval_poly_at(algebra, h, xe, e)
-            new_basis = _image_basis(algebra, e_i)
-            new_blocks.append({"idempotent": e_i, "basis": new_basis})
-        blocks[idx:idx + 1] = new_blocks
-        return True
-    return False
+    e is the unit of e * A, so x and x * e act alike there: the operator and
+    the Horner evaluation use the sparse basis vector x itself."""
+    mp = min_poly_of_matrix(_restricted_operator(algebra, x, basis))
+    factors = factor_list(mp)
+    if len(factors) < 2:
+        return [(e, basis)]
+    pieces = []
+    for f, mult in factors:
+        fpow = f
+        for _ in range(mult - 1):
+            fpow = fpow * f
+        cofactor, _ = divmod(mp, fpow)
+        # t * cofactor == 1 mod fpow and == 0 mod the other factor powers, so
+        # h = t * cofactor has h(h - 1) divisible by mp: h(x e) is idempotent
+        g, _, t = xgcd(fpow, cofactor)
+        if g.degree != 0:
+            raise AssertionError("minimal polynomial factors must be coprime")
+        # evaluate inside the block: e plays the role of the unit
+        e_i = _eval_poly_at(algebra, t * cofactor, x, e)
+        pieces.append((e_i, _image_basis(algebra, e_i)))
+    return pieces
 
 
 def _eval_poly_at(algebra: StructureConstantAlgebra, p: Poly, x, unit_element):
     """Evaluate p at x by Horner, with unit_element as the local unit."""
-    field = algebra.field
-    zero = field.zero()
-    acc = None
+    acc = [algebra.field.zero()] * algebra.dim
     for c in reversed(p.coeffs):
-        if acc is None:
-            acc = [c * u for u in unit_element]
-        else:
-            acc = algebra.mul_vec(acc, x)
-            acc = [a + c * u for a, u in zip(acc, unit_element)]
-    if acc is None:
-        return [zero] * algebra.dim
+        acc = [a + c * u for a, u in zip(algebra.mul_vec(acc, x), unit_element)]
     return acc
 
 
@@ -315,60 +224,33 @@ def split_commutative_algebra(algebra: StructureConstantAlgebra):
     far as the coefficient field allows.  Output is sorted lexicographically
     on the idempotent coordinate vectors.
 
+    The CRT idempotents are exact in A itself, nilpotents included: for a
+    factor power f^m of the minimal polynomial mp of x * e on e * A, xgcd
+    gives h = t * cofactor with h == 1 mod f^m and h == 0 mod mp / f^m, so
+    mp divides h(h - 1) and h(x * e) is an idempotent of A.  The pieces of a
+    block are orthogonal and sum to e, and a block's dimension is the length
+    of its echelon basis of e * A.
+
+    The basis alone is complete.  If two primitive idempotents with residue
+    fields K_i, K_j stayed in one block, every basis vector would map to a
+    pair (u, v) in K_i x K_j with u and v of one minimal polynomial.  Such
+    pairs lie in a proper subspace: in characteristic 0 the normalised traces
+    Tr(u)/[K_i:k] and Tr(v)/[K_j:k] agree; over F_p with [K_i:k] = [K_j:k]
+    the traces agree; over F_p with unequal degrees the larger field's
+    component lies in the proper common subfield.  The basis of A maps onto
+    K_i x K_j, so some basis vector separates the pair.
+
     Raises NotCommutative when the input is not commutative.  An algebra that
     is not associative or has no unit never reaches this function: its
     construction raises NotAssociative / NoUnit.
     """
     algebra.check_commutative()
     field = algebra.field
-
-    radical = _nilradical(algebra)
-    quotient, project, lift = _quotient_algebra(algebra, radical)
-
-    # refine idempotent blocks in the semisimple quotient
-    blocks = [{"idempotent": quotient.unit,
-               "basis": _image_basis(quotient, quotient.unit)}]
-    generators = Matrix.identity(field, quotient.dim).rows
-    if isinstance(field, PrimeField):
-        # basis of the Frobenius-fixed subalgebra; eigen-splitting along these
-        # generators separates every pair of blocks
-        frob = _frobenius_matrix(quotient)
-        fixed = kernel_basis(frob - Matrix.identity(field, quotient.dim))
-        generators = generators + fixed
-    changed = True
-    while changed:
-        changed = False
-        for x in generators:
-            if _split_with_generator(quotient, blocks, x):
-                changed = True
-                break
-
-    # lift idempotents through the nilradical, sequentially to keep them
-    # orthogonal; the last one is forced as the remaining unit
-    ordered = sorted(blocks, key=lambda b: tuple(field.sort_key(c) for c in b["idempotent"]))
-    lifted = []
-    remaining_unit = list(algebra.unit)
-    for block in ordered[:-1]:
-        candidate = algebra.mul_vec(remaining_unit, lift(block["idempotent"]))
-        candidate = algebra.mul_vec(candidate, remaining_unit)
-        for _ in range(algebra.dim + 2):
-            square = algebra.mul_vec(candidate, candidate)
-            if square == candidate:
-                break
-            # Hensel step e <- 3e^2 - 2e^3
-            cube = algebra.mul_vec(square, candidate)
-            three = field.from_int(3)
-            two = field.from_int(2)
-            candidate = [three * s - two * c for s, c in zip(square, cube)]
-        else:
-            raise AssertionError("idempotent lifting did not converge")
-        lifted.append(candidate)
-        remaining_unit = [u - c for u, c in zip(remaining_unit, candidate)]
-    lifted.append(remaining_unit)
-
-    result = []
-    for e in lifted:
-        dim = rank(algebra.left_mult_matrix(e))
-        result.append((dim, e))
+    basis_vectors = Matrix.identity(field, algebra.dim).rows
+    blocks = [(algebra.unit, basis_vectors)]
+    for x in basis_vectors:
+        blocks = [piece for e, basis in blocks
+                  for piece in _split_block(algebra, e, basis, x)]
+    result = [(len(basis), e) for e, basis in blocks]
     result.sort(key=lambda de: tuple(field.sort_key(c) for c in de[1]))
     return result

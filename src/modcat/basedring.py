@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from math import factorial
 
-from .errors import GuardError, ValidationError
+from .errors import GuardError, SizeGuardExceeded, ValidationError
 
 EXHAUSTIVE_RANK_LIMIT = 12
+# canonical_form builds an r + r^3 key for each of the r! permutations;
+# admits rank 8 (20,966,400): about 3.2 s on a group ring of order 8
+CANONICAL_FORM_GUARD = 20_966_400
 
 
 class NotAssociative(ValidationError):
@@ -262,11 +266,14 @@ def canonical_form(ring: ValidatedRing) -> tuple:
 
     Minimizes (unit_coeffs, mult) lexicographically over all basis
     permutations; every permutation preserves the unit-support multiset, and
-    putting the unit coordinates first normalizes their position.
+    putting the unit coordinates first normalizes their position.  Raises
+    SizeGuardExceeded when r! * (r + r^3), the key entries built, exceeds
+    CANONICAL_FORM_GUARD.
     """
     r = ring.rank
-    if r > EXHAUSTIVE_RANK_LIMIT:
-        raise RankTooLargeForExhaustiveSearch(r)
+    size = factorial(r) * (r + r ** 3)
+    if size > CANONICAL_FORM_GUARD:
+        raise SizeGuardExceeded(size, CANONICAL_FORM_GUARD)
     best = None
     unit = ring.unit_coeffs
     for perm in itertools.permutations(range(r)):

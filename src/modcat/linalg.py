@@ -58,16 +58,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other, same=True)
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other, same=True)
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -96,10 +86,6 @@ class Matrix:
     def is_zero(self) -> bool:
         zero = self.field.zero()
         return all(a == zero for r in self.rows for a in r)
-
-    def _shape_check(self, other: "Matrix", same: bool = False) -> None:
-        if same and (self.nrows != other.nrows or self.ncols != other.ncols):
-            raise ValueError("shape mismatch")
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:

@@ -103,14 +103,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
-
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r})"
 

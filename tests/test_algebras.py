@@ -1,6 +1,7 @@
 """Structure-constant algebras and commutative splitting."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,7 +119,7 @@ def test_split_nonsemisimple_truncated_polynomials():
 
 
 def test_split_product_of_truncated_polynomials():
-    # Q[x]/(x^2) x Q[y]/(y^2): two blocks found through the nilradical
+    # Q[x]/(x^2) x Q[y]/(y^2): two local blocks, each with a nilpotent
     mult = [
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
         [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
@@ -223,23 +224,34 @@ SMALL = st.sampled_from([0, 0, 0, 1, -1, 2])
 FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(5)])
 
 
-@st.composite
-def associative_tables(draw):
-    """A base algebra in a random unimodular integer basis f = P e."""
-    mult, unit = draw(st.sampled_from(ASSOCIATIVE_BASES))
+def in_unimodular_basis(draw, mult, unit, steps):
+    """The constants and unit in the basis f = P e, with P a product of up to
+    ``steps`` random elementary integer row operations (so P^-1 is integral)."""
     d = len(mult)
     p = [[int(a == b) for b in range(d)] for a in range(d)]
     q = [row[:] for row in p]  # q = p^-1, kept in step
-    for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+    for _ in range(draw(st.integers(0, steps)) if d > 1 else 0):
         a, b = draw(st.permutations(range(d)))[:2]
         t = draw(st.integers(-2, 2))
         p[a] = [x + t * y for x, y in zip(p[a], p[b])]  # row a += t row b
         for row in q:
             row[b] -= t * row[a]                         # column b -= t column a
-    new = [[[sum(p[a][i] * p[b][j] * mult[i][j][k] * q[k][c]
-                 for i in range(d) for j in range(d) for k in range(d))
-             for c in range(d)] for b in range(d)] for a in range(d)]
-    return new, [sum(unit[k] * q[k][c] for k in range(d)) for c in range(d)]
+    # f_a f_b = sum p[a][i] p[b][j] c[i][j][k] e_k with e_k = sum q[k][c] f_c,
+    # contracted one index at a time
+    out = [[[sum(c_ij[k] * q[k][c] for k in range(d)) for c in range(d)]
+            for c_ij in row] for row in mult]
+    out = [[[sum(p[b][j] * out[i][j][c] for j in range(d)) for c in range(d)]
+            for b in range(d)] for i in range(d)]
+    out = [[[sum(p[a][i] * out[i][b][c] for i in range(d)) for c in range(d)]
+            for b in range(d)] for a in range(d)]
+    return out, [sum(unit[k] * q[k][c] for k in range(d)) for c in range(d)]
+
+
+@st.composite
+def associative_tables(draw):
+    """A base algebra in a random unimodular integer basis f = P e."""
+    mult, unit = draw(st.sampled_from(ASSOCIATIVE_BASES))
+    return in_unimodular_basis(draw, mult, unit, 4)
 
 
 @st.composite
@@ -281,3 +293,60 @@ def test_center_basis_matches_dense_commutator_kernel(table, field):
     mult, unit = table
     algebra = StructureConstantAlgebra.from_int_constants(field, mult, unit)
     assert algebra.center_basis() == dense_center(field, mult)
+
+
+# -- closed forms for the blocks of K[Z/n], written out here --------------------
+
+def euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def multiplicative_order(p, d):
+    k, x = 1, p % d
+    while x != 1 % d:
+        k, x = k + 1, x * p % d
+    return k
+
+
+def expected_cyclic_block_dims(field, n):
+    """Block dimensions of K[Z/n] = K[x]/(x^n - 1).
+
+    In characteristic 0, x^n - 1 is the product of Phi_d over d | n, and Phi_d
+    stays irreducible over Q and splits over Q(zeta_m) into phi(d)/c factors
+    of degree c = [Q(zeta_lcm(m, d)) : Q(zeta_m)].  Over F_p with n = p^a n'
+    and p not dividing n', x^n - 1 is the product of Phi_d^(p^a) over d | n',
+    and Phi_d splits into phi(d)/ord_d(p) factors of degree ord_d(p)."""
+    if field == QQ:
+        return sorted(euler_phi(d) for d in range(1, n + 1) if n % d == 0)
+    if isinstance(field, CyclotomicField):
+        m = field.n
+        dims = []
+        for d in range(1, n + 1):
+            if n % d == 0:
+                c = euler_phi(m * d // gcd(m, d)) // euler_phi(m)
+                dims += [c] * (euler_phi(d) // c)
+        return sorted(dims)
+    p, local, rest = field.p, 1, n
+    while rest % p == 0:
+        local, rest = local * p, rest // p
+    dims = []
+    for d in range(1, rest + 1):
+        if rest % d == 0:
+            order = multiplicative_order(p, d)
+            dims += [local * order] * (euler_phi(d) // order)
+    return sorted(dims)
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3), CyclotomicField(4),
+                                   PrimeField(2), PrimeField(3), PrimeField(5)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_split_cyclic_group_algebras_matches_closed_form(field, data):
+    n = data.draw(st.integers(1, 12), label="n")
+    mult = [[[1 if k == (i + j) % n else 0 for k in range(n)] for j in range(n)]
+            for i in range(n)]
+    mult, unit = in_unimodular_basis(data.draw, mult, [1] + [0] * (n - 1), n)
+    algebra = StructureConstantAlgebra.from_int_constants(field, mult, unit)
+    blocks = split_commutative_algebra(algebra)
+    assert sorted(d for d, _ in blocks) == expected_cyclic_block_dims(field, n)
+    idempotent_properties(algebra, blocks)

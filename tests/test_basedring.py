@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
-from modcat.basedring import (BasedRingData, NegativeConstant, NotAssociative,
+from modcat.basedring import (CANONICAL_FORM_GUARD, BasedRingData, NegativeConstant,
+                              NotAssociative,
                               RankTooLargeForExhaustiveSearch, UnitLawFails,
                               canonical_form, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, tau, trivial_ring,
                               validate_zplus_ring)
+from modcat.errors import SizeGuardExceeded
 
 
 def mod_real_object_ring() -> BasedRingData:
@@ -153,6 +155,22 @@ def test_rank_guard():
     ring = validate_zplus_ring(data)
     with pytest.raises(RankTooLargeForExhaustiveSearch):
         find_weak_based_involutions(ring)
+
+
+def test_canonical_form_guard_counts_permutation_keys():
+    # the first refused rank: 9! permutations, each an r + r^3 = 738 key
+    ring = validate_zplus_ring(group_ring([9]))
+    with pytest.raises(SizeGuardExceeded) as info:
+        canonical_form(ring)
+    assert (info.value.size, info.value.guard) == (362880 * 738, CANONICAL_FORM_GUARD)
+
+
+@pytest.mark.slow
+def test_canonical_form_guard_boundary_finishes():
+    # rank 8 is the largest admitted: 8! * (8 + 8^3) keys
+    assert CANONICAL_FORM_GUARD == 40320 * 520
+    ring = validate_zplus_ring(group_ring([2, 2, 2]))
+    assert canonical_form(ring)[0] == (0,) * 7 + (1,)
 
 
 def test_canonical_form_is_permutation_invariant():

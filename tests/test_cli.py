@@ -195,8 +195,12 @@ def test_markdown_format():
     (["ring", "validate"], "not json", "JSONDecodeError"),
     (["ring", "validate", "{tmp}/missing.json"], None, "FileNotFoundError"),
     (["ring", "validate", "{tmp}"], None, "IsADirectoryError"),
+    (["twocat", "family", "--p", "4", "--depth", "3"], None, "ValueError"),
+    (["twocat", "family", "--p", "1", "--depth", "3"], None, "ValueError"),
+    (["twocat", "family", "--p", "-3", "--depth", "3"], None, "ValueError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
-        "bad-group", "ring-without-mult", "not-json", "missing-file", "directory"])
+        "bad-group", "ring-without-mult", "not-json", "missing-file", "directory",
+        "family-p-4", "family-p-1", "family-p-minus-3"])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
@@ -234,6 +238,14 @@ def test_guard_error_reports_size_and_guard():
     result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
     assert code == 0
     assert result.payload["summands"] == ["FINITE_EXT(40)"] * 2
+
+
+def test_family_depth_guard_reports_size_and_guard():
+    result, code = invoke(["twocat", "family", "--p", "2", "--depth", "257"])
+    assert code == 1
+    assert result.payload["error"]["type"] == "SizeGuardExceeded"
+    assert result.payload["error"]["size"] == 257 ** 3
+    assert result.payload["error"]["guard"] == 256 ** 3
 
 
 def test_sympy_is_imported_only_for_factorization():

@@ -2,7 +2,9 @@
 
 import pytest
 
-from modcat.skeleton import (AsymmetricHom, CompactnessReport, IndexOutOfRange,
+from modcat.errors import SizeGuardExceeded
+from modcat.skeleton import (FAMILY_SIZE_GUARD, AsymmetricHom, CompactnessReport,
+                             IndexOutOfRange,
                              SchurViolation, TwoCatSkeleton, ZeroIdentity,
                              compactness_report, decompose_object,
                              mod_pointed_skeleton, mod_real_skeleton, pi0,
@@ -66,6 +68,24 @@ def test_truncated_family_connected_and_growing(depth):
     assert report.num_simples == depth
     assert report.is_connected
     assert s.data.max_end_dim == tuple(range(1, depth + 1))
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3])
+def test_truncated_family_rejects_non_prime_p(p):
+    with pytest.raises(ValueError, match="not prime"):
+        truncated_family_2vect_fp(p, 3)
+
+
+def test_truncated_family_depth_guard_counts_schur_steps():
+    with pytest.raises(SizeGuardExceeded) as info:
+        truncated_family_2vect_fp(2, 257)
+    assert (info.value.size, info.value.guard) == (257 ** 3, FAMILY_SIZE_GUARD)
+
+
+@pytest.mark.slow
+def test_truncated_family_depth_guard_boundary_finishes():
+    assert FAMILY_SIZE_GUARD == 256 ** 3
+    assert compactness_report(truncated_family_2vect_fp(2, 256)).num_simples == 256
 
 
 def test_truncated_family_hom_dims_gcd():
