@@ -73,12 +73,12 @@ class StructureConstantAlgebra:
 
     def _combine(self, terms) -> dict:
         """Nonzero entries of sum coeff * cell over the (coeff, cell) terms."""
-        zero = self.field.zero()
         out = {}
         for coeff, cell in terms:
             for k, c in cell.items():
-                out[k] = out.get(k, zero) + coeff * c
-        return {k: c for k, c in out.items() if c != zero}
+                t = coeff * c
+                out[k] = out[k] + t if k in out else t
+        return {k: c for k, c in out.items() if c}
 
     def mul_vec(self, x, y):
         zero = self.field.zero()
@@ -179,7 +179,10 @@ def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> 
     polynomial of x * e on e * A; the block itself when that has one factor.
 
     e is the unit of e * A, so x and x * e act alike there: the operator and
-    the Horner evaluation use the sparse basis vector x itself."""
+    the Horner evaluation use the sparse basis vector x itself.  A
+    one-dimensional block cannot split and is returned as it is."""
+    if len(basis) == 1:
+        return [(e, basis)]
     mp = min_poly_of_matrix(_restricted_operator(algebra, x, basis))
     factors = factor_list(mp)
     if len(factors) < 2:

@@ -5,11 +5,14 @@ representation:
 
 * ``RationalField``: elements are ``fractions.Fraction`` (always reduced).
 * ``PrimeField(p)``: elements are :class:`FpElem` with residue in ``[0, p)``.
-* ``CyclotomicField(n)``: elements are :class:`CycElem`, polynomials in a
-  primitive n-th root of unity ``zeta`` of degree < phi(n), with ``Fraction``
-  coefficients, reduced modulo the n-th cyclotomic polynomial Phi_n.  Phi_n is
-  computed once per n as a :class:`~modcat.poly.Poly` over QQ, and products
-  are reduced by ``Poly`` arithmetic; this module needs no sympy.
+* ``CyclotomicField(n)``: elements are :class:`CycElem`, num(zeta) / den
+  for a primitive n-th root of unity ``zeta``: ``num`` holds the phi(n)
+  integer coefficients of a polynomial of degree < phi(n) and ``den`` is a
+  positive integer with gcd(den, *num) = 1.  Phi_n is computed once per n as
+  a :class:`~modcat.poly.Poly` over QQ; it is monic with integer
+  coefficients, so sums and products are int arithmetic reduced modulo
+  Phi_n, followed by one gcd.  The ``Fraction`` coefficients are derived on
+  demand.  This module needs no sympy.
 
 All arithmetic is exact; there is no floating point anywhere.  Every
 element is false exactly when it is zero, so sparse code can test entries by
@@ -22,19 +25,43 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
+from .errors import SizeGuardExceeded
 from .poly import Poly
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_GUARD = 3_317_044_064_679_887_385_961_980
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test; SizeGuardExceeded above PRIME_TEST_GUARD,
+    where the bases are no longer proven to suffice."""
+    if p > PRIME_TEST_GUARD:
+        raise SizeGuardExceeded(p, PRIME_TEST_GUARD)
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    # p > 41 here: a composite p <= 41 has a prime factor below 7
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -50,6 +77,29 @@ def _phi_poly(n: int) -> Poly:
     quo, rem = divmod(Poly(QQ, [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]), den)
     assert rem.is_zero(), "x^n - 1 must be divisible by the product of lower Phi_d"
     return quo
+
+
+@lru_cache(maxsize=None)
+def _phi_ints(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n), and the nonzero (i, c) of Phi_n below its leading 1, as ints:
+    Phi_n is monic with integer coefficients."""
+    phi = _phi_poly(n)
+    return phi.degree, tuple((i, int(c)) for i, c in enumerate(phi.coeffs[:-1]) if c)
+
+
+def _reduce(n: int, c: list[int]) -> list[int]:
+    """The ints c, ascending, modulo Phi_n: phi(n) ints, by long division
+    from the top (c is overwritten)."""
+    d, terms = _phi_ints(n)
+    for k in range(len(c) - 1, d - 1, -1):
+        top = c[k]
+        if top:
+            base = k - d
+            for i, a in terms:
+                c[base + i] -= top * a
+    if len(c) < d:
+        return c + [0] * (d - len(c))
+    return c[:d]
 
 
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
@@ -135,7 +185,7 @@ class FpElem:
 
 
 class PrimeField:
-    """Prime field F_p for a prime p."""
+    """Prime field F_p for a prime p; SizeGuardExceeded above PRIME_TEST_GUARD."""
 
     char: int
 
@@ -169,21 +219,34 @@ class PrimeField:
 
 
 class CycElem:
-    """Element of Q(zeta_n): polynomial in zeta of degree < phi(n).
+    """Element of Q(zeta_n): num(zeta) / den, with num of degree < phi(n).
 
-    ``coeffs`` must already hold ``Fraction``s; more than phi(n) of them are
-    reduced modulo Phi_n, fewer are padded with zeros.
+    ``num`` is a tuple of phi(n) ints and ``den`` a positive int with
+    gcd(den, *num) = 1, so every element has one representation.  The
+    constructor takes any ints (more than phi(n) are reduced modulo Phi_n,
+    fewer are padded with zeros) and any nonzero ``den``, and normalises.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs):
-        phi = _phi_poly(n)
-        c = list(coeffs)
-        if len(c) > phi.degree:
-            c = (Poly(QQ, c) % phi).coeffs
+    def __init__(self, n: int, num, den: int = 1):
+        if not den:
+            raise ZeroDivisionError("zero denominator in cyclotomic field")
+        c = _reduce(n, list(num))
+        if den < 0:
+            c, den = [-a for a in c], -den
+        if den != 1:
+            g = gcd(den, *c)
+            if g != 1:
+                c, den = [a // g for a in c], den // g
         self.n = n
-        self.coeffs = tuple(c + [Fraction(0)] * (phi.degree - len(c)))
+        self.num = tuple(c)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(n) rational coefficients of 1, zeta, ..., zeta^(phi(n) - 1)."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def _check(self, other: "CycElem") -> None:
         if not isinstance(other, CycElem) or other.n != self.n:
@@ -191,47 +254,61 @@ class CycElem:
 
     def __add__(self, other):
         self._check(other)
-        return CycElem(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if self.den == other.den:
+            return CycElem(self.n, [a + b for a, b in zip(self.num, other.num)], self.den)
+        return CycElem(self.n, [a * other.den + b * self.den for a, b in zip(self.num, other.num)],
+                       self.den * other.den)
 
     def __sub__(self, other):
         self._check(other)
-        return CycElem(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        if self.den == other.den:
+            return CycElem(self.n, [a - b for a, b in zip(self.num, other.num)], self.den)
+        return CycElem(self.n, [a * other.den - b * self.den for a, b in zip(self.num, other.num)],
+                       self.den * other.den)
 
     def __neg__(self):
-        return CycElem(self.n, [-a for a in self.coeffs])
+        return CycElem(self.n, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         self._check(other)
-        prod = Poly(QQ, self.coeffs) * Poly(QQ, other.coeffs)
-        return CycElem(self.n, (prod % _phi_poly(self.n)).coeffs)
+        # int convolution; the constructor reduces it modulo Phi_n
+        b = other.num
+        out = [0] * (len(self.num) + len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return CycElem(self.n, out, self.den * other.den)
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def inverse(self) -> "CycElem":
-        # a times its other Galois conjugates zeta -> zeta^k is the norm of a,
-        # a rational that is nonzero because Phi_n is irreducible over Q
+        # num times its other Galois conjugates zeta -> zeta^k is the norm of
+        # num(zeta), an int that is nonzero because Phi_n is irreducible over Q
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        others = CycElem(self.n, [Fraction(1)])
-        for k in range(2, self.n):
-            if gcd(k, self.n) == 1:
-                conj = [Fraction(0)] * self.n
-                for i, a in enumerate(self.coeffs):
-                    conj[i * k % self.n] += a
-                others = others * CycElem(self.n, conj)
-        norm = (self * others).coeffs[0]
-        return CycElem(self.n, [c / norm for c in others.coeffs])
+        n = self.n
+        others = CycElem(n, [1])
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * n
+                for i, a in enumerate(self.num):
+                    conj[i * k % n] += a
+                others = others * CycElem(n, conj)
+        norm = (CycElem(n, self.num) * others).num[0]
+        return CycElem(n, [a * self.den for a in others.num], norm)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CycElem) and other.n == self.n and other.coeffs == self.coeffs
+        return (isinstance(other, CycElem) and other.n == self.n and other.num == self.num
+                and other.den == self.den)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.num, self.den))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self) -> str:
         terms = []
@@ -263,19 +340,21 @@ class CyclotomicField:
         return CycElem(self.n, [])
 
     def one(self) -> CycElem:
-        return CycElem(self.n, [Fraction(1)])
+        return CycElem(self.n, [1])
 
     def from_int(self, k: int) -> CycElem:
-        return CycElem(self.n, [Fraction(k)])
+        return CycElem(self.n, [k])
 
     def zeta(self, power: int = 1) -> CycElem:
         """zeta_n^power as a field element."""
         power %= self.n
-        mono = [Fraction(0)] * power + [Fraction(1)]
-        return CycElem(self.n, mono)
+        return CycElem(self.n, [0] * power + [1])
 
     def from_fractions(self, coeffs) -> CycElem:
-        return CycElem(self.n, [Fraction(c) for c in coeffs])
+        """sum_i coeffs[i] * zeta^i, from rationals in any number."""
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return CycElem(self.n, [c.numerator * (den // c.denominator) for c in fracs], den)
 
     def sort_key(self, x: CycElem):
         return tuple((c.numerator, c.denominator) for c in x.coeffs)

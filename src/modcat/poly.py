@@ -1,18 +1,20 @@
 """Dense univariate polynomials over the exact coefficient fields.
 
-Provides the arithmetic needed by the cyclotomic fields (whose elements are
-multiplied and reduced modulo Phi_n as ``Poly`` over QQ) and by the
-algebra-splitting routines (division, gcd, extended gcd), plus irreducible
-factorization.  Factorization is delegated to sympy's exact polynomial
-domains: GF(p) for prime fields, QQ for the rationals, and QQ(alpha) with
-alpha a primitive root of unity for cyclotomic fields.  sympy is imported on
-the first factorization, not with this module.  Everything crossing the sympy
+Provides the arithmetic needed to compute the cyclotomic polynomials Phi_n
+(as ``Poly`` over QQ) and by the algebra-splitting routines (division, gcd,
+extended gcd), plus irreducible factorization.  Factorization is delegated
+to sympy's exact polynomial domains: GF(p) for prime fields, QQ for the
+rationals, and QQ(alpha) with alpha a primitive root of unity for cyclotomic
+fields, that number field built once per n.  sympy is imported on the first
+factorization, not with this module.  Everything crossing the sympy
 boundary is converted exactly; no floats are involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -107,6 +109,16 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_number_field(n: int):
+    """sympy's QQ(alpha), alpha a root of Phi_n, and its modulus as a list:
+    built once per n."""
+    import sympy
+
+    K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.cyclotomic_poly(n, sympy.symbols("x")), 0))
+    return K, K.mod.to_list()
+
+
 def factor_list(p: Poly) -> list[tuple[Poly, int]]:
     """Irreducible monic factors of p with multiplicities, sorted canonically.
 
@@ -116,7 +128,7 @@ def factor_list(p: Poly) -> list[tuple[Poly, int]]:
     import sympy
     from sympy.polys.polyclasses import ANP
 
-    from .fields import CyclotomicField, PrimeField, RationalField
+    from .fields import CycElem, CyclotomicField, PrimeField, RationalField
 
     field = p.field
     if p.degree < 1:
@@ -136,17 +148,18 @@ def factor_list(p: Poly) -> list[tuple[Poly, int]]:
             coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
             factors.append((Poly(field, coeffs).monic(), mult))
     elif isinstance(field, CyclotomicField):
-        K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.cyclotomic_poly(field.n, x), 0))
-        mod = K.mod.to_list()
-        anp_coeffs = [ANP([sympy.QQ(c.numerator, c.denominator) for c in reversed(el.coeffs)], mod, sympy.QQ)
+        K, mod = _cyclotomic_number_field(field.n)
+        anp_coeffs = [ANP([sympy.QQ(a, el.den) for a in reversed(el.num)], mod, sympy.QQ)
                       for el in reversed(p.coeffs)]
         sp = sympy.Poly(anp_coeffs, x, domain=K)
         factors = []
         for f, mult in sp.factor_list()[1]:
             coeffs = []
             for c in reversed(f.rep.to_list()):
-                rep = list(reversed([Fraction(q.numerator, q.denominator) for q in c.to_list()]))
-                coeffs.append(field.from_fractions(rep))
+                rep = c.to_list()
+                den = lcm(*(q.denominator for q in rep))
+                coeffs.append(CycElem(field.n, [q.numerator * (den // q.denominator)
+                                                for q in reversed(rep)], den))
             factors.append((Poly(field, coeffs).monic(), mult))
     else:
         raise TypeError(f"unsupported field: {field!r}")

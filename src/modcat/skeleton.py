@@ -158,7 +158,8 @@ def truncated_family_2vect_fp(p: int, depth: int) -> ValidatedSkeleton:
     pairwise connected; hom_dims(q, r) = gcd(q, r) counts the simple
     1-morphism summands, and max_end_dim grows linearly along the family.
     Raises ValueError unless p is prime and depth positive, and
-    SizeGuardExceeded when depth^3 exceeds FAMILY_SIZE_GUARD.
+    SizeGuardExceeded when depth^3 exceeds FAMILY_SIZE_GUARD or p exceeds
+    the primality test's PRIME_TEST_GUARD.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from modcat.cli import main, render, run
+from modcat.fields import PRIME_TEST_GUARD
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -246,6 +247,16 @@ def test_family_depth_guard_reports_size_and_guard():
     assert result.payload["error"]["type"] == "SizeGuardExceeded"
     assert result.payload["error"]["size"] == 257 ** 3
     assert result.payload["error"]["guard"] == 256 ** 3
+
+
+def test_family_prime_beyond_the_primality_guard_reports_size_and_guard(capsys):
+    p = 3_317_044_064_679_887_385_962_123  # the least prime above PRIME_TEST_GUARD
+    assert main(["twocat", "family", "--p", str(p), "--depth", "3"]) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert (error["size"], error["guard"]) == (p, PRIME_TEST_GUARD)
+    assert "Traceback" not in out + err
 
 
 def test_sympy_is_imported_only_for_factorization():

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modcat.fields import (CyclotomicField, PrimeField, QQ,
+from modcat.errors import SizeGuardExceeded
+from modcat.fields import (PRIME_TEST_GUARD, CyclotomicField, PrimeField, QQ, _is_prime,
                            cyclotomic_polynomial, field_from_code)
 
 
@@ -151,6 +152,81 @@ def test_canonical_sums_and_products_stay_reduced():
     assert len(b.coeffs) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 14, 21])
+def test_equal_values_have_one_representation(n):
+    field = CyclotomicField(n)
+    d = field.degree
+    target = [Fraction(k - 2, 6) for k in range(d)]  # denominators 6, 3, 2 and 1
+    phi = cyclotomic_polynomial(n)
+    # target + (1 - zeta/2) * Phi_n: more than phi(n) coefficients, same value
+    padded = target + [Fraction(0)] * 2
+    for i, c in enumerate(phi):
+        padded[i] += c
+        padded[i + 1] -= c / 2
+    other = field.from_fractions([Fraction(1, 7)] * d)
+    ways = [
+        field.from_fractions(target),
+        field.from_fractions([Fraction(2 * c.numerator, 2 * c.denominator) for c in target]),
+        field.from_fractions([Fraction(c.numerator * 35, c.denominator * 35) for c in target]),
+        field.from_fractions(padded),
+        other - other + field.from_fractions(target),
+        field.from_fractions(target) + other - other,
+        field.from_fractions([c * 5 for c in target]) * field.from_fractions([Fraction(1, 5)]),
+        field.from_fractions([c / 3 for c in target]) + field.from_fractions([c * 2 / 3 for c in target]),
+        field.from_fractions(target).inverse().inverse(),
+    ]
+    first = ways[0]
+    assert first.coeffs == tuple(target)
+    for x in ways:
+        assert x == first
+        assert hash(x) == hash(first)
+        assert x.coeffs == first.coeffs
+        assert field.sort_key(x) == field.sort_key(first)
+        assert repr(x) == repr(first)
+        assert (x.num, x.den) == (first.num, first.den)
+        assert x.den > 0 and gcd(x.den, *x.num) == 1
+        assert len(x.num) == d
+    # over Q(zeta_1) = Q(zeta_2) = Q the norm in an inverse can be negative
+    for x in (first.inverse(), (-first).inverse()):
+        assert x.den > 0 and gcd(x.den, *x.num) == 1
+    # zero has the representation (0, ..., 0) / 1, however it arises
+    for x in [field.zero(), other - other, field.from_fractions([Fraction(0, 9)] * (d + 3)),
+              field.from_fractions(list(phi))]:
+        assert (x.num, x.den) == ((0,) * d, 1) and not x
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-10, 10 ** 5 + 1) if _is_prime(n)] == \
+        [n for n in range(-10, 10 ** 5 + 1) if _trial_division_is_prime(n)]
+    # 10^12 + 39 and 10^14 + 31 take 10^6 and 10^7 trial divisions to
+    # confirm; 2^61 - 1 is a Mersenne prime
+    assert _is_prime(10 ** 12 + 39) and _is_prime(10 ** 14 + 31) and _is_prime(2 ** 61 - 1)
+    assert not any(_is_prime(n) for n in (10 ** 12 + 37, 10 ** 14 + 33, 2 ** 61 + 1))
+    # the least strong pseudoprimes to the first 8 and the first 11 prime bases
+    assert not _is_prime(341_550_071_728_321) and not _is_prime(3_825_123_056_546_413_051)
+    assert _is_prime(PRIME_TEST_GUARD - 167)  # the largest admitted prime
+
+
+def test_is_prime_refuses_above_its_proven_bound():
+    assert PRIME_TEST_GUARD == 3_317_044_064_679_887_385_961_980
+    assert not _is_prime(PRIME_TEST_GUARD)  # even
+    # PRIME_TEST_GUARD + 1 is the least strong pseudoprime to all 13 bases
+    with pytest.raises(SizeGuardExceeded) as info:
+        _is_prime(PRIME_TEST_GUARD + 1)
+    assert (info.value.size, info.value.guard) == (PRIME_TEST_GUARD + 1, PRIME_TEST_GUARD)
+
+
 def test_degree_is_the_number_of_units_mod_n():
     for n in range(1, 61):
         units = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
@@ -225,7 +301,7 @@ _coefficient_lists = st.lists(
     st.fractions(min_value=-8, max_value=8, max_denominator=6), max_size=20)
 
 
-@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15]),
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 21]),
        _coefficient_lists, _coefficient_lists)
 @settings(max_examples=300, deadline=None)
 def test_cyclotomic_arithmetic_matches_dense_oracle(n, raw_a, raw_b):
