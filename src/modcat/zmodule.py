@@ -18,8 +18,8 @@ strictly positive, its minimal row sum f_min satisfies N f_min >= f_min^2,
 and N^2 >= sum_{j,k} F[l0][j] F[j][k] for the minimizing row l0.  That bounds
 the module rank by N and the entries through the N^2 budget.  For ring
 homomorphisms the coordinate sums of f(b) are bounded by |J| N, with N taken
-from the source ring.  Both searches accept a cap multiplier so the stability
-of the counts under enlarged caps can be demonstrated.
+from the source ring.  Both searches accept a cap multiplier (at least 1) so
+the stability of the counts under enlarged caps can be demonstrated.
 """
 
 from __future__ import annotations
@@ -220,6 +220,10 @@ class EnumerationBounds:
 
     @classmethod
     def for_ring(cls, ring: ValidatedRing, cap_scale: int = 1) -> "EnumerationBounds":
+        """Caps for a module search; a ``cap_scale`` below 1 would cut the
+        exhaustive search short of the forced bound, so it is refused."""
+        if cap_scale < 1:
+            raise ValueError(f"cap_scale must be at least 1, got {cap_scale}")
         ones = [1] * ring.rank
         b_squared = ring.product(ones, ones)
         n = max(b_squared) * cap_scale
@@ -272,12 +276,32 @@ def enumerate_irreducible_modules(ring, cap_scale: int = 1) -> list[ValidatedMod
 def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
     """Backtracking over the rows of all generator matrices at module rank r.
 
+    Row l is filled for every generator matrix A_i at once, cell by cell and
+    within a cell generator by generator, each value counting up from its
+    least admissible value; so the actions come out in lexicographic order of
+    that filling sequence, and the first labeling met of each module class is
+    the same one the search without the row-0 order below would meet first.
     Row 0 is normalized to carry the minimal total row sum, which the
-    finiteness argument bounds by N.  Pruning, all sound because every entry
-    is non-negative:
+    finiteness argument bounds by N.  Every entry, unit coefficient and
+    structure constant is non-negative, so a partial sum only grows as the
+    search goes deeper, and that makes each prune sound:
 
+    * unit law, per generator: the partial sum of sum_t a_t A_t[l][k] =
+      delta_lk is carried down the generators of a cell; once above its
+      target it stays above, and once no later a_t is nonzero it stays put;
+    * F strictly positive: every cell of F = sum_i A_i is at least 1, as
+      irreducibility requires;
+    * per-cell caps, set once per row: in the law A_i A_j = sum_m c_ij^m A_m
+      at a filled row lp and column k, the left side's term through row l is
+      A_i[lp][l] A_j[l][k], so A_j[l][k] is at most (target - the terms
+      through rows below l) // A_i[lp][l];
+    * row-0 column order: the columns 1..r-1 of row 0 are lexicographically
+      non-decreasing in (A_0[0][k], ..., A_{n-1}[0][k]); relabeling the basis
+      by a permutation fixing 0 sorts them and keeps row 0 the minimal row,
+      so every class keeps its lexicographically first labeling;
     * per-row budget equalities: the coordinate sum of m_l b b computed both
-      ways gives sum_j F[l][j] f_j = sum_i n_i rowsum(A_i[l]) exactly;
+      ways gives sum_j F[l][j] f_j = sum_i n_i rowsum(A_i[l]) exactly, with
+      unfilled row sums at least max(f_0, r); it also caps the next row sum;
     * the matrix law for b itself: F F = sum_i n_i A_i entrywise, checked on
       partial sums;
     * partial sums of the generator law equations against their exact
@@ -285,6 +309,8 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
     """
     n_gen = ring.rank
     n_cap = bounds.n_max
+    unit = ring.unit_coeffs
+    last_unit = max(t for t in range(n_gen) if unit[t])
     ones = [1] * n_gen
     b_squared = ring.product(ones, ones)  # n_i coefficients
     rows: list[list[list[int]]] = [[] for _ in range(n_gen)]  # rows[i][l] = row l of A_i
@@ -292,56 +318,50 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
     f_rows: list[int] = []          # total row sums of F
 
     def row_candidates(l: int, cap: int):
-        """All joint assignments of row l for every generator matrix.
-
-        Cells are filled left to right; after each cell the partial sums of
-        the law equations anchored at the already-filled rows are checked
-        against their exact targets, which keeps the branching shallow.
-        """
+        """All joint assignments of row l for every generator matrix, with
+        total row sum at most ``cap``."""
         current = [[0] * r for _ in range(n_gen)]
-        unit_row = [1 if k == l else 0 for k in range(r)]
-        # base[i][j][lp][k]: product contributions from rows strictly below l
-        base = [[[[sum(rows[i][lp][s] * rows[j][s][k] for s in range(l))
-                   for k in range(r)] for lp in range(l)]
-                 for j in range(n_gen)] for i in range(n_gen)]
-        target = [[[[sum(ring.mult[i][j][m] * rows[m][lp][k] for m in range(n_gen))
-                     for k in range(r)] for lp in range(l)]
-                   for j in range(n_gen)] for i in range(n_gen)]
-
-        def cell_ok(k: int) -> bool:
-            for i in range(n_gen):
-                rows_i = rows[i]
+        # vmax[j][k]: the largest A_j[l][k] that keeps every generator law at
+        # a filled row within its target; law_prune has already checked the
+        # terms through rows below l, so a zero A_i[lp][l] gives no bound
+        vmax = [[cap] * r for _ in range(n_gen)]
+        for i in range(n_gen):
+            for lp in range(l):
+                row_ilp = rows[i][lp]
+                if not row_ilp[l]:
+                    continue
                 for j in range(n_gen):
-                    base_ij = base[i][j]
-                    target_ij = target[i][j]
-                    cjk = current[j][k]
-                    for lp in range(l):
-                        if base_ij[lp][k] + rows_i[lp][l] * cjk > target_ij[lp][k]:
-                            return False
-            return True
+                    cij = ring.mult[i][j]
+                    for k in range(r):
+                        target = sum(cij[m] * rows[m][lp][k] for m in range(n_gen))
+                        base = sum(row_ilp[s] * rows[j][s][k] for s in range(l))
+                        vmax[j][k] = min(vmax[j][k], (target - base) // row_ilp[l])
 
         def fill(k: int, used: int):
             if k == r:
                 yield [list(row) for row in current], used
                 return
-            # assign the k-th cell of row l for all generators
-            def assign(i: int, cell_sum: int):
-                if i == n_gen:
-                    unit_val = sum(ring.unit_coeffs[t] * current[t][k] for t in range(n_gen))
-                    if unit_val != unit_row[k]:
-                        return
-                    if cell_sum < 1:
-                        return  # F must be strictly positive for irreducibility
-                    if not cell_ok(k):
-                        return
-                    yield from fill(k + 1, used + cell_sum)
-                    return
-                for v in range(0, cap - used - cell_sum + 1):
-                    current[i][k] = v
-                    yield from assign(i + 1, cell_sum + v)
-                    current[i][k] = 0
+            unit_target = 1 if k == l else 0
 
-            yield from assign(0, 0)
+            # assign the k-th cell of row l for all generators; while
+            # ``tied``, column k of row 0 equals column k-1 so far
+            def assign(i: int, cell_sum: int, unit_sum: int, tied: bool):
+                if i == n_gen:
+                    if cell_sum >= 1:  # F must be strictly positive for irreducibility
+                        yield from fill(k + 1, used + cell_sum)
+                    return
+                low = current[i][k - 1] if tied else 0
+                for v in range(low, min(vmax[i][k], cap - used - cell_sum) + 1):
+                    partial = unit_sum + unit[i] * v
+                    if partial > unit_target:
+                        break
+                    if partial < unit_target and i >= last_unit:
+                        continue
+                    current[i][k] = v
+                    yield from assign(i + 1, cell_sum + v, partial, tied and v == low)
+                current[i][k] = 0
+
+            yield from assign(0, 0, 0, l == 0 and k >= 2)
 
         yield from fill(0, 0)
 
@@ -432,9 +452,28 @@ class RingHomCandidate:
 def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandidate]:
     """All homomorphisms of weak based rings source -> target.
 
-    Every coordinate of f(b_i) is bounded by |J| N with N the maximal
+    Every coordinate of f(b_i) is bounded by cap = |J| N with N the maximal
     coefficient of b^2 in the source; the search is exhaustive under that cap
-    (times ``cap_scale``) and filters by the ring, unit and involution laws.
+    (times ``cap_scale``).  f(b_i) is built one coordinate at a time, each
+    counting up from 0, and f(b_i*) = f(b_i)* is written along with it.
+    Structure constants and coordinates are non-negative, so every product
+    only grows as coordinates are filled, and that makes each prune sound:
+
+    * unit law after each coordinate: sum_t a_t f(b_t) = 1 read with
+      unfilled coordinates as 0 must not exceed the unit's coordinates, and
+      a larger value only raises it, so the value loop stops there;
+    * pair bound after each coordinate: for each pair of assigned images with
+      b_i or b_i* as a factor, f(b_j) f(b_k) read with unfilled coordinates
+      as 0 must not exceed sum_m c_jk^m f(b_m) read with f(b_i), f(b_i*) and
+      every unassigned image at cap; a larger value of the same coordinate
+      only raises the left side, so the value loop stops there;
+    * a self-dual b_i = b_i* needs a self-dual image: filling coordinate c
+      of f(b_i) fills coordinate c* too;
+    * once f(b_i) is complete, the unit law and the law for every pair of
+      assigned images are checked against the range their unassigned terms
+      can still add, each at most cap;
+    * the complete assignment is checked exactly against the ring, unit and
+      involution laws.
     """
     src = _as_certificate(source)
     tgt = _as_certificate(target)
@@ -499,12 +538,6 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
                     return False
         return True
 
-    def starred(vec: list[int]) -> list[int]:
-        out = [0] * n_tgt
-        for j, v in enumerate(vec):
-            out[sigma_t[j]] = v
-        return out
-
     def extend(i: int):
         if i == n_src:
             if prune_ok(complete=True):
@@ -515,22 +548,49 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
         if assigned[i] is not None:
             extend(i + 1)
             return
-        for vec in itertools.product(range(cap + 1), repeat=n_tgt):
-            assigned[i] = list(vec)
-            partner = sigma_s[i]
-            filled_partner = False
-            if partner != i and assigned[partner] is None:
-                assigned[partner] = starred(list(vec))
-                filled_partner = True
-            ok = prune_ok(complete=False)
-            if ok and partner == i and assigned[i] != starred(assigned[i]):
-                ok = False  # self-dual basis element needs a self-dual image
-            if ok:
-                extend(i + 1)
-            assigned[i] = None
-            if filled_partner:
-                assigned[partner] = None
-        return
+        partner = sigma_s[i]
+        vec = [0] * n_tgt
+        star = vec if partner == i else [0] * n_tgt
+        assigned[i], assigned[partner] = vec, star
+        fresh = {i, partner}
+        # (f(b_j), f(b_k), upper bound of each coordinate of f(b_j b_k)) for
+        # the assigned pairs touching b_i or b_i*
+        pair_bounds = [
+            (assigned[j], assigned[k],
+             [sum(c * (cap if m in fresh or assigned[m] is None else assigned[m][coord])
+                  for m, c in enumerate(sring.mult[j][k]) if c)
+              for coord in range(n_tgt)])
+            for j in range(n_src) for k in range(n_src)
+            if (j in fresh or k in fresh)
+            and assigned[j] is not None and assigned[k] is not None]
+        unit_terms = [(a, assigned[t]) for t, a in enumerate(sring.unit_coeffs)
+                      if a and assigned[t] is not None]
+        coords = [c for c in range(n_tgt) if partner != i or sigma_t[c] >= c]
+
+        def exceeds(c: int) -> bool:
+            """Whether, after coordinate c of f(b_i) was set, the left side
+            of the unit law or of a pair law already exceeds its largest
+            reachable value."""
+            return (any(sum(a * g[d] for a, g in unit_terms) > tring.unit_coeffs[d]
+                        for d in (c, sigma_t[c]))
+                    or any(x > bound for gj, gk, upper in pair_bounds
+                           for x, bound in zip(tring.product(gj, gk), upper)))
+
+        def fill(pos: int):
+            if pos == len(coords):
+                if prune_ok(complete=False):
+                    extend(i + 1)
+                return
+            c = coords[pos]
+            for v in range(cap + 1):
+                vec[c] = star[sigma_t[c]] = v
+                if exceeds(c):
+                    break
+                fill(pos + 1)
+            vec[c] = star[sigma_t[c]] = 0
+
+        fill(0)
+        assigned[i] = assigned[partner] = None
 
     extend(0)
     results.sort(key=lambda h: h.matrix)

@@ -199,9 +199,14 @@ def test_markdown_format():
     (["twocat", "family", "--p", "4", "--depth", "3"], None, "ValueError"),
     (["twocat", "family", "--p", "1", "--depth", "3"], None, "ValueError"),
     (["twocat", "family", "--p", "-3", "--depth", "3"], None, "ValueError"),
+    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "0"], None, "ValueError"),
+    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "-1"], None, "ValueError"),
+    (["ring", "homs", str(DATA / "z2.ring.json"), str(DATA / "z2.ring.json"),
+      "--cap-scale", "0"], None, "ValueError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
         "bad-group", "ring-without-mult", "not-json", "missing-file", "directory",
-        "family-p-4", "family-p-1", "family-p-minus-3"])
+        "family-p-4", "family-p-1", "family-p-minus-3", "zmod-cap-scale-0",
+        "zmod-cap-scale-minus-1", "homs-cap-scale-0"])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
-from modcat.basedring import (fibonacci_ring, find_weak_based_involutions,
-                              group_ring, trivial_ring, validate_zplus_ring)
+from modcat.basedring import (BasedRingData, fibonacci_ring,
+                              find_weak_based_involutions, group_ring,
+                              rings_equivalent, trivial_ring,
+                              validate_zplus_ring)
 from modcat.zmodule import (ActionLawFails, EnumerationBounds, RankGuardExceeded,
                             RingNotWeakBased, UnitActionFails, ZPlusModuleData,
                             direct_sum, enumerate_irreducible_modules,
@@ -21,6 +23,21 @@ def z2():
 @pytest.fixture(scope="module")
 def z3():
     return validate_zplus_ring(group_ring([3]))
+
+
+@pytest.fixture(scope="module")
+def z4():
+    return validate_zplus_ring(group_ring([4]))
+
+
+@pytest.fixture(scope="module")
+def klein():
+    return validate_zplus_ring(group_ring([2, 2]))
+
+
+@pytest.fixture(scope="module")
+def z6():
+    return validate_zplus_ring(group_ring([6]))
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +112,20 @@ def test_bounds_are_ring_derived(z2, fib):
     assert EnumerationBounds.for_ring(z2).n_max == 2       # (1+g)^2 = 2 + 2g
     assert EnumerationBounds.for_ring(fib).n_max == 3      # (1+b)^2 = 2 + 3b
     assert EnumerationBounds.for_ring(z2, cap_scale=2).coeff_budget_module == 16
+
+
+@pytest.mark.parametrize("cap_scale", [0, -1])
+def test_cap_scale_below_one_is_refused(z2, cap_scale):
+    # a cap below the forced bound would truncate the exhaustive search and
+    # report too few modules (0 instead of 2 for Z/2), so it is an error
+    with pytest.raises(ValueError):
+        EnumerationBounds.for_ring(z2, cap_scale)
+    with pytest.raises(ValueError):
+        EnumerationBounds.for_hom(z2, z2, cap_scale)
+    with pytest.raises(ValueError):
+        enumerate_irreducible_modules(z2, cap_scale=cap_scale)
+    with pytest.raises(ValueError):
+        enumerate_ring_homs(z2, z2, cap_scale=cap_scale)
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -180,8 +211,8 @@ def test_enumerated_modules_all_validate_and_are_unique(z2, z3, fib):
             assert is_indecomposable(m)  # irreducible implies indecomposable
 
 
-def test_cap_doubling_finds_nothing_new(z2, z3, fib):
-    for ring in (z2, z3, fib):
+def test_cap_doubling_finds_nothing_new(z2, z3, z4, klein, fib):
+    for ring in (z2, z3, z4, klein, fib):
         baseline = {m.canonical_key() for m in enumerate_irreducible_modules(ring)}
         doubled = {m.canonical_key() for m in enumerate_irreducible_modules(ring, cap_scale=2)}
         assert baseline == doubled
@@ -265,8 +296,9 @@ def test_homs_z3_to_trivial(z3, unit_ring):
     assert sorted(h.matrix for h in homs) == oracle_homs(z3, unit_ring, 1 * 3)
 
 
-def test_hom_cap_doubling_stability(z2, z3, fib, unit_ring):
-    for source, target in [(z2, z2), (fib, unit_ring), (z3, unit_ring), (z3, z3)]:
+def test_hom_cap_doubling_stability(z2, z3, z6, klein, fib, unit_ring):
+    for source, target in [(z2, z2), (fib, unit_ring), (z3, unit_ring), (z3, z3),
+                           (z6, z3), (klein, klein)]:
         baseline = [h.matrix for h in enumerate_ring_homs(source, target)]
         doubled = [h.matrix for h in enumerate_ring_homs(source, target, cap_scale=2)]
         assert baseline == doubled
@@ -280,6 +312,62 @@ def test_homs_source_bound_suffices_for_mixed_rings(z2, fib):
     assert len(homs) == 1  # g must land on the unit
     back = enumerate_ring_homs(fib, z2)
     assert [h.matrix for h in back] == oracle_homs(fib, z2, 8)
+
+
+def test_homs_match_oracle_at_the_exact_cap_on_mixed_pairs(z2, z3):
+    cap = 3 * 2  # |J| * N: N = 2 for Z/2 and 3 for Z/3
+    for source, target in [(z2, z3), (z3, z2)]:
+        assert cap == EnumerationBounds.for_hom(source, target).coeff_bound_hom
+        homs = [h.matrix for h in enumerate_ring_homs(source, target)]
+        assert homs == oracle_homs(source, target, cap)
+        assert len(homs) == 1  # gcd(2, 3) = 1: only the trivial hom
+
+
+def relabeled(data, perm):
+    """The same ring with basis element i renamed perm[i]."""
+    r = data.rank
+    mult = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i, j, k in itertools.product(range(r), repeat=3):
+        mult[perm[i]][perm[j]][perm[k]] = data.mult[i][j][k]
+    unit, labels = [0] * r, [None] * r
+    for i in range(r):
+        unit[perm[i]] = data.unit_coeffs[i]
+        labels[perm[i]] = data.labels[i]
+    return BasedRingData.build(labels, mult, unit)
+
+
+def test_counts_are_invariant_under_ring_basis_relabeling(z2, z4):
+    # the unit moves to index 2, so generator 0 has unit coefficient 0
+    moved = validate_zplus_ring(relabeled(z4.data, (2, 0, 3, 1)))
+    assert moved.unit_coeffs == (0, 0, 1, 0)
+    assert rings_equivalent(moved, z4)
+    plain, permuted = (enumerate_irreducible_modules(ring) for ring in (z4, moved))
+    assert len(permuted) == len(plain) == 3
+    assert sorted(m.rank for m in permuted) == sorted(m.rank for m in plain)
+    assert len(enumerate_ring_homs(moved, z2)) == len(enumerate_ring_homs(z4, z2)) == 2
+    assert len(enumerate_ring_homs(z2, moved)) == len(enumerate_ring_homs(z2, z4)) == 2
+    assert len(enumerate_ring_homs(moved, moved)) == len(enumerate_ring_homs(z4, z4)) == 4
+
+
+def search_order_key(action, perm):
+    """The entries of ``action`` relabeled by ``perm``, in the order the
+    search fills them: row by row, cell by cell, generator by generator."""
+    r = len(perm)
+    return [mat[perm[l]][perm[k]] for l in range(r) for k in range(r) for mat in action]
+
+
+def test_enumeration_returns_the_first_labeling_of_each_class(z3, z4, klein, fib):
+    # the first labeling the search meets has row 0 of least row sum in F and
+    # is otherwise lexicographically least; the row-0 column order skips
+    # other labelings, never that one
+    for ring in (z3, z4, klein, fib):
+        for module in enumerate_irreducible_modules(ring):
+            r, action = module.rank, module.action
+            row_sums = [sum(mat[l][k] for mat in action for k in range(r)) for l in range(r)]
+            first = min(search_order_key(action, perm)
+                        for perm in itertools.permutations(range(r))
+                        if row_sums[perm[0]] == min(row_sums))
+            assert search_order_key(action, range(r)) == first
 
 
 def test_homs_preserve_everything(z3):
