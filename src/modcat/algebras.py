@@ -94,11 +94,6 @@ class StructureConstantAlgebra:
                     out[k] = out[k] + coeff * c
         return out
 
-    def left_mult_matrix(self, x) -> Matrix:
-        """Matrix of y -> x * y acting on coordinate columns."""
-        cols = [self.mul_vec(x, e) for e in Matrix.identity(self.field, self.dim).rows]
-        return Matrix(self.field, [list(row) for row in zip(*cols)])
-
     def validate(self) -> None:
         """Check (e_i e_j) e_k = e_i (e_j e_k) for every triple in lex order,
         expanding both sides over the nonzero constants, then the unit."""
@@ -130,10 +125,11 @@ class StructureConstantAlgebra:
         zero = self.field.zero()
         c = self.mult
         # row (j, k), column i: the e_k coordinate of e_j e_i - e_i e_j
-        rows = ([c[j][i].get(k, zero) - c[i][j].get(k, zero) for i in range(self.dim)]
+        rows = ({i: v for i in range(self.dim)
+                 if (v := c[j][i].get(k, zero) - c[i][j].get(k, zero))}
                 for j in range(self.dim) for k in range(self.dim))
-        stacked = [row for row in rows if any(x != zero for x in row)]
-        return kernel_basis(Matrix(self.field, stacked + list(conditions), ncols=self.dim))
+        stacked = [row for row in rows if row] + Matrix(self.field, conditions, ncols=self.dim).rows
+        return kernel_basis(Matrix.from_sparse(self.field, stacked, self.dim))
 
 
 def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[list]:
@@ -143,7 +139,8 @@ def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[l
     reduced, pivots = rref(Matrix(field, [list(row) for row in zip(*basis, *vectors)]))
     if pivots != list(range(k)):
         raise ValueError("basis is not independent or a vector is outside its span")
-    return [[reduced.rows[r][k + j] for r in range(k)] for j in range(len(vectors))]
+    zero = field.zero()
+    return [[reduced.rows[r].get(k + j, zero) for r in range(k)] for j in range(len(vectors))]
 
 
 def min_poly_of_matrix(m: Matrix) -> Poly:
@@ -153,10 +150,9 @@ def min_poly_of_matrix(m: Matrix) -> Poly:
     power = Matrix.identity(field, n)
     seen: list[list] = []
     while True:
-        flat = [a for row in power.rows for a in row]
-        stack = Matrix(field, [list(col) for col in zip(*seen)]) if seen else None
+        flat = [a for row in power.dense_rows() for a in row]
         if seen:
-            coords = solve(stack, flat)
+            coords = solve(Matrix(field, zip(*seen)), flat)
             if coords is not None:
                 coeffs = [field.zero() - c for c in coords] + [field.one()]
                 return Poly(field, coeffs)
@@ -213,10 +209,12 @@ def _eval_poly_at(algebra: StructureConstantAlgebra, p: Poly, x, unit_element):
 
 
 def _image_basis(algebra: StructureConstantAlgebra, e) -> list[list]:
-    """Echelonized basis of e * A."""
-    lm = algebra.left_mult_matrix(e)
-    reduced, pivots = rref(lm.transpose())
-    return [reduced.rows[r] for r in range(len(pivots))]
+    """Echelonized basis of e * A, from the rows e * e_j."""
+    c = algebra.mult
+    images = [algebra._combine((ei, c[i][j]) for i, ei in enumerate(e) if ei)
+              for j in range(algebra.dim)]
+    reduced, pivots = rref(Matrix.from_sparse(algebra.field, images, algebra.dim))
+    return reduced.dense_rows()[:len(pivots)]
 
 
 def split_commutative_algebra(algebra: StructureConstantAlgebra):
@@ -249,7 +247,7 @@ def split_commutative_algebra(algebra: StructureConstantAlgebra):
     """
     algebra.check_commutative()
     field = algebra.field
-    basis_vectors = Matrix.identity(field, algebra.dim).rows
+    basis_vectors = Matrix.identity(field, algebra.dim).dense_rows()
     blocks = [(algebra.unit, basis_vectors)]
     for x in basis_vectors:
         blocks = [piece for e, basis in blocks

@@ -9,9 +9,10 @@ functions G^n -> k, of dimension |G|^n, and the differential reads
                          + sum_{i=1..n} (-1)^i f(g_0, ..., g_{i-1} g_i, ..., g_n)
                          + (-1)^{n+1} f(g_0, ..., g_{n-1}).
 
-The differentials are assembled as exact matrices over the chosen coefficient
-field and d of d = 0 is checked on construction.  Cohomology dimensions come
-from exact rank computations: dim H^n = dim ker d^n - rank d^{n-1}.
+The differentials are built straight into sparse exact matrices over the
+chosen coefficient field, at most n + 2 nonzero entries per row, and d of d = 0
+is checked on construction.  Cohomology dimensions come from exact rank
+computations: dim H^n = dim ker d^n - rank d^{n-1}.
 
 The matrices depend only on the source group multiplication, never on where
 the functor sends things, so the certified scope is untwisted pointed data;
@@ -28,7 +29,12 @@ from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup
 
-SIZE_GUARD = 1_100_000  # admits Z/16 at n_max 3: about 2 s and 45 MB over Q
+# Bounds the sum over n of rows x (columns + 7) of the differentials, their
+# size when stored dense; the 7 stood for a row's list header, without which
+# n_max = 1 would admit groups of order 10^6.  The rows hold at most n + 2
+# nonzero entries each, so this bounds a proxy for the work until it is
+# re-derived from the nonzeros at a timed boundary case.
+SIZE_GUARD = 1_100_000
 NMAX_GUARD = 4
 
 
@@ -62,6 +68,8 @@ class PointedFunctorData:
         if len(self.hom) != len(self.source.cyclic_orders):
             raise ValidationError("need one image per source generator")
         for gen_order, image in zip(self.source.cyclic_orders, self.hom):
+            if len(image) != len(self.target.cyclic_orders):
+                raise ValidationError(f"image {image} has the wrong number of coordinates")
             acc = self.target.zero()
             for _ in range(gen_order):
                 acc = self.target.add(acc, tuple(image))
@@ -80,36 +88,34 @@ class DYComplex:
     deltas: tuple[Matrix, ...]  # deltas[n]: C^n -> C^{n+1}, |G|^{n+1} x |G|^n
 
     def __post_init__(self):
-        # compose d^{n+1} d^n over the nonzero entries only
-        sparse = [m.nonzero_rows() for m in self.deltas]
+        # compose d^{n+1} d^n over the stored nonzero entries
         for n in range(self.n_max - 1):
             zero = self.deltas[n].field.zero()
-            for row in sparse[n + 1]:
+            for row in self.deltas[n + 1].rows:
                 acc: dict = {}
                 for mid, c1 in row.items():
-                    for col, c2 in sparse[n][mid].items():
+                    for col, c2 in self.deltas[n].rows[mid].items():
                         acc[col] = acc.get(col, zero) + c1 * c2
-                if any(v != zero for v in acc.values()):
+                if any(acc.values()):
                     raise ComplexNotValid(n)
 
 
-def _delta_entries(group: FiniteAbelianGroup, n: int):
-    """Sparse description of d^n: for each (n+1)-tuple in turn, the signed terms."""
+def _delta_rows(group: FiniteAbelianGroup, field: Field, n: int) -> list[dict]:
+    """The rows of d^n, one per (n+1)-tuple in turn, as their nonzero entries:
+    face i of the tuple carries the sign (-1)^i, and sums that vanish in the
+    field, such as 2 over F_2, are dropped."""
     elements = group.elements()
     col_index = {tpl: i for i, tpl in enumerate(itertools.product(elements, repeat=n))}
+    rows = []
     for tpl in itertools.product(elements, repeat=n + 1):
+        merged = [tpl[:i - 1] + (group.add(tpl[i - 1], tpl[i]),) + tpl[i + 1:]
+                  for i in range(1, n + 1)]
         terms: dict[int, int] = {}
-
-        def add(key, sign):
-            col = col_index[key]
-            terms[col] = terms.get(col, 0) + sign
-
-        add(tpl[1:], 1)
-        for i in range(1, n + 1):
-            merged = tpl[:i - 1] + (group.add(tpl[i - 1], tpl[i]),) + tpl[i + 1:]
-            add(merged, -1 if i % 2 else 1)
-        add(tpl[:-1], -1 if (n + 1) % 2 else 1)
-        yield terms
+        for i, face in enumerate([tpl[1:], *merged, tpl[:-1]]):
+            col = col_index[face]
+            terms[col] = terms.get(col, 0) + (-1) ** i
+        rows.append({col: v for col, c in terms.items() if (v := field.from_int(c))})
+    return rows
 
 
 def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
@@ -120,26 +126,14 @@ def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
         raise ValidationError("n_max must be at least 1")
     if n_max > NMAX_GUARD:
         raise SizeGuardExceeded(n_max, NMAX_GUARD)
-    # d^n is held as |G|^(n+1) dense rows of |G|^n entries, and each row's list
-    # header takes the room of 7 entries: without it, n_max = 1 would admit
-    # groups of order 10^6, a million rows of one entry each
     size = sum(group.order ** (n + 1) * (group.order ** n + 7) for n in range(n_max))
     if size > SIZE_GUARD:
         raise SizeGuardExceeded(size, SIZE_GUARD)
 
-    zero = field.zero()
-    deltas = []
-    for n in range(n_max):
-        ncols = group.order ** n
-        dense = []
-        for terms in _delta_entries(group, n):
-            row = [zero] * ncols
-            for col, c in terms.items():
-                row[col] = field.from_int(c)
-            dense.append(row)
-        deltas.append(Matrix(field, dense))
+    deltas = tuple(Matrix.from_sparse(field, _delta_rows(group, field, n), group.order ** n)
+                   for n in range(n_max))
     dims = tuple(group.order ** n for n in range(n_max + 1))
-    return DYComplex(n_max=n_max, cochain_dims=dims, deltas=tuple(deltas))
+    return DYComplex(n_max=n_max, cochain_dims=dims, deltas=deltas)
 
 
 def dy_cohomology_dims(complex_: DYComplex) -> list[int]:

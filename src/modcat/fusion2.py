@@ -274,7 +274,7 @@ def pointed_braided_product(p: int, zeta: BraidingParam, class_a: ModuleClass,
     b = realize_module_class(class_b, field)
     product = braided_tensor_algebra(p, zeta, a, b)
     # the degree-zero center: central elements with no coordinate of nonzero degree
-    off_degree = [row for row, deg in zip(Matrix.identity(field, product.dim).rows,
+    off_degree = [row for row, deg in zip(Matrix.identity(field, product.dim).dense_rows(),
                                           product.degrees) if deg != product.group.zero()]
     center = product.algebra.center_basis(off_degree)
 
@@ -375,7 +375,7 @@ def _center_block_is_imaginary(tensor: StructureConstantAlgebra, center: list[li
     zero = QQ.zero()
     images = [tensor.mul_vec(idem, vec) for vec in center]
     reduced, pivots = rref(Matrix(QQ, images))
-    sub = _subalgebra_on(tensor, reduced.rows[:len(pivots)], idem)
+    sub = _subalgebra_on(tensor, reduced.dense_rows()[:len(pivots)], idem)
     # find w independent of the unit; its minimal quadratic has negative
     # discriminant exactly in the imaginary case
     unit = sub.unit
@@ -387,7 +387,7 @@ def _center_block_is_imaginary(tensor: StructureConstantAlgebra, center: list[li
             # w^2 = alpha * 1 + beta * w
             aug = Matrix(QQ, [[unit[s], w[s], w2[s]] for s in range(sub.dim)])
             red, piv = rref(aug)
-            alpha, beta = red.rows[0][2], red.rows[1][2]
+            alpha, beta = red.rows[0].get(2, zero), red.rows[1].get(2, zero)
             disc = beta * beta + 4 * alpha
             return disc < 0
     raise IdentificationAmbiguous("could not find a quadratic generator")

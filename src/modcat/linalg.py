@@ -1,9 +1,8 @@
 """Exact linear algebra over the coefficient fields.
 
-Matrices store their field handle and a list of dense rows.  Elimination
-works on the nonzero entries of each row only, so its cost follows the
-nonzeros, not the shape.  Echelon forms follow one fixed convention so that
-every output is canonical:
+Matrices store their field handle and, for each row, the dict of its nonzero
+entries, so every operation costs what the nonzeros cost, not the shape.
+Echelon forms follow one fixed convention so that every output is canonical:
 
 * the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
   nonzero entry of each row, normalized to 1, with zeros above and below
@@ -19,23 +18,28 @@ from .fields import Field
 
 
 class Matrix:
-    """Matrix over an exact field, stored as dense rows.
+    """Matrix over an exact field, never mutated once built.
 
-    ``rref`` and everything built on it (``rank``, ``kernel_basis``,
-    ``solve``) read only the nonzero entries, from :meth:`nonzero_rows`.
+    ``rows[i]`` is the dict ``{column: entry}`` of the nonzero entries of row
+    i, like a ``StructureConstantAlgebra.mult`` cell.  The constructor takes
+    dense rows and keeps their nonzero entries; :meth:`from_sparse` takes
+    rows already in this layout.
     """
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
-        self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.rows:
-            self.ncols = len(self.rows[0])
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
+        rows = [list(r) for r in rows]
+        ncols = len(rows[0]) if rows else ncols or 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.field, self.nrows, self.ncols = field, len(rows), ncols
+        self.rows = [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+    @classmethod
+    def from_sparse(cls, field: Field, rows: list[dict], ncols: int) -> "Matrix":
+        """Matrix on rows that hold nonzero entries only, kept as they are."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
@@ -43,16 +47,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = field.one()
+        return cls.from_sparse(field, [{i: one} for i in range(n)], n)
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.from_sparse(field, [{} for _ in range(nrows)], ncols)
+
+    def dense_rows(self) -> list[list]:
+        """Each row as a full vector, zeros included."""
+        zero = self.field.zero()
+        return [[row.get(j, zero) for j in range(self.ncols)] for row in self.rows]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and other.field == self.field
+                and (other.nrows, other.ncols) == (self.nrows, self.ncols)
                 and other.rows == self.rows)
 
     def __repr__(self) -> str:
@@ -61,46 +70,40 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        zero = self.field.zero()
-        cols = other.transpose().rows
         out = []
-        for r in self.rows:
-            row = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a != zero and b != zero:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out, ncols=other.ncols)
+        for row in self.rows:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: c for j, c in acc.items() if c})
+        return Matrix.from_sparse(self.field, out, other.ncols)
 
     def transpose(self) -> "Matrix":
-        cols = [list(c) for c in zip(*self.rows)] if self.rows else [[]] * self.ncols
-        return Matrix(self.field, cols, ncols=self.nrows)
-
-    def nonzero_rows(self) -> list[dict]:
-        """Each row as the dict ``{column: entry}`` of its nonzero entries."""
-        return [{j: c for j, c in enumerate(row) if c} for row in self.rows]
+        cols: list[dict] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, c in row.items():
+                cols[j][i] = c
+        return Matrix.from_sparse(self.field, cols, self.nrows)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero()
-        return all(a == zero for r in self.rows for a in r)
+        return not any(self.rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    Each row, as its nonzero entries, is reduced against a basis of earlier
-    rows kept in reduced form, one row per pivot column.  What is left, if
-    anything, is scaled to 1 at its leftmost column, that column is cleared
-    from the basis, and the row joins it.  The reduced form is unique, so the
-    result is the Gauss-Jordan one: basis rows in pivot order, then zero rows.
+    A copy of each row is reduced against a basis of earlier rows kept in
+    reduced form, one row per pivot column.  What is left, if anything, is
+    scaled to 1 at its leftmost column, that column is cleared from the basis,
+    and the row joins it.  The reduced form is unique, so the result is the
+    Gauss-Jordan one: basis rows in pivot order, then empty rows.
     """
     field = m.field
     zero = field.zero()
     basis: dict[int, dict] = {}
-    for row in m.nonzero_rows():
+    for row in m.rows:
+        row = dict(row)
         # basis rows vanish at each other's pivots, so the row's own entries
         # at the pivot columns are the multiples to subtract
         for pc in [c for c in row if c in basis]:
@@ -117,9 +120,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if len(basis) == m.ncols:
             break
     pivots = sorted(basis)
-    rows = [[basis[pc].get(j, zero) for j in range(m.ncols)] for pc in pivots]
-    rows += [[zero] * m.ncols for _ in range(m.nrows - len(pivots))]
-    return Matrix(field, rows, ncols=m.ncols), pivots
+    rows = [basis[pc] for pc in pivots] + [{} for _ in range(m.nrows - len(pivots))]
+    return Matrix.from_sparse(field, rows, m.ncols), pivots
 
 
 def _subtract_multiple(row: dict, factor, other: dict, zero) -> None:
@@ -149,7 +151,7 @@ def kernel_basis(m: Matrix) -> list[list]:
         vec = [zero] * m.ncols
         vec[fc] = one
         for r, pc in enumerate(pivots):
-            vec[pc] = zero - reduced.rows[r][fc]
+            vec[pc] = zero - reduced.rows[r].get(fc, zero)
         basis.append(vec)
     return basis
 
@@ -159,13 +161,16 @@ def solve(m: Matrix, target: list) -> list | None:
 
     Free variables are set to zero, so the output is canonical.
     """
+    if len(target) != m.nrows:
+        raise ValueError(f"target has {len(target)} entries for {m.nrows} equations")
     field = m.field
     zero = field.zero()
-    augmented = Matrix(field, [row + [t] for row, t in zip(m.rows, target)])
+    augmented = Matrix.from_sparse(field, [{**row, m.ncols: t} if t else row
+                                          for row, t in zip(m.rows, target)], m.ncols + 1)
     reduced, pivots = rref(augmented)
     if m.ncols in pivots:
         return None
     x = [zero] * m.ncols
     for r, pc in enumerate(pivots):
-        x[pc] = reduced.rows[r][m.ncols]
+        x[pc] = reduced.rows[r].get(m.ncols, zero)
     return x

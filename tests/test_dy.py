@@ -160,6 +160,11 @@ def closed_form_dims(orders, char, n_max):
 def test_dims_match_p_rank_closed_form(orders, field, n_max):
     dims = dy_cohomology_dims(identity_complex(orders, field, n_max=n_max))
     assert dims == closed_form_dims(orders, field.char, n_max)
+    # only nonzero entries are stored, such as no 2 over F_2, each in a column
+    for delta in identity_complex(orders, field, n_max=n_max).deltas:
+        for row in delta.rows:
+            assert all(c != field.zero() and col in range(delta.ncols)
+                       for col, c in row.items())
 
 
 def test_hand_built_invalid_complex_is_rejected():
@@ -180,3 +185,6 @@ def test_functor_hom_well_definedness():
         # order-2 generator cannot map to an order-4 element
         PointedFunctorData(source=FiniteAbelianGroup((2,)), target=src,
                            hom=((1,),), field=QQ)
+    with pytest.raises(ValidationError):
+        # an image needs one coordinate per cyclic factor of the target
+        PointedFunctorData(source=tgt, target=tgt, hom=((1, 5),), field=QQ)

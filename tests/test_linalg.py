@@ -69,7 +69,7 @@ def test_rank_nullity_random(field):
         assert rank(m) + len(kernel_basis(m)) == ncols
         for vec in kernel_basis(m):
             image = [sum((a * x for a, x in zip(row, vec)), field.zero())
-                     for row in m.rows]
+                     for row in m.dense_rows()]
             assert all(entry == field.zero() for entry in image)
 
 
@@ -79,6 +79,14 @@ def test_solve_consistent_and_inconsistent():
     assert x == [Fraction(2), Fraction(1)]
     m2 = Matrix.from_ints(QQ, [[1, 1], [1, 1]])
     assert solve(m2, [QQ.from_int(0), QQ.from_int(1)]) is None
+
+
+def test_solve_rejects_a_target_of_the_wrong_length():
+    # zipping rows with the target would drop the missing or extra equations
+    m = Matrix.from_ints(QQ, [[1, 0], [0, 1]])
+    for target in ([3], [3, 1, 4]):
+        with pytest.raises(ValueError):
+            solve(m, [QQ.from_int(t) for t in target])
 
 
 def test_matrix_product_shapes_and_values():
@@ -94,6 +102,8 @@ def test_transpose_of_empty_matrices_keeps_the_swapped_shape():
     assert (t.nrows, t.ncols) == (3, 0)
     t = Matrix.zero(QQ, 3, 0).transpose()
     assert (t.nrows, t.ncols) == (0, 3)
+    assert Matrix.zero(QQ, 0, 3) != Matrix.zero(QQ, 0, 5)
+    assert Matrix.zero(QQ, 2, 3) != Matrix.zero(QQ, 2, 4)
 
 
 def test_product_through_an_empty_inner_dimension_is_zero():
@@ -104,13 +114,21 @@ def test_product_through_an_empty_inner_dimension_is_zero():
     assert (product.nrows, product.ncols) == (2, 0)
 
 
+def assert_sparse_storage(m):
+    """Every stored entry is nonzero and sits in a column of the matrix."""
+    assert len(m.rows) == m.nrows
+    for row in m.rows:
+        assert all(c != m.field.zero() for c in row.values())
+        assert all(j in range(m.ncols) for j in row)
+
+
 # -- dense Gauss-Jordan oracle ---------------------------------------------------
 
 def dense_rref(m):
     """Leftmost-pivot Gauss-Jordan on whole dense rows, zeros included."""
     field = m.field
     zero = field.zero()
-    rows = [list(r) for r in m.rows]
+    rows = [list(r) for r in m.dense_rows()]
     pivots = []
     pr = 0
     for pc in range(m.ncols):
@@ -179,8 +197,14 @@ def matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(m=matrices())
 def test_rref_matches_dense_oracle(m):
+    before = [dict(row) for row in m.rows]
     reduced, pivots = rref(m)
+    assert m.rows == before
     expected, expected_pivots = dense_rref(m)
     assert pivots == expected_pivots
     assert (reduced.nrows, reduced.ncols) == (expected.nrows, expected.ncols) == (m.nrows, m.ncols)
     assert reduced.rows == expected.rows
+    for built in (m, reduced, m.transpose(), m * m.transpose(), m.transpose() * m,
+                  Matrix.identity(m.field, m.ncols), Matrix.zero(m.field, m.nrows, m.ncols)):
+        assert_sparse_storage(built)
+    assert Matrix(m.field, m.dense_rows(), ncols=m.ncols) == m
