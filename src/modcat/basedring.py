@@ -65,11 +65,30 @@ class BasedRingData:
 
     @classmethod
     def build(cls, labels, mult, unit_coeffs, involution=None) -> "BasedRingData":
+        """The datum of rank len(labels).  Raises ValueError unless mult is
+        rank x rank x rank and every coefficient, unit and involution entry is
+        an int (a bool is not); lengths and signs are left to validation."""
         labels = tuple(labels)
-        mult = tuple(tuple(tuple(row) for row in plane) for plane in mult)
-        return cls(rank=len(labels), labels=labels, mult=mult,
-                   unit_coeffs=tuple(unit_coeffs),
-                   involution=tuple(involution) if involution is not None else None)
+        r = len(labels)
+        if not _is_list(mult, r) or not all(
+                _is_list(plane, r) and all(_is_list(cell, r) for cell in plane) for plane in mult):
+            raise ValueError(f"mult must be {r} x {r} x {r} nested lists")
+        mult = tuple(tuple(_ints(cell, f"mult[{i}][{j}]") for j, cell in enumerate(plane))
+                     for i, plane in enumerate(mult))
+        return cls(rank=r, labels=labels, mult=mult,
+                   unit_coeffs=_ints(unit_coeffs, "unit"),
+                   involution=_ints(involution, "involution") if involution is not None else None)
+
+
+def _is_list(value, length: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length
+
+
+def _ints(values, where: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{where} must be a list of ints, not {values!r}")
+    return tuple(values)
 
 
 class ValidatedRing:

@@ -60,6 +60,8 @@ def _load_json(path: str):
 def _ring_from_obj(obj) -> basedring.BasedRingData:
     if isinstance(obj, str):
         obj = _load_json(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a ring must be a JSON object, not {type(obj).__name__}")
     return basedring.BasedRingData.build(
         labels=obj.get("labels", [f"b{i}" for i in range(obj["rank"])]),
         mult=obj["mult"],

@@ -12,7 +12,7 @@ representation:
   a :class:`~modcat.poly.Poly` over QQ; it is monic with integer
   coefficients, so sums and products are int arithmetic reduced modulo
   Phi_n, followed by one gcd.  The ``Fraction`` coefficients are derived on
-  demand.  This module needs no sympy.
+  demand.
 
 All arithmetic is exact; there is no floating point anywhere.  Every
 element is false exactly when it is zero, so sparse code can test entries by
@@ -284,20 +284,25 @@ class CycElem:
         self._check(other)
         return self * other.inverse()
 
+    def conjugate(self, k: int) -> "CycElem":
+        """The Galois conjugate zeta -> zeta^k, for k prime to n."""
+        conj = [0] * self.n
+        for i, a in enumerate(self.num):
+            conj[i * k % self.n] += a
+        return CycElem(self.n, conj, self.den)
+
     def inverse(self) -> "CycElem":
         # num times its other Galois conjugates zeta -> zeta^k is the norm of
         # num(zeta), an int that is nonzero because Phi_n is irreducible over Q
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         n = self.n
+        num = CycElem(n, self.num)
         others = CycElem(n, [1])
         for k in range(2, n):
             if gcd(k, n) == 1:
-                conj = [0] * n
-                for i, a in enumerate(self.num):
-                    conj[i * k % n] += a
-                others = others * CycElem(n, conj)
-        norm = (CycElem(n, self.num) * others).num[0]
+                others = others * num.conjugate(k)
+        norm = (num * others).num[0]
         return CycElem(n, [a * self.den for a in others.num], norm)
 
     def __eq__(self, other) -> bool:

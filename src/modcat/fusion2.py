@@ -43,7 +43,7 @@ from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel
                            brauer_add, finite_ext, real_closed)
 from .linalg import Matrix, rank, rref
 from .pointed import BraidingParam, FiniteAbelianGroup, ModuleClass
-from .poly import Poly, factor_list
+from .poly import Poly, factor_list, pow_mod
 
 FFIELD_DEGREE_GUARD = 64  # bound on p * r in finite_field_tensor
 
@@ -408,19 +408,6 @@ def irreducible_polynomial(p: int, degree: int) -> Poly:
     raise AssertionError(f"no irreducible polynomial of degree {degree} over F_{p}")
 
 
-def _pow_mod(base_poly: Poly, exponent: int, modulus: Poly) -> Poly:
-    field = base_poly.field
-    result = Poly(field, [field.one()])
-    acc = base_poly % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result * acc) % modulus
-        acc = (acc * acc) % modulus
-        e >>= 1
-    return result
-
-
 def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
     """Summands of F_{p^q} (x)_{F_p} F_{p^r} = F_{p^q}[y]/(f), with f the
     lex-first irreducible of degree r over F_p: one per irreducible factor of
@@ -447,9 +434,9 @@ def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
     y = Poly.from_ints(PrimeField(p), [0, 1]) % f
     # y -> y^p has order r on F_p[y]/(f), so y^(p^q) = y^(p^(q mod r))
     step = p ** (q % r)
-    w, d = _pow_mod(y, step, f), 1
+    w, d = pow_mod(y, step, f), 1
     while w != y:
-        w, d = _pow_mod(w, step, f), d + 1
+        w, d = pow_mod(w, step, f), d + 1
     copies = r // d
     assert copies == gcd(q, r), "factor count must equal gcd(q, r)"
     summands = (finite_ext(q * d).name,) * copies

@@ -1,20 +1,35 @@
-"""Dense univariate polynomials over the exact coefficient fields.
+"""Dense univariate polynomials over the exact coefficient fields, and their
+irreducible factorization.
 
-Provides the arithmetic needed to compute the cyclotomic polynomials Phi_n
-(as ``Poly`` over QQ) and by the algebra-splitting routines (division, gcd,
-extended gcd), plus irreducible factorization.  Factorization is delegated
-to sympy's exact polynomial domains: GF(p) for prime fields, QQ for the
-rationals, and QQ(alpha) with alpha a primitive root of unity for cyclotomic
-fields, that number field built once per n.  sympy is imported on the first
-factorization, not with this module.  Everything crossing the sympy
-boundary is converted exactly; no floats are involved.
+``Poly`` provides the arithmetic used to compute the cyclotomic polynomials
+Phi_n (as ``Poly`` over QQ) and by the algebra-splitting routines: division,
+gcd, extended gcd and powers modulo a polynomial.  ``factor_list`` factors
+over every field kind here, with no third-party library and no floats:
+
+* F_p: Cantor-Zassenhaus (Math. Comp. 1981).  Squarefree decomposition,
+  including the p-th root of a factor whose derivative vanishes, then
+  distinct-degree and equal-degree splitting.
+* Q: Zassenhaus.  The primitive integer polynomial is factored modulo a
+  small prime, the factors are Hensel-lifted modulo p^k past a Mignotte
+  bound, and subsets of them are recombined by exact trial division over Z.
+* Q(zeta_n): Trager's norm method (SYMSAC 1976).  f(x - s zeta) is shifted
+  until its norm to Q, the product of its Galois conjugates, is squarefree;
+  the norm is factored over Q, and each of its factors h gives the factor
+  gcd(f(x - s zeta), h)(x + s zeta) of f.
+
+Every factor is accepted by exact arithmetic, so the random choices of the
+equal-degree splitting and the choice of primes affect the running time,
+never the result.  Only the Hensel lifting works on plain int lists, because
+Z/p^k is not a field.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import reduce
+from itertools import combinations, count
+from math import gcd as igcd, lcm
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -50,8 +65,12 @@ class Poly:
         return self.coeffs[-1]
 
     def monic(self) -> "Poly":
-        lead = self.leading()
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        inv = self.field.one() / self.leading()
+        return Poly(self.field, [c * inv for c in self.coeffs])
+
+    def derivative(self) -> "Poly":
+        field = self.field
+        return Poly(field, [c * field.from_int(i) for i, c in enumerate(self.coeffs) if i])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Poly) and other.field == self.field
@@ -91,16 +110,19 @@ class Poly:
         zero = self.field.zero()
         rem = list(self.coeffs)
         quo = [zero] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = other.leading()
+        inv = self.field.one() / other.leading()
         while len(rem) >= len(other.coeffs) and rem:
             shift = len(rem) - len(other.coeffs)
-            coef = rem[-1] / lead
+            coef = rem[-1] * inv
             quo[shift] = coef
             for i, b in enumerate(other.coeffs):
                 rem[shift + i] = rem[shift + i] - coef * b
             while rem and rem[-1] == zero:
                 rem.pop()
         return Poly(self.field, quo), Poly(self.field, rem)
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -109,62 +131,381 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_number_field(n: int):
-    """sympy's QQ(alpha), alpha a root of Phi_n, and its modulus as a list:
-    built once per n."""
-    import sympy
+def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
+    """base^exponent modulo modulus, by repeated squaring."""
+    field = base.field
+    result = Poly(field, [field.one()])
+    acc = base % modulus
+    while exponent:
+        if exponent & 1:
+            result = result * acc % modulus
+        acc = acc * acc % modulus
+        exponent >>= 1
+    return result
 
-    K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.cyclotomic_poly(n, sympy.symbols("x")), 0))
-    return K, K.mod.to_list()
+
+def gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of a and b; the zero polynomial when both are zero."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
 
 
 def factor_list(p: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible monic factors of p with multiplicities, sorted canonically.
+    """Irreducible monic factors of p with multiplicities, sorted canonically:
+    by degree, then by the field's sort keys of the coefficients.
 
     The constant content is dropped; callers factoring minimal polynomials
-    only need the monic factors.
+    only need the monic factors.  Over Q (and so over Q(zeta_n), whose norms
+    are factored over Q) the recombination tries subsets of the modular
+    factors, so in the worst case it takes time exponential in their number,
+    as every Zassenhaus implementation does, sympy's included: the
+    Swinnerton-Dyer polynomials are irreducible of degree 2^k but split into
+    factors of degree at most 2 modulo every prime.
     """
-    import sympy
-    from sympy.polys.polyclasses import ANP
-
-    from .fields import CycElem, CyclotomicField, PrimeField, RationalField
+    from .fields import CyclotomicField, PrimeField, RationalField
 
     field = p.field
     if p.degree < 1:
         return []
-    x = sympy.symbols("x")
     if isinstance(field, PrimeField):
-        sp = sympy.Poly([c.v for c in reversed(p.coeffs)], x, modulus=field.p)
-        factors = []
-        for f, mult in sp.factor_list()[1]:
-            coeffs = [field.from_int(int(c)) for c in reversed(f.all_coeffs())]
-            factors.append((Poly(field, coeffs).monic(), mult))
+        split = _split_fp
     elif isinstance(field, RationalField):
-        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-                        x, domain=sympy.QQ)
-        factors = []
-        for f, mult in sp.factor_list()[1]:
-            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
-            factors.append((Poly(field, coeffs).monic(), mult))
+        split = _split_q
     elif isinstance(field, CyclotomicField):
-        K, mod = _cyclotomic_number_field(field.n)
-        anp_coeffs = [ANP([sympy.QQ(a, el.den) for a in reversed(el.num)], mod, sympy.QQ)
-                      for el in reversed(p.coeffs)]
-        sp = sympy.Poly(anp_coeffs, x, domain=K)
-        factors = []
-        for f, mult in sp.factor_list()[1]:
-            coeffs = []
-            for c in reversed(f.rep.to_list()):
-                rep = c.to_list()
-                den = lcm(*(q.denominator for q in rep))
-                coeffs.append(CycElem(field.n, [q.numerator * (den // q.denominator)
-                                                for q in reversed(rep)], den))
-            factors.append((Poly(field, coeffs).monic(), mult))
+        split = _split_cyclo
     else:
         raise TypeError(f"unsupported field: {field!r}")
+    factors = [(g, mult) for f, mult in _squarefree(p.monic()) for g in split(f)]
     factors.sort(key=lambda fm: (fm[0].degree, [field.sort_key(c) for c in fm[0].coeffs]))
     return factors
+
+
+def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
+    """Pairs (g, m), g monic, squarefree and pairwise coprime, with f (monic)
+    the product of the g^m: Musser's algorithm.
+
+    In characteristic p a factor whose multiplicity p divides is invisible to
+    the derivative and is left in c; c' = 0 then, so c is a polynomial in x^p,
+    and over F_p its p-th root keeps every p-th coefficient."""
+    c = gcd(f, f.derivative())
+    w = f // c
+    out, mult = [], 1
+    while w.degree > 0:
+        y = gcd(w, c)
+        if y.degree < w.degree:
+            out.append((w // y, mult))
+        w, c, mult = y, c // y, mult + 1
+    if c.degree > 0:
+        p = f.field.char
+        out += [(g, m * p) for g, m in _squarefree(Poly(f.field, c.coeffs[::p]))]
+    return out
+
+
+# -- F_p: Cantor-Zassenhaus -----------------------------------------------------
+
+def _split_fp(f: Poly) -> list[Poly]:
+    """Irreducible factors of a monic squarefree f over F_p."""
+    return _split_equal_degrees(_distinct_degree(f))
+
+
+def _split_equal_degrees(parts: list[tuple[Poly, int]]) -> list[Poly]:
+    rng = random.Random(0)
+    return [g for h, d in parts for g in _equal_degree(h, d, rng)]
+
+
+def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
+    """Pairs (h, d), h the product of the irreducible factors of degree d of
+    the monic squarefree f: gcd(f, x^(p^d) - x) with the lower degrees removed."""
+    field = f.field
+    x = Poly(field, [field.zero(), field.one()])
+    out, h, d = [], x, 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = pow_mod(h, field.p, f)
+        g = gcd(f, h - x)
+        if g.degree > 0:
+            out.append((g, d))
+            f = f // g
+            h = h % f
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
+def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+    """Irreducible factors of f, a product of distinct irreducibles of degree
+    d: split by gcd(f, a^((p^d - 1)/2) - 1) for random a, or for p = 2 by the
+    trace a + a^2 + ... + a^(2^(d-1)), until every piece has degree d."""
+    if f.degree == d:
+        return [f]
+    field = f.field
+    p = field.p
+    one = Poly(field, [field.one()])
+    while True:
+        a = Poly(field, [field.from_int(rng.randrange(p)) for _ in range(f.degree)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = t * t % f
+                b = b + t
+        else:
+            b = pow_mod(a, (p ** d - 1) // 2, f) - one
+        g = gcd(f, b)
+        if 0 < g.degree < f.degree:
+            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+
+
+# -- Q: Zassenhaus ---------------------------------------------------------------
+
+# how many primes that divide neither the leading coefficient nor the
+# discriminant are tried; the one with the fewest modular factors is lifted
+MODULAR_CANDIDATES = 3
+
+
+def _split_q(f: Poly) -> list[Poly]:
+    """Irreducible monic factors of a monic squarefree f over Q."""
+    if f.degree == 1:
+        return [f]
+    den = lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    content = igcd(*ints)
+    return [Poly(f.field, [Fraction(c, g[-1]) for c in g])
+            for g in _zassenhaus([c // content for c in ints])]
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors in Z[x] of a primitive squarefree f of degree at
+    least 2, ascending ints with a positive leading coefficient."""
+    from .fields import PrimeField, _is_prime
+
+    n, norm_sq = len(f) - 1, sum(c * c for c in f)
+    # a rejected prime divides lc(f) Res(f, f'), which is nonzero for a
+    # squarefree f and at most lc(f) n^n ||f||_2^(2n-1) (Hadamard), so
+    # rejected primes whose product passes that bound prove f not squarefree
+    reject_limit_sq = f[-1] ** 2 * n ** (2 * n) * norm_sq ** (2 * n - 1)
+    rejected = 1
+    best = None
+    tried, q = 0, 2
+    while tried < MODULAR_CANDIDATES:
+        q += 1
+        if not _is_prime(q):
+            continue
+        fq = Poly.from_ints(PrimeField(q), f)
+        if f[-1] % q == 0 or gcd(fq, fq.derivative()).degree > 0:
+            rejected *= q
+            if rejected ** 2 > reject_limit_sq:
+                raise AssertionError("Zassenhaus factoring needs a squarefree polynomial")
+            continue
+        tried += 1
+        # the distinct-degree split alone counts the modular factors
+        parts = _distinct_degree(fq.monic())
+        count = sum(h.degree // d for h, d in parts)
+        if count == 1:
+            return [f]
+        if best is None or count < best[0]:
+            best = count, parts
+    # Mignotte: lc(f)/lc(g) * g has every coefficient at most 2^n ||f||_2 for
+    # each factor g of f, or of a factor of f; so p^k > 2^(n+1) ||f||_2 makes
+    # the centred lifted products exact
+    bound_sq = 4 ** (n + 1) * norm_sq
+    factors = _split_equal_degrees(best[1])
+    m = factors[0].field.p
+    while m * m <= bound_sq:
+        m *= m
+    return _recombine(f, _hensel_lift(f, factors, m), m)
+
+
+def _hensel_lift(f: list[int], factors: list[Poly], m: int) -> list[list[int]]:
+    """Monic int lists modulo m, m = p^(2^j), each congruent modulo p to one
+    of the monic factors over F_p of f / lc(f), whose product times lc(f) is
+    f modulo m.  The factors are split in halves and each pair is lifted
+    quadratically (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Algorithm 15.10), then each half in turn."""
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, m)
+        return [[c * inv % m for c in f]]
+    field = factors[0].field
+    half = len(factors) // 2
+    g = reduce(Poly.__mul__, factors[:half], Poly.from_ints(field, [f[-1]]))
+    h = reduce(Poly.__mul__, factors[half:])
+    _, s, t = xgcd(g, h)
+    g, h, s, t = ([c.v for c in u.coeffs] for u in (g, h, s, t))
+    q = field.p
+    while q < m:
+        q *= q
+        g, h, s, t = _hensel_step(f, g, h, s, t, q)
+    return _hensel_lift(g, factors[:half], m) + _hensel_lift(h, factors[half:], m)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """From f = g h and s g + t h = 1 modulo sqrt(m), h monic, deg s < deg h
+    and deg t < deg g, the same four relations modulo m."""
+    e = _zadd(f, _zmul(g, h, m), m, -1)
+    q, r = _zdivmod(_zmul(s, e, m), h, m)
+    g = _zadd(g, _zadd(_zmul(t, e, m), _zmul(q, g, m), m), m)
+    h = _zadd(h, r, m)
+    b = _zadd(_zadd(_zmul(s, g, m), _zmul(t, h, m), m), [1], m, -1)
+    c, d = _zdivmod(_zmul(s, b, m), h, m)
+    s = _zadd(s, d, m, -1)
+    t = _zadd(t, _zadd(_zmul(t, b, m), _zmul(c, g, m), m), m, -1)
+    return g, h, s, t
+
+
+def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]:
+    """Irreducible factors of f in Z[x] from its lifted modular factors: for
+    subsets of growing size, lc(f) times the subset product, centred modulo
+    m, is kept when it divides lc(f) f exactly.  What it divides is a factor
+    of f, and an irreducible one: a proper factor of it would be a smaller
+    subset, found first."""
+    found = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            lead = f[-1]
+            g = [lead]
+            for i in subset:
+                g = _zmul(g, lifted[i], m)
+            g = [c - m if 2 * c > m else c for c in g]
+            if g[0] and f[0] and lead * f[0] % g[0]:
+                continue  # the constant terms already rule it out
+            if _zdiv_exact([lead * c for c in f], g) is None:
+                continue
+            content = igcd(*g)
+            g = [c // content for c in g]
+            found.append(g)
+            f = _zdiv_exact(f, g)
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return found + [f]
+
+
+def _zadd(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    """a + sign * b modulo m, trimmed."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return _ztrim([c % m for c in out])
+
+
+def _zmul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _ztrim([c % m for c in out])
+
+
+def _zdivmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder modulo m by b, whose leading coefficient is a
+    unit modulo m."""
+    rem = list(a)
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    quo = [0] * max(0, len(rem) - n)
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k] * inv % m
+        quo[k - n] = c
+        if c:
+            for i, y in enumerate(b):
+                rem[k - n + i] -= c * y
+    return _ztrim(quo), _ztrim([c % m for c in rem[:n]])
+
+
+def _zdiv_exact(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[x], or None when b does not divide a there."""
+    if len(a) < len(b):
+        return None
+    rem = list(a)
+    n = len(b) - 1
+    quo = [0] * (len(rem) - n)
+    for k in range(len(rem) - 1, n - 1, -1):
+        c, r = divmod(rem[k], b[-1])
+        if r:
+            return None
+        quo[k - n] = c
+        if c:
+            for i, y in enumerate(b):
+                rem[k - n + i] -= c * y
+    return None if any(rem[:n]) else quo
+
+
+def _ztrim(c: list[int]) -> list[int]:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+# -- Q(zeta_n): Trager's norms -------------------------------------------------
+
+# the squarefree test of a norm is first made modulo this prime (or the next
+# one below it that divides no denominator of f); after that many failed
+# shifts it is made over Q, which always ends the search
+NORM_TEST_PRIME = 2 ** 31 - 1
+NORM_TEST_MOD_P_SHIFTS = 3
+
+
+def _split_cyclo(f: Poly) -> list[Poly]:
+    """Irreducible monic factors of a monic squarefree f over Q(zeta_n)."""
+    if f.degree == 1:
+        return [f]
+    from .fields import PrimeField, _is_prime
+
+    field = f.field
+    p = NORM_TEST_PRIME
+    while any(c.den % p == 0 for c in f.coeffs):
+        p -= 2
+        while not _is_prime(p):
+            p -= 2
+    fp = PrimeField(p)
+    zeta = field.zeta()
+    for s in count():
+        # the norm of f(x - s zeta) is squarefree for all but finitely many s
+        shifted = _shift(f, field.from_int(-s) * zeta)
+        norm = _norm(shifted)
+        norm_p = Poly(fp, [fp.from_int(c.numerator) / fp.from_int(c.denominator)
+                           for c in norm.coeffs])
+        if (gcd(norm_p, norm_p.derivative()).degree == 0
+                or (s >= NORM_TEST_MOD_P_SHIFTS and gcd(norm, norm.derivative()).degree == 0)):
+            break
+    factors = _split_q(norm)
+    if len(factors) == 1:
+        return [f]
+    back = field.from_int(s) * zeta
+    return [_shift(gcd(shifted, Poly(field, [field.from_fractions([c]) for c in h.coeffs])), back)
+            for h in factors]
+
+
+def _shift(f: Poly, c) -> Poly:
+    """f(x + c), by Horner."""
+    field = f.field
+    linear = Poly(field, [c, field.one()])
+    acc = Poly(field, [])
+    for a in reversed(f.coeffs):
+        acc = acc * linear + Poly(field, [a])
+    return acc
+
+
+def _norm(f: Poly) -> Poly:
+    """The product of the Galois conjugates of f over Q(zeta_n), zeta -> zeta^k
+    for k prime to n: a polynomial over Q."""
+    from .fields import QQ
+
+    field = f.field
+    n = field.n
+    acc = f
+    for k in range(2, n):
+        if igcd(k, n) == 1:
+            acc = acc * Poly(field, [c.conjugate(k) for c in f.coeffs])
+    assert not any(a for c in acc.coeffs for a in c.num[1:]), "a norm has rational coefficients"
+    return Poly(QQ, [Fraction(c.num[0], c.den) for c in acc.coeffs])
 
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

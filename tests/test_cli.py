@@ -186,6 +186,16 @@ def test_markdown_format():
     assert md.startswith("| # | rank |")
 
 
+def z2_ring_text(**changes):
+    """data/z2.ring.json as JSON text, with the given keys replaced."""
+    ring = {"rank": 2, "labels": ["e", "g"], "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+            "unit": [1, 0], "involution": [0, 1]}
+    return json.dumps({**ring, **changes})
+
+
+SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
+
+
 @pytest.mark.parametrize("argv,file_text,error_type", [
     (["fusion2", "ffield", "2", "12", "0"], None, "ValueError"),
     (["fusion2", "ffield", "4", "2", "2"], None, "ValueError"),
@@ -203,10 +213,22 @@ def test_markdown_format():
     (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "-1"], None, "ValueError"),
     (["ring", "homs", str(DATA / "z2.ring.json"), str(DATA / "z2.ring.json"),
       "--cap-scale", "0"], None, "ValueError"),
+    (["ring", "validate"], "[1, 2]", "ValueError"),
+    (["ring", "validate"], SHORT_CELL_RING, "ValueError"),
+    (["ring", "homs", str(DATA / "z2.ring.json")], SHORT_CELL_RING, "ValueError"),
+    (["zmod", "enumerate"], SHORT_CELL_RING, "ValueError"),
+    (["ring", "validate"], z2_ring_text(mult=[[[1, 0], [0, 1.5]], [[0, 1], [1, 0]]]),
+     "ValueError"),
+    (["ring", "validate"], z2_ring_text(mult=[[[1, 0], [0, True]], [[0, 1], [1, 0]]]),
+     "ValueError"),
+    (["ring", "validate"], z2_ring_text(unit=[True, 0]), "ValueError"),
+    (["ring", "validate"], z2_ring_text(involution=[0, "1"]), "ValueError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
         "bad-group", "ring-without-mult", "not-json", "missing-file", "directory",
         "family-p-4", "family-p-1", "family-p-minus-3", "zmod-cap-scale-0",
-        "zmod-cap-scale-minus-1", "homs-cap-scale-0"])
+        "zmod-cap-scale-minus-1", "homs-cap-scale-0", "ring-not-an-object",
+        "validate-short-cell", "homs-short-cell", "enumerate-short-cell",
+        "float-coefficient", "bool-coefficient", "bool-unit", "string-involution"])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
@@ -272,6 +294,21 @@ def test_sympy_is_imported_only_for_factorization():
         "assert 'sympy' not in sys.modules, 'import modcat.cli loaded sympy'\n"
         "assert modcat.cli.run(['ring', 'validate', 'data/fib.ring.json'])[1] == 0\n"
         "assert 'sympy' not in sys.modules, 'ring validate loaded sympy'\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(DATA.parent))
+    assert result.returncode == 0, result.stderr
+
+
+def test_fusion2_commands_never_import_sympy():
+    # factorization over F_p, Q and Q(zeta_n) is done inside modcat
+    script = (
+        "import sys\n"
+        "import modcat.cli\n"
+        "for argv in (['fusion2', 'real'], ['fusion2', 'ffield', '2', '4', '6'],\n"
+        "             ['fusion2', 'pointed', '--p', '3', '--zeta', '1'],\n"
+        "             ['fusion2', 'pointed', '--p', '5', '--zeta', '1']):\n"
+        "    assert modcat.cli.run(argv)[1] == 0, argv\n"
+        "assert 'sympy' not in sys.modules, 'a fusion2 command loaded sympy'\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, cwd=str(DATA.parent))
     assert result.returncode == 0, result.stderr
