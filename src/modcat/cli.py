@@ -63,7 +63,7 @@ def _ring_from_obj(obj) -> basedring.BasedRingData:
     if not isinstance(obj, dict):
         raise ValueError(f"a ring must be a JSON object, not {type(obj).__name__}")
     return basedring.BasedRingData.build(
-        labels=obj.get("labels", [f"b{i}" for i in range(obj["rank"])]),
+        labels=obj["labels"] if "labels" in obj else [f"b{i}" for i in range(obj["rank"])],
         mult=obj["mult"],
         unit_coeffs=obj["unit"],
         involution=obj.get("involution"))

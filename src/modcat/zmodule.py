@@ -20,18 +20,31 @@ the module rank by N and the entries through the N^2 budget.  For ring
 homomorphisms the coordinate sums of f(b) are bounded by |J| N, with N taken
 from the source ring.  Both searches accept a cap multiplier (at least 1) so
 the stability of the counts under enlarged caps can be demonstrated.
+
+A basis element b_i with b_i b_j = 1 acts by a permutation matrix, which the
+module search uses to prune.  The module search is guarded on its own work:
+``module_search_size`` bounds the row-0 fillings it enumerates from N (times
+the cap multiplier), the ring rank and the number of non-invertible basis
+elements, and ``MODULE_SEARCH_GUARD`` is that bound for the group rings of
+order 8, the largest admitted (Z/3 x Z/3 is refused).  The hom search keeps
+its guard of ring rank ``ENUMERATION_RANK_LIMIT``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .basedring import (ValidatedRing, WeakBasedCertificate,
+from .basedring import (ValidatedRing, WeakBasedCertificate, _ints, _is_list,
                         find_weak_based_involutions)
-from .errors import GuardError, ValidationError
+from .errors import SizeGuardExceeded, ValidationError
 
-ENUMERATION_RANK_LIMIT = 8
+ENUMERATION_RANK_LIMIT = 8  # ring rank guard of the hom search
+# module_search_size of the group rings of order 8 at cap_scale 1, whose
+# modules take about 6 s (Python 3.11, one core of a 2-CPU host); Z/3 x Z/3,
+# at 574,304,985, is refused
+MODULE_SEARCH_GUARD = 24_684_612
 
 
 class NegativeEntry(ValidationError):
@@ -56,9 +69,9 @@ class RingNotWeakBased(ValidationError):
         super().__init__("ring admits no weak based involution")
 
 
-class RankGuardExceeded(GuardError):
-    def __init__(self, rank: int):
-        super().__init__(f"rank {rank} exceeds the enumeration guard {ENUMERATION_RANK_LIMIT}")
+class RankGuardExceeded(SizeGuardExceeded):
+    """A search exceeds its guard: ``size`` is the module search size of
+    :func:`module_search_size`, or the ring rank for a hom search."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +82,20 @@ class ZPlusModuleData:
 
     @classmethod
     def build(cls, ring: ValidatedRing, action) -> "ZPlusModuleData":
-        action = tuple(tuple(tuple(row) for row in mat) for mat in action)
-        rank = len(action[0]) if action else 0
+        """The datum of rank len(action[0]).  Raises ValueError unless action
+        holds one rank x rank matrix per ring basis index and every entry is
+        an int (a bool is not); signs and the module laws are left to
+        validation."""
+        if not _is_list(action, ring.rank):
+            raise ValueError(f"action must hold one matrix per ring basis index, "
+                             f"{ring.rank} in all")
+        first = action[0] if action else ()
+        rank = len(first) if isinstance(first, (list, tuple)) else 0
+        for i, mat in enumerate(action):
+            if not _is_list(mat, rank) or not all(_is_list(row, rank) for row in mat):
+                raise ValueError(f"action[{i}] must be a {rank} x {rank} matrix")
+        action = tuple(tuple(_ints(row, f"action[{i}][{l}]") for l, row in enumerate(mat))
+                       for i, mat in enumerate(action))
         return cls(ring=ring, rank=rank, action=action)
 
 
@@ -111,11 +136,7 @@ class ValidatedModule:
 def validate_module(data: ZPlusModuleData) -> ValidatedModule:
     ring = data.ring
     r = data.rank
-    if len(data.action) != ring.rank:
-        raise ValidationError("need one action matrix per ring basis index")
     for i, mat in enumerate(data.action):
-        if len(mat) != r or any(len(row) != r for row in mat):
-            raise ValidationError(f"action matrix {i} is not rank x rank")
         for l in range(r):
             for k in range(r):
                 if mat[l][k] < 0:
@@ -254,16 +275,20 @@ def enumerate_irreducible_modules(ring, cap_scale: int = 1) -> list[ValidatedMod
 
     ``ring`` is a weak based certificate (or a validated ring, which is then
     certified first).  ``cap_scale`` multiplies every search cap; the result
-    must be independent of it, which the tests exercise.
+    must be independent of it, which the tests exercise.  Raises
+    RankGuardExceeded when ``module_search_size`` exceeds
+    ``MODULE_SEARCH_GUARD``.
     """
     cert = _as_certificate(ring)
     vring = cert.ring
-    if vring.rank > ENUMERATION_RANK_LIMIT:
-        raise RankGuardExceeded(vring.rank)
     bounds = EnumerationBounds.for_ring(vring, cap_scale)
+    invertible = invertible_generators(vring)
+    size = module_search_size(bounds.n_max, vring.rank, vring.rank - len(invertible))
+    if size > MODULE_SEARCH_GUARD:
+        raise RankGuardExceeded(size, MODULE_SEARCH_GUARD)
     found: dict[tuple, ValidatedModule] = {}
     for r in range(1, bounds.rank_bound + 1):
-        for action in _search_actions(vring, r, bounds):
+        for action in _search_actions(vring, r, bounds, invertible):
             module = validate_module(ZPlusModuleData.build(vring, action))
             if not is_irreducible(module):
                 continue
@@ -273,7 +298,39 @@ def enumerate_irreducible_modules(ring, cap_scale: int = 1) -> list[ValidatedMod
     return [found[k] for k in sorted(found)]
 
 
-def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
+def invertible_generators(ring: ValidatedRing) -> frozenset[int]:
+    """The basis indices i with b_i b_j = 1 for some basis index j."""
+    return frozenset(i for i in range(ring.rank)
+                     if any(ring.mult[i][j] == ring.unit_coeffs for j in range(ring.rank)))
+
+
+def module_search_size(n_max: int, rank: int, non_invertible: int) -> int:
+    """An upper bound on the row-0 fillings the module search enumerates,
+    summed over the module ranks r <= n_max.
+
+    With i = rank - non_invertible invertible generators, m = non_invertible
+    and N = n_max: each invertible A_i puts its one 1 of row 0 in one of r
+    columns; the u = max(0, r - i) columns they cannot cover each need a
+    positive entry of some non-invertible A_j (m choices), and the rest of
+    the r * m non-invertible entries sum to at most N - i - u, the row-0 sum
+    of F being at most N.  So rank r contributes at most
+    r^i m^u C(N - i - u + r m, r m), and nothing when N < i + u; for a group
+    ring (m = 0) that leaves the ranks r <= |G|.  Rows below row 0 of an
+    invertible A_i are pinned by the per-cell caps, so this counts the
+    branching of group rings; a non-invertible A_j can branch again in later
+    rows, which the count does not see.
+    """
+    i, m = rank - non_invertible, non_invertible
+    total = 0
+    for r in range(1, n_max + 1):
+        u = max(0, r - i)
+        if n_max >= i + u:
+            total += r ** i * m ** u * comb(n_max - i - u + r * m, r * m)
+    return total
+
+
+def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
+                    invertible: frozenset[int]):
     """Backtracking over the rows of all generator matrices at module rank r.
 
     Row l is filled for every generator matrix A_i at once, cell by cell and
@@ -286,6 +343,14 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
     structure constant is non-negative, so a partial sum only grows as the
     search goes deeper, and that makes each prune sound:
 
+    * invertible generators act by permutation matrices: if b_i b_j = 1
+      then A_i A_j = I, and if row l of A_i had positive entries in columns
+      s != s', rows s and s' of A_j would both vanish off column l, so A_j
+      would be singular; hence each row of A_i holds a single entry, in a
+      column no other row uses as A_i is invertible too, and that entry is 1
+      because A_i[l][s] A_j[s][l] = 1.
+      So every cell of an invertible A_i is at most 1, each of its rows sums
+      to exactly 1, and a column taken by a filled row is closed to the rest;
     * unit law, per generator: the partial sum of sum_t a_t A_t[l][k] =
       delta_lk is carried down the generators of a cell; once above its
       target it stays above, and once no later a_t is nonzero it stays put;
@@ -336,6 +401,14 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
                         target = sum(cij[m] * rows[m][lp][k] for m in range(n_gen))
                         base = sum(row_ilp[s] * rows[j][s][k] for s in range(l))
                         vmax[j][k] = min(vmax[j][k], (target - base) // row_ilp[l])
+        # an invertible A_i is a permutation matrix: cells at most 1, and the
+        # l columns taken by the filled rows are closed to row l
+        last_free = [r] * n_gen  # the last column where row l of A_i can take its 1
+        for i in invertible:
+            taken = {rows[i][lp].index(1) for lp in range(l)}
+            vmax[i] = [min(vmax[i][k], 0 if k in taken else 1) for k in range(r)]
+            last_free[i] = max(k for k in range(r) if k not in taken)
+        placed = [0] * n_gen  # row sum of A_i[l] so far
 
         def fill(k: int, used: int):
             if k == r:
@@ -350,15 +423,23 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds):
                     if cell_sum >= 1:  # F must be strictly positive for irreducibility
                         yield from fill(k + 1, used + cell_sum)
                     return
-                low = current[i][k - 1] if tied else 0
-                for v in range(low, min(vmax[i][k], cap - used - cell_sum) + 1):
+                prev = current[i][k - 1] if tied else 0
+                low, high = prev, min(vmax[i][k], cap - used - cell_sum)
+                if i in invertible:
+                    # row l of A_i sums to exactly 1
+                    high = min(high, 1 - placed[i])
+                    if k == last_free[i] and not placed[i]:
+                        low = max(low, 1)
+                for v in range(low, high + 1):
                     partial = unit_sum + unit[i] * v
                     if partial > unit_target:
                         break
                     if partial < unit_target and i >= last_unit:
                         continue
                     current[i][k] = v
-                    yield from assign(i + 1, cell_sum + v, partial, tied and v == low)
+                    placed[i] += v
+                    yield from assign(i + 1, cell_sum + v, partial, tied and v == prev)
+                    placed[i] -= v
                 current[i][k] = 0
 
             yield from assign(0, 0, 0, l == 0 and k >= 2)
@@ -478,7 +559,7 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
     src = _as_certificate(source)
     tgt = _as_certificate(target)
     if src.rank > ENUMERATION_RANK_LIMIT or tgt.rank > ENUMERATION_RANK_LIMIT:
-        raise RankGuardExceeded(max(src.rank, tgt.rank))
+        raise RankGuardExceeded(max(src.rank, tgt.rank), ENUMERATION_RANK_LIMIT)
     sring, tring = src.ring, tgt.ring
     n_src, n_tgt = sring.rank, tring.rank
     cap = EnumerationBounds.for_hom(sring, tring, cap_scale).coeff_bound_hom

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from modcat.basedring import group_ring
 from modcat.cli import main, render, run
 from modcat.fields import PRIME_TEST_GUARD
+from modcat.zmodule import MODULE_SEARCH_GUARD
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -193,6 +195,12 @@ def z2_ring_text(**changes):
     return json.dumps({**ring, **changes})
 
 
+def z2_module_text(**changes):
+    """A rank-1 module file over data/z2.ring.json, with the given keys replaced."""
+    module = {"ring": str(DATA / "z2.ring.json"), "rank": 1, "action": [[[1]], [[1]]]}
+    return json.dumps({**module, **changes})
+
+
 SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
 
 
@@ -223,12 +231,18 @@ SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
      "ValueError"),
     (["ring", "validate"], z2_ring_text(unit=[True, 0]), "ValueError"),
     (["ring", "validate"], z2_ring_text(involution=[0, "1"]), "ValueError"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]], [[1.5]]]), "ValueError"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]], [[False]]]), "ValueError"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]]]), "ValueError"),
+    (["zmod", "validate"], z2_module_text(action=[[[1, 0]], [[0, 1]]]), "ValueError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
         "bad-group", "ring-without-mult", "not-json", "missing-file", "directory",
         "family-p-4", "family-p-1", "family-p-minus-3", "zmod-cap-scale-0",
         "zmod-cap-scale-minus-1", "homs-cap-scale-0", "ring-not-an-object",
         "validate-short-cell", "homs-short-cell", "enumerate-short-cell",
-        "float-coefficient", "bool-coefficient", "bool-unit", "string-involution"])
+        "float-coefficient", "bool-coefficient", "bool-unit", "string-involution",
+        "module-float-entry", "module-bool-entry", "module-one-matrix",
+        "module-not-square"])
 def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
@@ -266,6 +280,27 @@ def test_guard_error_reports_size_and_guard():
     result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
     assert code == 0
     assert result.payload["summands"] == ["FINITE_EXT(40)"] * 2
+
+
+def test_ring_file_with_labels_needs_no_rank(tmp_path):
+    path = tmp_path / "unit.ring.json"
+    path.write_text(json.dumps({"labels": ["e"], "mult": [[[1]]], "unit": [1]}))
+    result, code = invoke(["ring", "validate", str(path)])
+    assert code == 0
+    assert result.payload["labels"] == ["e"]
+
+
+def test_module_search_guard_reports_size_and_guard(tmp_path, capsys):
+    ring = group_ring([3, 3])
+    path = tmp_path / "z3xz3.ring.json"
+    path.write_text(json.dumps({"labels": list(ring.labels), "mult": ring.mult,
+                                "unit": ring.unit_coeffs}))
+    assert main(["zmod", "enumerate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == "RankGuardExceeded"
+    assert (error["size"], error["guard"]) == (574_304_985, MODULE_SEARCH_GUARD)
+    assert "Traceback" not in out + err
 
 
 def test_family_depth_guard_reports_size_and_guard():

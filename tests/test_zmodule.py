@@ -8,11 +8,13 @@ from modcat.basedring import (BasedRingData, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, trivial_ring,
                               validate_zplus_ring)
-from modcat.zmodule import (ActionLawFails, EnumerationBounds, RankGuardExceeded,
-                            RingNotWeakBased, UnitActionFails, ZPlusModuleData,
-                            direct_sum, enumerate_irreducible_modules,
-                            enumerate_ring_homs, is_indecomposable,
-                            is_irreducible, regular_module, validate_module)
+from modcat.pointed import FiniteAbelianGroup, subgroups
+from modcat.zmodule import (MODULE_SEARCH_GUARD, ActionLawFails, EnumerationBounds,
+                            RankGuardExceeded, RingNotWeakBased, UnitActionFails,
+                            ZPlusModuleData, direct_sum, enumerate_irreducible_modules,
+                            enumerate_ring_homs, invertible_generators,
+                            is_indecomposable, is_irreducible, module_search_size,
+                            regular_module, validate_module)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,20 @@ def test_unit_action_failure(z2):
     data = ZPlusModuleData.build(z2, [((2,),), ((1,),)])
     with pytest.raises(UnitActionFails):
         validate_module(data)
+
+
+@pytest.mark.parametrize("action", [
+    [((1,),), ((1.5,),)],        # not an int
+    [((1,),), ((True,),)],       # a bool is not an int
+    [((1,),)],                   # one matrix for a rank-2 ring
+    [((1,),), ((1,),), ((1,),)],
+    [((1, 0),), ((0, 1),)],      # not square
+    [((1,),), ((1, 0), (0, 1))],  # ranks differ
+    [1, 1],
+])
+def test_build_refuses_malformed_actions(z2, action):
+    with pytest.raises(ValueError):
+        ZPlusModuleData.build(z2, action)
 
 
 def test_negative_entry_rejected(z2):
@@ -229,6 +245,77 @@ def test_rank_guard_on_enumeration():
     ring = validate_zplus_ring(group_ring([3, 3]))
     with pytest.raises(RankGuardExceeded):
         enumerate_irreducible_modules(ring)
+
+
+def test_rank_guard_reports_the_search_size():
+    ring = validate_zplus_ring(group_ring([3, 3]))
+    with pytest.raises(RankGuardExceeded) as info:
+        enumerate_irreducible_modules(ring)
+    assert (info.value.size, info.value.guard) == (574_304_985, MODULE_SEARCH_GUARD)
+
+
+ABELIAN_GROUPS_UP_TO_8 = [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,),
+                          (2, 4), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("orders", ABELIAN_GROUPS_UP_TO_8)
+def test_every_abelian_group_up_to_order_8_is_admitted(orders):
+    ring = validate_zplus_ring(group_ring(list(orders)))
+    n_max = EnumerationBounds.for_ring(ring).n_max
+    m = ring.rank - len(invertible_generators(ring))
+    assert module_search_size(n_max, ring.rank, m) <= MODULE_SEARCH_GUARD
+
+
+def test_the_guard_is_the_size_at_order_8():
+    # the boundary case: the group rings of order 8 at cap_scale 1
+    assert module_search_size(8, 8, 0) == MODULE_SEARCH_GUARD
+
+
+def row_zero_fillings(ring, r, n_max):
+    """Brute force: joint rows 0 of all generator matrices at module rank r
+    with invertible rows unit vectors, every cell of F positive and the row
+    sum of F at most n_max."""
+    inv = invertible_generators(ring)
+    choices = [[tuple(int(k == c) for k in range(r)) for c in range(r)] if i in inv
+               else [v for v in itertools.product(range(n_max + 1), repeat=r)
+                     if sum(v) <= n_max]
+               for i in range(ring.rank)]
+    return sum(1 for rows in itertools.product(*choices)
+               if sum(map(sum, rows)) <= n_max and all(map(sum, zip(*rows))))
+
+
+@pytest.mark.parametrize("name,cap_scale", [("z3", 1), ("klein", 1), ("fib", 1),
+                                            ("fib", 2), ("unit_ring", 3)])
+def test_search_size_bounds_the_row_zero_fillings(request, name, cap_scale):
+    ring = request.getfixturevalue(name)
+    n_max = EnumerationBounds.for_ring(ring, cap_scale).n_max
+    m = ring.rank - len(invertible_generators(ring))
+    total = sum(row_zero_fillings(ring, r, n_max) for r in range(1, n_max + 1))
+    assert 0 < total <= module_search_size(n_max, ring.rank, m)
+
+
+def test_invertible_generators(z3, klein, fib, unit_ring):
+    for ring in (z3, klein, validate_zplus_ring(group_ring([2, 4]))):
+        assert invertible_generators(ring) == frozenset(range(ring.rank))
+    assert invertible_generators(fib) == {0}  # b^2 = 1 + b
+    assert invertible_generators(unit_ring) == {0}
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,)])
+@pytest.mark.parametrize("cap_scale", [1, 2])
+def test_module_count_is_the_subgroup_count(orders, cap_scale):
+    # the irreducible modules of Z[G] are the transitive G-sets G/H
+    ring = validate_zplus_ring(group_ring(list(orders)))
+    modules = enumerate_irreducible_modules(ring, cap_scale=cap_scale)
+    assert len(modules) == len(subgroups(FiniteAbelianGroup(orders)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders", [(8,), (2, 4), (2, 2, 2)])
+def test_module_count_is_the_subgroup_count_at_order_8(orders):
+    ring = validate_zplus_ring(group_ring(list(orders)))
+    modules = enumerate_irreducible_modules(ring)
+    assert len(modules) == len(subgroups(FiniteAbelianGroup(orders)))
 
 
 def test_grothendieck_compatibility_with_pointed_counts(z2, z3, z5):
