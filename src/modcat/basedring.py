@@ -105,7 +105,9 @@ class ValidatedRing:
     def basis_product(self, i: int, j: int) -> tuple[int, ...]:
         return self.mult[i][j]
 
-    def product(self, x, y) -> list[int]:
+    def product(self, x, y) -> tuple[int, ...]:
+        """The coordinates of x y, a tuple like ``unit_coeffs`` and the
+        ``mult`` cells."""
         out = [0] * self.rank
         for i, xi in enumerate(x):
             if xi == 0:
@@ -117,7 +119,7 @@ class ValidatedRing:
                 for k, m in enumerate(self.mult[i][j]):
                     if m:
                         out[k] += c * m
-        return out
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"ValidatedRing(rank={self.rank}, labels={list(self.labels)})"
@@ -153,9 +155,9 @@ def validate_zplus_ring(data: BasedRingData) -> ValidatedRing:
                         raise NotAssociative(i, j, k, l)
 
     ring = ValidatedRing(data)
-    unit = list(data.unit_coeffs)
+    unit = data.unit_coeffs
     for i in range(r):
-        e = [1 if t == i else 0 for t in range(r)]
+        e = tuple(1 if t == i else 0 for t in range(r))
         if ring.product(unit, e) != e or ring.product(e, unit) != e:
             raise UnitLawFails(i)
     return ring

@@ -9,10 +9,16 @@ functions G^n -> k, of dimension |G|^n, and the differential reads
                          + sum_{i=1..n} (-1)^i f(g_0, ..., g_{i-1} g_i, ..., g_n)
                          + (-1)^{n+1} f(g_0, ..., g_{n-1}).
 
-The differentials are built straight into sparse exact matrices over the
-chosen coefficient field, at most n + 2 nonzero entries per row, and d of d = 0
-is checked on construction.  Cohomology dimensions come from exact rank
-computations: dim H^n = dim ker d^n - rank d^{n-1}.
+The differentials have integer entries whatever the coefficient field, so
+each d^n is built once as sparse integer rows, at most n + 2 nonzero entries
+per row, and d of d = 0 is checked once, over Z, on construction; that holds
+in every field.  Cohomology dimensions come from exact ranks,
+dim H^n = dim ker d^n - rank d^{n-1}, and the rank of an integer matrix over
+k depends only on the characteristic of k: ``linalg.rank`` eliminates over Z
+on pivots of +-1, which are units in every field, and finishes the small
+leftover block over the prime field (on residues mod p, or on rationals), so
+Q(zeta_n) costs what Q costs.  The matrices over k itself are made only when
+their entries are read.
 
 The matrices depend only on the source group multiplication, never on where
 the functor sends things, so the certified scope is untwisted pointed data;
@@ -29,12 +35,14 @@ from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup
 
-# Bounds the sum over n of rows x (columns + 7) of the differentials, their
-# size when stored dense; the 7 stood for a row's list header, without which
-# n_max = 1 would admit groups of order 10^6.  The rows hold at most n + 2
-# nonzero entries each, so this bounds a proxy for the work until it is
-# re-derived from the nonzeros at a timed boundary case.
-SIZE_GUARD = 1_100_000
+# Bounds the nonzero entries of the integer differentials, sum over n of
+# |G|^(n+1) rows times n + 2.  Elimination works on those entries and their
+# fill-in, and the leftover block it hands to the prime field is made of rows
+# of the differentials, so their count bounds it too.  The boundary case is
+# Z/15 at n_max 4, size 267,330: about 2 s and 72 MB over Q, F_3 or F_5 (its
+# leftover at most 11,025 x 16), on one core of a 2-CPU host.  Order 16 at
+# n_max 4 (344,864) is refused.
+SIZE_GUARD = 267_330
 NMAX_GUARD = 4
 
 
@@ -88,49 +96,69 @@ class DYComplex:
     deltas: tuple[Matrix, ...]  # deltas[n]: C^n -> C^{n+1}, |G|^{n+1} x |G|^n
 
     def __post_init__(self):
-        # compose d^{n+1} d^n over the stored nonzero entries
+        # d^{n+1} d^n is composed on the integer rows where both matrices
+        # carry them, as built ones do, which checks it over Z and so over
+        # every field; other matrices are composed in their field
         for n in range(self.n_max - 1):
-            zero = self.deltas[n].field.zero()
-            for row in self.deltas[n + 1].rows:
-                acc: dict = {}
-                for mid, c1 in row.items():
-                    for col, c2 in self.deltas[n].rows[mid].items():
-                        acc[col] = acc.get(col, zero) + c1 * c2
+            outer, inner = self.deltas[n + 1], self.deltas[n]
+            if outer.int_rows is None or inner.int_rows is None:
+                if not (outer * inner).is_zero():
+                    raise ComplexNotValid(n)
+                continue
+            for row in outer.int_rows:
+                acc: dict[int, int] = {}
+                for mid, a in row.items():
+                    for col, b in inner.int_rows[mid].items():
+                        acc[col] = acc.get(col, 0) + a * b
                 if any(acc.values()):
                     raise ComplexNotValid(n)
 
 
-def _delta_rows(group: FiniteAbelianGroup, field: Field, n: int) -> list[dict]:
-    """The rows of d^n, one per (n+1)-tuple in turn, as their nonzero entries:
-    face i of the tuple carries the sign (-1)^i, and sums that vanish in the
-    field, such as 2 over F_2, are dropped."""
+def _delta_rows(group: FiniteAbelianGroup, n: int) -> list[dict[int, int]]:
+    """The rows of d^n over Z, as their nonzero entries.
+
+    Row r is the (n+1)-tuple whose base-|G| digits (in the order of
+    ``group.elements()``) are the element indices of g_0, ..., g_n, and each
+    face is an n-tuple indexed the same way: face i carries the sign (-1)^i,
+    faces that coincide are summed, and sums of 0 are dropped.
+    """
     elements = group.elements()
-    col_index = {tpl: i for i, tpl in enumerate(itertools.product(elements, repeat=n))}
+    index = {g: i for i, g in enumerate(elements)}
+    # the addition table, needed from degree 1 on: |G|^2 <= |G|^(n+1) entries
+    add = [[index[group.add(g, h)] for h in elements] for g in elements] if n else []
+    order = len(elements)
+    # face i, 1 <= i <= n, puts the index of g_{i-1} g_i in place of digits
+    # i-1 and i: the digits above move down one place, those below stay
+    merges = [(order ** (n - i + 2), order ** (n - i + 1), order ** (n - i), (-1) ** i)
+              for i in range(1, n + 1)]
+    last_sign = (-1) ** (n + 1)
+    cols = order ** n
     rows = []
-    for tpl in itertools.product(elements, repeat=n + 1):
-        merged = [tpl[:i - 1] + (group.add(tpl[i - 1], tpl[i]),) + tpl[i + 1:]
-                  for i in range(1, n + 1)]
-        terms: dict[int, int] = {}
-        for i, face in enumerate([tpl[1:], *merged, tpl[:-1]]):
-            col = col_index[face]
-            terms[col] = terms.get(col, 0) + (-1) ** i
-        rows.append({col: v for col, c in terms.items() if (v := field.from_int(c))})
+    for r, digits in enumerate(itertools.product(range(order), repeat=n + 1)):
+        terms = {r % cols: 1}
+        for i, (above, shift, below, sign) in enumerate(merges, start=1):
+            col = r // above * shift + add[digits[i - 1]][digits[i]] * below + r % below
+            terms[col] = terms.get(col, 0) + sign
+        col = r // order
+        terms[col] = terms.get(col, 0) + last_sign
+        rows.append({c: v for c, v in terms.items() if v})
     return rows
 
 
 def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
-    """Assemble the cochain complex up to degree n_max; construction checks d d = 0."""
+    """Assemble the cochain complex up to degree n_max; construction checks
+    d d = 0 over Z."""
     group = functor.source
     field = functor.field
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     if n_max > NMAX_GUARD:
         raise SizeGuardExceeded(n_max, NMAX_GUARD)
-    size = sum(group.order ** (n + 1) * (group.order ** n + 7) for n in range(n_max))
+    size = sum(group.order ** (n + 1) * (n + 2) for n in range(n_max))
     if size > SIZE_GUARD:
         raise SizeGuardExceeded(size, SIZE_GUARD)
 
-    deltas = tuple(Matrix.from_sparse(field, _delta_rows(group, field, n), group.order ** n)
+    deltas = tuple(Matrix.from_int_rows(field, _delta_rows(group, n), group.order ** n)
                    for n in range(n_max))
     dims = tuple(group.order ** n for n in range(n_max + 1))
     return DYComplex(n_max=n_max, cochain_dims=dims, deltas=deltas)

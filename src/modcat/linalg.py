@@ -2,6 +2,7 @@
 
 Matrices store their field handle and, for each row, the dict of its nonzero
 entries, so every operation costs what the nonzeros cost, not the shape.
+``rank`` works on integers wherever the entries are rational (see there).
 Echelon forms follow one fixed convention so that every output is canonical:
 
 * the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
@@ -14,7 +15,11 @@ Echelon forms follow one fixed convention so that every output is canonical:
 
 from __future__ import annotations
 
-from .fields import Field
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+
+from .fields import QQ, Field
 
 
 class Matrix:
@@ -23,8 +28,12 @@ class Matrix:
     ``rows[i]`` is the dict ``{column: entry}`` of the nonzero entries of row
     i, like a ``StructureConstantAlgebra.mult`` cell.  The constructor takes
     dense rows and keeps their nonzero entries; :meth:`from_sparse` takes
-    rows already in this layout.
+    rows already in this layout, and :meth:`from_int_rows` integer rows
+    whose images in the field are the entries.
     """
+
+    # the integer rows of a matrix built by from_int_rows, else None
+    int_rows: list[dict] | None = None
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -40,6 +49,21 @@ class Matrix:
         m = cls.__new__(cls)
         m.field, m.rows, m.nrows, m.ncols = field, rows, len(rows), ncols
         return m
+
+    @classmethod
+    def from_int_rows(cls, field: Field, rows: list[dict], ncols: int) -> "Matrix":
+        """Matrix whose entries are the images in the field of the nonzero
+        ints in ``rows``, each a dict ``{column: int}``; ``rank`` reads the
+        ints, and the field entries are made the first time ``rows`` is read."""
+        m = cls.__new__(cls)
+        m.field, m.int_rows, m.nrows, m.ncols = field, rows, len(rows), ncols
+        return m
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        # every other constructor sets rows, so only from_int_rows gets here
+        from_int = self.field.from_int
+        return [{j: v for j, c in row.items() if (v := from_int(c))} for row in self.int_rows]
 
     @classmethod
     def from_ints(cls, field: Field, rows) -> "Matrix":
@@ -135,8 +159,112 @@ def _subtract_multiple(row: dict, factor, other: dict, zero) -> None:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of the matrix over its exact field."""
-    return len(rref(m)[1])
+    """Rank of the matrix over its exact field.
+
+    Rank is unchanged by field extension, so a matrix whose entries are all
+    images of rationals (every matrix over Q or F_p) is ranked on integers by
+    :func:`_integer_rank`: over Q each row is cleared of its denominators,
+    over F_p the residues are taken between -p/2 and p/2.  A matrix with an
+    irrational cyclotomic entry is ranked by ``rref``.
+    """
+    rows = m.int_rows
+    if rows is None:
+        lift = m.field.lift
+        rows = []
+        for row in m.rows:
+            lifted = [lift(c) for c in row.values()]
+            if None in lifted:
+                return len(rref(m)[1])
+            den = lcm(*(q.denominator for q in lifted))
+            rows.append({j: q.numerator * (den // q.denominator)
+                         for j, q in zip(row, lifted)})
+    return _integer_rank(rows, m.field.char)
+
+
+def _integer_rank(rows: list[dict], p: int) -> int:
+    """Rank over F_p, or over Q when p = 0, of integer rows ``{column: int}``.
+
+    First the rows are eliminated over Z using only pivots of +-1, which are
+    units over every prime field: each basis row holds +-1 at its own pivot
+    column and 0 at the others.  A row with no +-1 entry is divided by the
+    gcd of its entries when that is a unit over the prime field (any gcd over
+    Q, one prime to p over F_p), which may give it one; otherwise it waits.
+    The waiting rows are fed through again while that finds new pivots, so
+    in the end they vanish at every pivot column.  Their rank over the prime
+    field, added to the number of pivots, is the rank: modulo p on ints, or
+    over Q by ``rref`` on the leftover block.  ``rows`` is not modified.
+    """
+    basis: dict[int, dict] = {}
+    waiting = rows
+    while True:
+        found = len(basis)
+        pending, waiting = waiting, []
+        for row in pending:
+            row = dict(row)
+            for pc in [c for c in row if c in basis]:
+                # the pivot is +-1, its own inverse
+                _subtract_int_multiple(row, row[pc] * basis[pc][pc], basis[pc])
+            pc = _unit_column(row)
+            if pc is None and row:
+                g = gcd(*row.values())
+                if g > 1 and (not p or g % p):
+                    row = {c: v // g for c, v in row.items()}
+                    pc = _unit_column(row)
+            if pc is None:
+                if row:
+                    waiting.append(row)
+                continue
+            for other in basis.values():
+                if pc in other:
+                    _subtract_int_multiple(other, other[pc] * row[pc], row)
+            basis[pc] = row
+        if len(basis) == found or not waiting:
+            break
+    if p:
+        return len(basis) + _rank_mod(waiting, p)
+    cols = {c: i for i, c in enumerate(sorted({c for row in waiting for c in row}))}
+    block = [{cols[c]: Fraction(v) for c, v in row.items()} for row in waiting]
+    return len(basis) + len(rref(Matrix.from_sparse(QQ, block, len(cols)))[1])
+
+
+def _unit_column(row: dict) -> int | None:
+    """The last column where the row holds +-1, if any.  Any such column may
+    be the pivot; the last keeps the basis short on the DY differentials,
+    whose rows come in lexicographic order (on Z/3 x Z/3 in degree 3 the
+    elimination touches about a sixth of the entries the first one costs)."""
+    return max((c for c, v in row.items() if v == 1 or v == -1), default=None)
+
+
+def _rank_mod(rows: list[dict], p: int) -> int:
+    """Rank over F_p of integer rows, by Gauss-Jordan on residues."""
+    basis: dict[int, dict] = {}
+    for row in rows:
+        row = {c: r for c, v in row.items() if (r := v % p)}
+        for pc in [c for c in row if c in basis]:
+            _subtract_int_multiple(row, row[pc], basis[pc], p)
+        if not row:
+            continue
+        pc = next(iter(row))
+        inv = pow(row[pc], -1, p)
+        row = {c: v * inv % p for c, v in row.items()}
+        for other in basis.values():
+            if pc in other:
+                _subtract_int_multiple(other, other[pc], row, p)
+        basis[pc] = row
+    return len(basis)
+
+
+def _subtract_int_multiple(row: dict, factor: int, other: dict, p: int = 0) -> None:
+    """row -= factor * other over the ints, or modulo p when p is given,
+    dropping entries that cancel."""
+    for j, b in other.items():
+        v = row.get(j, 0) - factor * b
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def kernel_basis(m: Matrix) -> list[list]:

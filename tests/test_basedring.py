@@ -30,11 +30,19 @@ def test_validate_z2_group_ring():
     assert ring.i0 == frozenset({0})
 
 
+def test_product_compares_with_the_unit():
+    # products are tuples like unit_coeffs and the mult cells, so b_0 b_0 = 1
+    # holds as an equality of coordinates
+    ring = validate_zplus_ring(group_ring([2]))
+    assert ring.product((1, 0), (1, 0)) == ring.unit_coeffs
+    assert ring.product((0, 1), (0, 1)) == ring.mult[1][1] == ring.unit_coeffs
+
+
 def test_validate_fibonacci_by_hand():
     # b^2 = 1 + b: the eight associativity identities reduce to
     # (b b) b = b + b^2 = 1 + 2b = b (b b); checked exhaustively by validation
     ring = validate_zplus_ring(fibonacci_ring())
-    assert ring.product([0, 1], [0, 1]) == [1, 1]
+    assert ring.product([0, 1], [0, 1]) == (1, 1)
 
 
 def test_unit_law_failure_detected():

@@ -112,6 +112,22 @@ def test_dy_diagnostic():
     assert result.payload["consistent_with_separability"] is False
 
 
+def test_dy_diagnostic_beyond_order_seven():
+    # two cyclic factors divisible by 3: dim H^n = n + 1 over F_3
+    result, code = invoke(["dy", "diagnostic", "--group", "3,3", "--coeff", "fp3"])
+    assert code == 0
+    assert (result.payload["h2_dim"], result.payload["h3_dim"]) == (3, 4)
+
+
+def test_dy_guard_reports_size_and_guard():
+    from modcat.dy import SIZE_GUARD
+    result, code = invoke(["dy", "diagnostic", "--group", "16", "--coeff", "q"])
+    assert code == 1
+    error = result.payload["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert (error["size"], error["guard"]) == (344_864, SIZE_GUARD)
+
+
 def test_fusion2_real():
     result, code = invoke(["fusion2", "real"])
     assert code == 0

@@ -8,7 +8,7 @@ from modcat.dy import (NMAX_GUARD, SIZE_GUARD, PointedFunctorData, SeparabilityD
                        build_dy_complex, dy_cohomology_dims,
                        separability_diagnostic)
 from modcat.errors import SizeGuardExceeded, ValidationError
-from modcat.fields import CyclotomicField, PrimeField, QQ
+from modcat.fields import CyclotomicField, PrimeField, QQ, field_from_code
 from modcat.linalg import Matrix, rank
 from modcat.pointed import FiniteAbelianGroup
 
@@ -122,13 +122,14 @@ def test_size_guard():
         identity_complex((2,), QQ, n_max=0)
 
 
-# size = sum over n < n_max of |G|^(n+1) rows times (|G|^n entries + 7)
+# size = sum over n < n_max of |G|^(n+1) rows times n + 2 nonzero entries
 @pytest.mark.parametrize("orders,n_max,size", [
-    ((17,), 3, 1_461_320),
-    ((8,), 4, 2_163_200),       # admitted by the old |G|^(n_max+1) proxy
-    ((137_501,), 1, 1_100_008),  # one entry per row: the row headers dominate
-])
-def test_size_guard_counts_dense_rows_and_entries(orders, n_max, size):
+    ((16,), 4, 344_864),       # order 16 at n_max 4 is refused
+    ((2, 2, 2, 2), 4, 344_864),
+    ((41,), 3, 280_809),
+    ((133_666,), 1, 267_332),  # two entries per row of d^0, both cancelling
+], ids=["Z16-nmax4", "Z2^4-nmax4", "Z41-nmax3", "Z133666-nmax1"])
+def test_size_guard_counts_integer_nonzeros(orders, n_max, size):
     with pytest.raises(SizeGuardExceeded) as info:
         identity_complex(orders, QQ, n_max=n_max)
     assert (info.value.size, info.value.guard) == (size, SIZE_GUARD)
@@ -136,8 +137,9 @@ def test_size_guard_counts_dense_rows_and_entries(orders, n_max, size):
 
 @pytest.mark.slow
 def test_size_guard_boundary_finishes():
-    # Z/16 at n_max 3 holds 1,052,688 entries in 4,368 rows: size 1,083,264
-    assert dy_cohomology_dims(identity_complex((16,), QQ, n_max=3)) == [1, 0, 0]
+    # Z/15 at n_max 4 is the boundary case: size 267,330, exactly the guard
+    assert SIZE_GUARD == 267_330
+    assert dy_cohomology_dims(identity_complex((15,), PrimeField(5), n_max=4)) == [1, 1, 1, 1]
 
 
 # every abelian group of order at most 8, by invariant factors
@@ -156,15 +158,27 @@ def closed_form_dims(orders, char, n_max):
 @pytest.mark.parametrize("orders,field,n_max",
                          [(orders, field, 3) for orders in SMALL_GROUPS
                           for field in (QQ, PrimeField(2), PrimeField(3))]
-                         + [((5,), QQ, 4)])
+                         + [((5,), QQ, 4)]
+                         # beyond order 7 at n_max 4, one group and field each
+                         + [((8,), PrimeField(2), 4), ((2, 2, 2), QQ, 4),
+                            ((3, 3), PrimeField(3), 4), ((9,), CyclotomicField(3), 4)])
 def test_dims_match_p_rank_closed_form(orders, field, n_max):
-    dims = dy_cohomology_dims(identity_complex(orders, field, n_max=n_max))
-    assert dims == closed_form_dims(orders, field.char, n_max)
+    complex_ = identity_complex(orders, field, n_max=n_max)
+    assert dy_cohomology_dims(complex_) == closed_form_dims(orders, field.char, n_max)
     # only nonzero entries are stored, such as no 2 over F_2, each in a column
-    for delta in identity_complex(orders, field, n_max=n_max).deltas:
+    for delta in complex_.deltas:
         for row in delta.rows:
             assert all(c != field.zero() and col in range(delta.ncols)
                        for col, c in row.items())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("orders", SMALL_GROUPS + [(9,), (3, 3)])
+@pytest.mark.parametrize("code", ["q", "fp2", "fp3", "cyclo3"])
+def test_dims_match_closed_form_up_to_order_nine(orders, code):
+    field = field_from_code(code)
+    dims = dy_cohomology_dims(identity_complex(orders, field, n_max=4))
+    assert dims == closed_form_dims(orders, field.char, 4)
 
 
 def test_hand_built_invalid_complex_is_rejected():
@@ -174,6 +188,16 @@ def test_hand_built_invalid_complex_is_rejected():
         DYComplex(n_max=2, cochain_dims=good.cochain_dims,
                   deltas=(Matrix.from_ints(QQ, [[1], [0]]),
                           Matrix.from_ints(QQ, [[1, 0], [0, 1], [0, 0], [0, 0]])))
+
+
+def test_integer_rows_are_composed_over_z():
+    # d d = 2 vanishes over F_2 but not over Z, where integer rows are composed
+    from modcat.dy import ComplexNotValid, DYComplex
+    f2 = PrimeField(2)
+    with pytest.raises(ComplexNotValid):
+        DYComplex(n_max=2, cochain_dims=(1, 1, 1),
+                  deltas=(Matrix.from_int_rows(f2, [{0: 1}], 1),
+                          Matrix.from_int_rows(f2, [{0: 2}], 1)))
 
 
 def test_functor_hom_well_definedness():

@@ -208,3 +208,56 @@ def test_rref_matches_dense_oracle(m):
                   Matrix.identity(m.field, m.ncols), Matrix.zero(m.field, m.nrows, m.ncols)):
         assert_sparse_storage(built)
     assert Matrix(m.field, m.dense_rows(), ncols=m.ncols) == m
+
+
+# -- integer rank kernel against rref ----------------------------------------------
+
+RANK_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), CyclotomicField(3)]
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3])
+NO_UNIT_ENTRIES = st.sampled_from([0, 0, 0, 2, -2, 3, -3])
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Up to 12 x 12 with entries in -3..3, mostly zero; some rows have no
+    +-1 entry, so elimination leaves them to the prime-field finish."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        alphabet = NO_UNIT_ENTRIES if draw(st.booleans()) else ENTRIES
+        rows.append(draw(st.lists(alphabet, min_size=ncols, max_size=ncols)))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=sparse_int_rows(), field=st.sampled_from(RANK_FIELDS), scale_by_zeta=st.booleans())
+def test_rank_matches_rref_on_sparse_integer_matrices(shape, field, scale_by_zeta):
+    rows, ncols = shape
+    m = Matrix(field, [[field.from_int(v) for v in r] for r in rows], ncols=ncols)
+    expected = len(rref(m)[1])
+    assert rank(m) == expected
+    # the same ints handed over as they are, 2 over F_2 included, as DY does
+    ints = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    assert rank(Matrix.from_int_rows(field, ints, ncols)) == expected
+    if isinstance(field, CyclotomicField) and scale_by_zeta and rows:
+        # an irrational entry sends the matrix to rref; the rank is unchanged
+        zeta = field.zeta()
+        scaled = Matrix(field, [[zeta * a for a in r] for r in m.dense_rows()[:1]]
+                        + m.dense_rows()[1:], ncols=ncols)
+        assert rank(scaled) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=sparse_int_rows(), dens=st.lists(st.sampled_from([1, 2, 3, 4, 6]), min_size=12,
+                                                max_size=12))
+def test_rank_clears_rational_denominators(shape, dens):
+    rows, ncols = shape
+    m = Matrix(QQ, [[Fraction(v, dens[j]) for j, v in enumerate(r)] for r in rows], ncols=ncols)
+    assert rank(m) == len(rref(m)[1])
+
+
+def test_int_rows_give_the_field_entries_on_demand():
+    m = Matrix.from_int_rows(PrimeField(2), [{0: 2, 1: -1}, {}], 2)
+    assert (m.nrows, m.ncols) == (2, 2)
+    assert m == Matrix.from_ints(PrimeField(2), [[0, 1], [0, 0]])
+    assert rank(m) == 1

@@ -346,8 +346,8 @@ def oracle_homs(source, target, cap):
         for i in range(ns):
             for j in range(ns):
                 left = target.product(g[i], g[j])
-                right = [sum(source.mult[i][j][k] * g[k][coord] for k in range(ns))
-                         for coord in range(nt)]
+                right = tuple(sum(source.mult[i][j][k] * g[k][coord] for k in range(ns))
+                              for coord in range(nt))
                 if left != right:
                     ok = False
         for i in range(ns):
@@ -465,6 +465,6 @@ def test_homs_preserve_everything(z3):
         for i in range(sring.rank):
             for j in range(sring.rank):
                 left = tring.product(g[i], g[j])
-                right = [sum(sring.mult[i][j][k] * g[k][c] for k in range(sring.rank))
-                         for c in range(tring.rank)]
+                right = tuple(sum(sring.mult[i][j][k] * g[k][c] for k in range(sring.rank))
+                              for c in range(tring.rank))
                 assert left == right
