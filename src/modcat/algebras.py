@@ -10,7 +10,9 @@ Ronyai, STOC 1985).
 
 An algebra stores only its nonzero structure constants, one dict {k: c} per
 basis pair (i, j), and is validated once, when it is built; products and
-the validation run over the nonzero terms only.  All data is immutable after
+the validation run over the nonzero terms only.  The validating expansion,
+:func:`first_law_failure`, needs nothing of a field, and based rings
+validate their integer constants through it too.  All data is immutable after
 construction and every output is deterministic.
 """
 
@@ -37,6 +39,51 @@ class NotCommutative(ValidationError):
     def __init__(self, i: int, j: int):
         super().__init__(f"basis elements {i} and {j} do not commute")
         self.indices = (i, j)
+
+
+def _combine(terms) -> dict:
+    """Nonzero entries of sum coeff * cell over the (coeff, cell) terms."""
+    out = {}
+    for coeff, cell in terms:
+        for k, c in cell.items():
+            t = coeff * c
+            out[k] = out[k] + t if k in out else t
+    return {k: c for k, c in out.items() if c}
+
+
+def first_law_failure(mult, unit, one):
+    """The first failure of associativity or of the two-sided unit law, or
+    None when both hold.
+
+    ``mult[i][j]`` is the dict {k: c} of the nonzero constants of e_i e_j
+    and ``unit`` the unit's coordinates; ``one`` is the coefficient 1.  Both
+    sides of every law are expanded over the nonzero constants only, so the
+    coefficients need just ``+``, ``*`` and a truth value: field elements
+    and ints alike.  A failure is (indices, left, right), the two sides as
+    {l: c} dicts of their nonzero coordinates.  Associativity comes first:
+    indices (i, j, k) for the first triple in lex order with
+    (e_i e_j) e_k != e_i (e_j e_k).  Then, for each i in turn, indices
+    (i, "left") when 1 e_i != e_i and (i, "right") when e_i 1 != e_i.
+    """
+    dim = len(mult)
+    for i in range(dim):
+        for j in range(dim):
+            cell_ij = mult[i][j]
+            for k in range(dim):
+                left = _combine((cm, mult[m][k]) for m, cm in cell_ij.items())
+                right = _combine((cm, mult[i][m]) for m, cm in mult[j][k].items())
+                if left != right:
+                    return (i, j, k), left, right
+    units = [(m, um) for m, um in enumerate(unit) if um]
+    for i in range(dim):
+        basis_i = {i: one}
+        left = _combine((um, mult[m][i]) for m, um in units)
+        if left != basis_i:
+            return (i, "left"), left, basis_i
+        right = _combine((um, mult[i][m]) for m, um in units)
+        if right != basis_i:
+            return (i, "right"), right, basis_i
+    return None
 
 
 class StructureConstantAlgebra:
@@ -71,15 +118,6 @@ class StructureConstantAlgebra:
                    [[[conv(x) for x in cell] for cell in row] for row in mult],
                    [conv(x) for x in unit], labels)
 
-    def _combine(self, terms) -> dict:
-        """Nonzero entries of sum coeff * cell over the (coeff, cell) terms."""
-        out = {}
-        for coeff, cell in terms:
-            for k, c in cell.items():
-                t = coeff * c
-                out[k] = out[k] + t if k in out else t
-        return {k: c for k, c in out.items() if c}
-
     def mul_vec(self, x, y):
         zero = self.field.zero()
         out = [zero] * self.dim
@@ -95,23 +133,16 @@ class StructureConstantAlgebra:
         return out
 
     def validate(self) -> None:
-        """Check (e_i e_j) e_k = e_i (e_j e_k) for every triple in lex order,
-        expanding both sides over the nonzero constants, then the unit."""
-        c = self.mult
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    left = self._combine((cm, c[m][k]) for m, cm in c[i][j].items())
-                    right = self._combine((cm, c[i][m]) for m, cm in c[j][k].items())
-                    if left != right:
-                        raise NotAssociative(i, j, k)
-        units = [(m, um) for m, um in enumerate(self.unit) if um != self.field.zero()]
-        for i in range(self.dim):
-            basis_i = {i: self.field.one()}
-            if self._combine((um, c[m][i]) for m, um in units) != basis_i:
-                raise NoUnit(f"1 * e{i} != e{i}")
-            if self._combine((um, c[i][m]) for m, um in units) != basis_i:
-                raise NoUnit(f"e{i} * 1 != e{i}")
+        """Check associativity, then the two-sided unit, by
+        :func:`first_law_failure`."""
+        failure = first_law_failure(self.mult, self.unit, self.field.one())
+        if failure is None:
+            return
+        indices, _, _ = failure
+        if len(indices) == 3:
+            raise NotAssociative(*indices)
+        i, side = indices
+        raise NoUnit(f"1 * e{i} != e{i}" if side == "left" else f"e{i} * 1 != e{i}")
 
     def check_commutative(self) -> None:
         for i in range(self.dim):
@@ -211,7 +242,7 @@ def _eval_poly_at(algebra: StructureConstantAlgebra, p: Poly, x, unit_element):
 def _image_basis(algebra: StructureConstantAlgebra, e) -> list[list]:
     """Echelonized basis of e * A, from the rows e * e_j."""
     c = algebra.mult
-    images = [algebra._combine((ei, c[i][j]) for i, ei in enumerate(e) if ei)
+    images = [_combine((ei, c[i][j]) for i, ei in enumerate(e) if ei)
               for j in range(algebra.dim)]
     reduced, pivots = rref(Matrix.from_sparse(algebra.field, images, algebra.dim))
     return reduced.dense_rows()[:len(pivots)]

@@ -2,8 +2,12 @@
 
 A based-ring datum is a basis {b_0, ..., b_{r-1}}, structure constants
 c[i][j][k] >= 0 with b_i b_j = sum_k c[i][j][k] b_k, and unit coordinates
-a[i] >= 0 with 1 = sum_i a[i] b_i.  Validation checks associativity and the
-two-sided unit law exhaustively.
+a[i] >= 0 with 1 = sum_i a[i] b_i.  The datum holds the dense table, the
+input and file format; a validated ring keeps only the nonzero constants,
+the dict {k: c} of b_i b_j per basis pair, the layout of the algebra layer's
+``StructureConstantAlgebra``.  Validation checks associativity and the
+two-sided unit law exhaustively, through the algebra layer's expansion over
+the nonzero constants (``algebras.first_law_failure``).
 
 tau is the linear functional summing an element's coordinates over the unit
 support I0 = {i : a[i] != 0}.  A weak-based certificate records a basis
@@ -22,11 +26,12 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 
+from .algebras import first_law_failure
 from .errors import GuardError, SizeGuardExceeded, ValidationError
 
 EXHAUSTIVE_RANK_LIMIT = 12
 # canonical_form builds an r + r^3 key for each of the r! permutations;
-# admits rank 8 (20,966,400): about 3.2 s on a group ring of order 8
+# admits rank 8 (20,966,400): about 1.4 s on a group ring of order 8
 CANONICAL_FORM_GUARD = 20_966_400
 
 
@@ -92,33 +97,38 @@ def _ints(values, where: str) -> tuple[int, ...]:
 
 
 class ValidatedRing:
-    """A based-ring datum whose axioms have been checked."""
+    """A based-ring datum whose axioms have been checked.
+
+    ``mult[i][j]`` is the dict {k: c} of the nonzero constants of b_i b_j,
+    k ascending, as in ``StructureConstantAlgebra.mult``; the dense table
+    stays in ``data.mult``."""
 
     def __init__(self, data: BasedRingData):
         self.data = data
         self.rank = data.rank
-        self.mult = data.mult
+        self.mult = tuple(tuple({k: c for k, c in enumerate(cell) if c} for cell in plane)
+                          for plane in data.mult)
         self.unit_coeffs = data.unit_coeffs
         self.labels = data.labels
         self.i0 = frozenset(i for i, a in enumerate(data.unit_coeffs) if a != 0)
 
     def basis_product(self, i: int, j: int) -> tuple[int, ...]:
-        return self.mult[i][j]
+        """The coordinates of b_i b_j, the dense cell of ``data.mult``."""
+        return self.data.mult[i][j]
 
     def product(self, x, y) -> tuple[int, ...]:
-        """The coordinates of x y, a tuple like ``unit_coeffs`` and the
-        ``mult`` cells."""
+        """The coordinates of x y, a tuple like ``unit_coeffs``, expanded over
+        the nonzero coordinates of x and y and the nonzero constants of each
+        of their basis products."""
         out = [0] * self.rank
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out[k] += c * m
+            if xi:
+                row = self.mult[i]
+                for j, yj in enumerate(y):
+                    if yj:
+                        c = xi * yj
+                        for k, m in row[j].items():
+                            out[k] += c * m
         return tuple(out)
 
     def __repr__(self) -> str:
@@ -145,22 +155,16 @@ def validate_zplus_ring(data: BasedRingData) -> ValidatedRing:
             if data.involution[data.involution[i]] != i:
                 raise ValidationError(f"involution is not self-inverse at {i}")
 
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    left = sum(data.mult[i][j][m] * data.mult[m][k][l] for m in range(r))
-                    right = sum(data.mult[j][k][m] * data.mult[i][m][l] for m in range(r))
-                    if left != right:
-                        raise NotAssociative(i, j, k, l)
-
     ring = ValidatedRing(data)
-    unit = data.unit_coeffs
-    for i in range(r):
-        e = tuple(1 if t == i else 0 for t in range(r))
-        if ring.product(unit, e) != e or ring.product(e, unit) != e:
-            raise UnitLawFails(i)
-    return ring
+    failure = first_law_failure(ring.mult, data.unit_coeffs, 1)
+    if failure is None:
+        return ring
+    indices, left, right = failure
+    if len(indices) == 3:
+        # the first coordinate where (b_i b_j) b_k and b_i (b_j b_k) differ
+        raise NotAssociative(*indices, min(l for l in left.keys() | right.keys()
+                                           if left.get(l) != right.get(l)))
+    raise UnitLawFails(indices[0])
 
 
 def tau(ring: ValidatedRing, element) -> int:
@@ -189,14 +193,10 @@ class WeakBasedCertificate:
 
 
 def _involution_is_antiautomorphism(ring: ValidatedRing, sigma: tuple[int, ...]) -> bool:
-    # (b_i b_j)* = b_j* b_i*, i.e. c[i][j][k] == c[sigma(j)][sigma(i)][sigma(k)]
-    r = ring.rank
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if ring.mult[i][j][k] != ring.mult[sigma[j]][sigma[i]][sigma[k]]:
-                    return False
-    return True
+    # (b_i b_j)* = b_j* b_i*, i.e. c[i][j][k] == c[sigma(j)][sigma(i)][sigma(k)]:
+    # the cell of b_i b_j relabelled by sigma is the cell of b_j* b_i*
+    return all({sigma[k]: c for k, c in cell.items()} == ring.mult[sigma[j]][sigma[i]]
+               for i, plane in enumerate(ring.mult) for j, cell in enumerate(plane))
 
 
 def find_weak_based_involutions(ring: ValidatedRing) -> list[WeakBasedCertificate]:
@@ -210,8 +210,10 @@ def find_weak_based_involutions(ring: ValidatedRing) -> list[WeakBasedCertificat
         raise RankTooLargeForExhaustiveSearch(r)
     sigma = []
     t_values = []
-    for i in range(r):
-        hits = [(j, tau(ring, ring.basis_product(i, j))) for j in range(r)]
+    for plane in ring.mult:
+        # tau(b_i b_j) for each j, over the nonzero constants of b_i b_j
+        hits = [(j, sum(c for k, c in cell.items() if k in ring.i0))
+                for j, cell in enumerate(plane)]
         positive = [(j, t) for j, t in hits if t > 0]
         if len(positive) != 1:
             return []
@@ -225,7 +227,7 @@ def find_weak_based_involutions(ring: ValidatedRing) -> list[WeakBasedCertificat
         return []
     if not _involution_is_antiautomorphism(ring, sigma):
         return []
-    data = BasedRingData.build(ring.labels, ring.mult, ring.unit_coeffs, sigma)
+    data = BasedRingData.build(ring.labels, ring.data.mult, ring.unit_coeffs, sigma)
     certified = ValidatedRing(data)
     return [WeakBasedCertificate(ring=certified, involution=sigma,
                                  t_values=tuple(t_values), i0_set=ring.i0)]
@@ -295,21 +297,11 @@ def canonical_form(ring: ValidatedRing) -> tuple:
     size = factorial(r) * (r + r ** 3)
     if size > CANONICAL_FORM_GUARD:
         raise SizeGuardExceeded(size, CANONICAL_FORM_GUARD)
-    best = None
-    unit = ring.unit_coeffs
-    for perm in itertools.permutations(range(r)):
-        # perm maps old index -> new position; build the relabelled tables
-        inv = [0] * r
-        for old, new in enumerate(perm):
-            inv[new] = old
-        unit_key = tuple(unit[inv[i]] for i in range(r))
-        mult_key = tuple(ring.mult[inv[i]][inv[j]][inv[k]]
-                         for i in range(r) for j in range(r) for k in range(r))
-        key = (unit_key, mult_key)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    unit, mult = ring.unit_coeffs, ring.data.mult
+    # inv lists the old index at each new position
+    return min((tuple(unit[a] for a in inv),
+                tuple(mult[a][b][c] for a in inv for b in inv for c in inv))
+               for inv in itertools.permutations(range(r)))
 
 
 def rings_equivalent(a: ValidatedRing, b: ValidatedRing) -> bool:

@@ -78,10 +78,7 @@ class PointedFunctorData:
         for gen_order, image in zip(self.source.cyclic_orders, self.hom):
             if len(image) != len(self.target.cyclic_orders):
                 raise ValidationError(f"image {image} has the wrong number of coordinates")
-            acc = self.target.zero()
-            for _ in range(gen_order):
-                acc = self.target.add(acc, tuple(image))
-            if acc != self.target.zero():
+            if any(gen_order * x % n for x, n in zip(image, self.target.cyclic_orders)):
                 raise ValidationError(
                     f"homomorphism not well defined: image {image} of a generator "
                     f"of order {gen_order} does not have dividing order")

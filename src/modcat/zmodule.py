@@ -7,6 +7,11 @@ law is checked exhaustively: action matrices must satisfy
     action(i) action(j) = sum_k c[i][j][k] action(k)          (composition)
     sum_i a[i] action(i) = identity                            (unit action)
 
+The laws, the searches and their prunes read the ring's nonzero constants,
+the cells {k: c} of ``ValidatedRing.mult``, so a sum over k such as the right
+side above has one term per nonzero c[i][j][k], and one in all for a group
+ring.
+
 Irreducibility asks that the closure of any single basis index under the
 positive-entry reachability relation is the whole basis; indecomposability
 asks that the undirected positivity graph is connected.
@@ -99,15 +104,6 @@ class ZPlusModuleData:
         return cls(ring=ring, rank=rank, action=action)
 
 
-def _mat_mul(a, b, r):
-    return tuple(tuple(sum(a[l][s] * b[s][k] for s in range(r)) for k in range(r))
-                 for l in range(r))
-
-
-def _identity(r):
-    return tuple(tuple(1 if l == k else 0 for k in range(r)) for l in range(r))
-
-
 class ValidatedModule:
     """A module datum whose laws have been checked."""
 
@@ -145,15 +141,17 @@ def validate_module(data: ZPlusModuleData) -> ValidatedModule:
         tuple(sum(a * data.action[i][l][k] for i, a in enumerate(ring.unit_coeffs))
               for k in range(r))
         for l in range(r))
-    if unit_action != _identity(r):
+    if unit_action != tuple(tuple(int(l == k) for k in range(r)) for l in range(r)):
         raise UnitActionFails()
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            left = _mat_mul(data.action[i], data.action[j], r)
-            right = tuple(
-                tuple(sum(ring.mult[i][j][k] * data.action[k][l][m] for k in range(ring.rank))
-                      for m in range(r))
-                for l in range(r))
+    # A_i A_j against sum_k c_ij^k A_k, over the nonzero constants of b_i b_j
+    columns = [tuple(zip(*mat)) for mat in data.action]
+    for i, plane in enumerate(ring.mult):
+        for j, cell in enumerate(plane):
+            left = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns[j])
+                         for row in data.action[i])
+            right = tuple(tuple(sum(c * data.action[k][l][m] for k, c in cell.items())
+                                for m in range(r))
+                          for l in range(r))
             if left != right:
                 raise ActionLawFails(i, j)
     return ValidatedModule(data)
@@ -207,9 +205,7 @@ def is_indecomposable(module: ValidatedModule) -> bool:
 
 def regular_module(ring: ValidatedRing) -> ValidatedModule:
     """The ring acting on itself: action[i][l][k] = c[l][i][k]."""
-    action = [tuple(tuple(ring.mult[l][i][k] for k in range(ring.rank))
-                    for l in range(ring.rank))
-              for i in range(ring.rank)]
+    action = [tuple(plane[i] for plane in ring.data.mult) for i in range(ring.rank)]
     return validate_module(ZPlusModuleData.build(ring, action))
 
 
@@ -300,8 +296,8 @@ def enumerate_irreducible_modules(ring, cap_scale: int = 1) -> list[ValidatedMod
 
 def invertible_generators(ring: ValidatedRing) -> frozenset[int]:
     """The basis indices i with b_i b_j = 1 for some basis index j."""
-    return frozenset(i for i in range(ring.rank)
-                     if any(ring.mult[i][j] == ring.unit_coeffs for j in range(ring.rank)))
+    one = {k: a for k, a in enumerate(ring.unit_coeffs) if a}
+    return frozenset(i for i, plane in enumerate(ring.mult) if one in plane)
 
 
 def module_search_size(n_max: int, rank: int, non_invertible: int) -> int:
@@ -395,10 +391,9 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
                 row_ilp = rows[i][lp]
                 if not row_ilp[l]:
                     continue
-                for j in range(n_gen):
-                    cij = ring.mult[i][j]
+                for j, cij in enumerate(ring.mult[i]):
                     for k in range(r):
-                        target = sum(cij[m] * rows[m][lp][k] for m in range(n_gen))
+                        target = sum(c * rows[m][lp][k] for m, c in cij.items())
                         base = sum(row_ilp[s] * rows[j][s][k] for s in range(l))
                         vmax[j][k] = min(vmax[j][k], (target - base) // row_ilp[l])
         # an invertible A_i is a permutation matrix: cells at most 1, and the
@@ -471,13 +466,12 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
         # generator laws
         for i in range(n_gen):
             rows_i = rows[i]
-            for j in range(n_gen):
-                cij = ring.mult[i][j]
+            for j, cij in enumerate(ring.mult[i]):
                 rows_j = rows[j]
                 for lp in range(filled):
                     row_ilp = rows_i[lp]
                     for k in range(r):
-                        target = sum(cij[m] * rows[m][lp][k] for m in range(n_gen))
+                        target = sum(c * rows[m][lp][k] for m, c in cij.items())
                         partial = sum(row_ilp[s] * rows_j[s][k] for s in range(filled))
                         if partial > target or (complete and partial != target):
                             return False
@@ -568,56 +562,32 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
     assigned: list[list[int] | None] = [None] * n_src
     results: list[RingHomCandidate] = []
 
-    def check_pair(i: int, j: int, complete: bool) -> bool:
-        gi, gj = assigned[i], assigned[j]
-        lhs = tring.product(gi, gj)
-        for coord in range(n_tgt):
-            lower = 0
-            unknown = 0
-            for k in range(n_src):
-                c = sring.mult[i][j][k]
-                if not c:
-                    continue
-                if assigned[k] is not None:
-                    lower += c * assigned[k][coord]
-                else:
-                    unknown += c
-            if lhs[coord] < lower or lhs[coord] > lower + unknown * cap:
-                return False
-            if complete and lhs[coord] != lower:
-                return False
-        return True
+    source_unit = {t: a for t, a in enumerate(sring.unit_coeffs) if a}
 
-    def unit_check(complete: bool) -> bool:
-        for coord in range(n_tgt):
-            lower = 0
-            unknown = 0
-            for i, a in enumerate(sring.unit_coeffs):
-                if not a:
-                    continue
-                if assigned[i] is not None:
-                    lower += a * assigned[i][coord]
-                else:
-                    unknown += a
-            want = tring.unit_coeffs[coord]
-            if want < lower or want > lower + unknown * cap:
-                return False
-            if complete and want != lower:
+    def law_ok(lhs, terms: dict, complete: bool) -> bool:
+        """Whether lhs = sum_k c f(b_k) over the {k: c} terms can still hold:
+        lhs is at least the assigned terms and at most those plus cap per
+        unit of c on an unassigned image, and equal to them when complete."""
+        lower = [0] * n_tgt
+        unknown = 0
+        for k, c in terms.items():
+            if assigned[k] is None:
+                unknown += c
+            else:
+                for coord, x in enumerate(assigned[k]):
+                    lower[coord] += c * x
+        slack = unknown * cap
+        for have, low in zip(lhs, lower):
+            if have < low or have > low + slack or (complete and have != low):
                 return False
         return True
 
     def prune_ok(complete: bool) -> bool:
-        if not unit_check(complete):
-            return False
-        for i in range(n_src):
-            if assigned[i] is None:
-                continue
-            for j in range(n_src):
-                if assigned[j] is None:
-                    continue
-                if not check_pair(i, j, complete):
-                    return False
-        return True
+        # the unit law, then f(b_i) f(b_j) = f(b_i b_j) for the assigned pairs
+        done = [i for i in range(n_src) if assigned[i] is not None]
+        return law_ok(tring.unit_coeffs, source_unit, complete) and all(
+            law_ok(tring.product(assigned[i], assigned[j]), sring.mult[i][j], complete)
+            for i in done for j in done)
 
     def extend(i: int):
         if i == n_src:
@@ -639,7 +609,7 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
         pair_bounds = [
             (assigned[j], assigned[k],
              [sum(c * (cap if m in fresh or assigned[m] is None else assigned[m][coord])
-                  for m, c in enumerate(sring.mult[j][k]) if c)
+                  for m, c in sring.mult[j][k].items())
               for coord in range(n_tgt)])
             for j in range(n_src) for k in range(n_src)
             if (j in fresh or k in fresh)

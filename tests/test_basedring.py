@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modcat.basedring import (CANONICAL_FORM_GUARD, BasedRingData, NegativeConstant,
                               NotAssociative,
@@ -31,11 +32,11 @@ def test_validate_z2_group_ring():
 
 
 def test_product_compares_with_the_unit():
-    # products are tuples like unit_coeffs and the mult cells, so b_0 b_0 = 1
-    # holds as an equality of coordinates
+    # products are tuples like unit_coeffs and the dense cells of data.mult,
+    # so b_0 b_0 = 1 holds as an equality of coordinates
     ring = validate_zplus_ring(group_ring([2]))
     assert ring.product((1, 0), (1, 0)) == ring.unit_coeffs
-    assert ring.product((0, 1), (0, 1)) == ring.mult[1][1] == ring.unit_coeffs
+    assert ring.product((0, 1), (0, 1)) == ring.data.mult[1][1] == ring.unit_coeffs
 
 
 def test_validate_fibonacci_by_hand():
@@ -71,6 +72,62 @@ def test_non_associative_detected():
         validate_zplus_ring(data)
 
 
+def dense_first_failure(mult, unit):
+    """Oracle on the dense table: the first (i, j, k, l) in lex order where
+    the b_l coordinates of (b_i b_j) b_k and b_i (b_j b_k) differ, else the
+    first i with 1 b_i != b_i or b_i 1 != b_i, else None."""
+    r = len(mult)
+    for i, j, k, l in itertools.product(range(r), repeat=4):
+        left = sum(mult[i][j][m] * mult[m][k][l] for m in range(r))
+        right = sum(mult[j][k][m] * mult[i][m][l] for m in range(r))
+        if left != right:
+            return NotAssociative, (i, j, k, l)
+    for i in range(r):
+        for t in range(r):
+            if (sum(unit[m] * mult[m][i][t] for m in range(r)) != (t == i)
+                    or sum(unit[m] * mult[i][m][t] for m in range(r)) != (t == i)):
+                return UnitLawFails, i
+    return None
+
+
+@st.composite
+def ring_tables(draw):
+    """A random non-negative table of rank <= 4, or a group ring with one
+    structure constant or unit coordinate changed."""
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 4))
+        cell = st.lists(st.integers(0, 2), min_size=r, max_size=r)
+        square = st.lists(cell, min_size=r, max_size=r)
+        return draw(st.lists(square, min_size=r, max_size=r)), draw(cell)
+    data = group_ring(draw(st.sampled_from([[2], [3], [4], [2, 2], [5]])))
+    mult = [[list(cell) for cell in plane] for plane in data.mult]
+    unit = list(data.unit_coeffs)
+    r = data.rank
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, r - 1)) for _ in range(3))
+        mult[i][j][k] = draw(st.integers(0, 2).filter(lambda v: v != mult[i][j][k]))
+    else:
+        m = draw(st.integers(0, r - 1))
+        unit[m] = draw(st.integers(0, 2).filter(lambda v: v != unit[m]))
+    return mult, unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=ring_tables())
+def test_validation_names_the_dense_oracles_first_failure(table):
+    mult, unit = table
+    expected = dense_first_failure(mult, unit)
+    data = BasedRingData.build([f"b{i}" for i in range(len(mult))], mult, unit)
+    try:
+        validate_zplus_ring(data)
+    except NotAssociative as exc:
+        assert expected == (NotAssociative, exc.indices)
+    except UnitLawFails as exc:
+        assert expected == (UnitLawFails, exc.index)
+    else:
+        assert expected is None
+
+
 def test_tau_examples():
     z2 = validate_zplus_ring(group_ring([2]))
     assert tau(z2, [0, 1]) == 0
@@ -90,7 +147,7 @@ def brute_force_involutions(ring):
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    if ring.mult[i][j][k] != ring.mult[sigma[j]][sigma[i]][sigma[k]]:
+                    if ring.data.mult[i][j][k] != ring.data.mult[sigma[j]][sigma[i]][sigma[k]]:
                         ok = False
         t_values = []
         for i in range(r):

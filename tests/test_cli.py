@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,20 @@ def test_dy_guard_reports_size_and_guard():
     assert (error["size"], error["guard"]) == (344_864, SIZE_GUARD)
 
 
+def test_dy_guard_refuses_a_large_cyclic_group_at_once(capsys):
+    # the identity functor's order check is one product per coordinate, not
+    # |G| group additions, so the size guard answers first
+    from modcat.dy import SIZE_GUARD
+    start = time.perf_counter()
+    assert main(["dy", "diagnostic", "--group", "10000000", "--coeff", "q"]) == 1
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert error["guard"] == SIZE_GUARD
+    assert "Traceback" not in out + err
+
+
 def test_fusion2_real():
     result, code = invoke(["fusion2", "real"])
     assert code == 0
@@ -158,7 +173,24 @@ def test_validation_error_exits_one_with_named_axiom(tmp_path):
     result, code = invoke(["ring", "validate", str(bad)])
     assert code == 1
     assert result.payload["error"]["type"] == "UnitLawFails"
-    assert "index" in result.payload["error"]
+    assert result.payload["error"]["index"] == 0  # (1 + b) e = e + b
+
+
+def test_non_associative_ring_names_the_first_failing_quadruple(tmp_path, capsys):
+    # Z/3 with g g = 2 g^2: (g g) g = 2e = g (g g), but (g g) g^2 = 2g while
+    # g (g g^2) = g, so (1, 1, 2) is the first failing triple and b_1 its
+    # first differing coordinate
+    bad = tmp_path / "non_associative.ring.json"
+    bad.write_text(json.dumps({
+        "labels": ["e", "g", "g^2"], "unit": [1, 0, 0],
+        "mult": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[0, 1, 0], [0, 0, 2], [1, 0, 0]],
+                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]}))
+    assert main(["ring", "validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert (error["type"], error["indices"]) == ("NotAssociative", [1, 1, 2, 1])
+    assert "Traceback" not in out + err
 
 
 def test_usage_error_exits_two():

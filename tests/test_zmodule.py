@@ -1,6 +1,7 @@
 """Module validation, irreducibility, and the bounded enumerations."""
 
 import itertools
+import math
 
 import pytest
 
@@ -176,7 +177,7 @@ def oracle_modules_single_generator(ring, generator_index, power_relations, cap)
                 tuple(sum(power[l][s] * mat[s][k] for s in range(rank))
                       for k in range(rank)) for l in range(rank))
             expected = tuple(
-                tuple(sum(ring.mult[last][generator_index][k] * action[k][l][c]
+                tuple(sum(ring.data.mult[last][generator_index][k] * action[k][l][c]
                           for k in range(ring.rank))
                       for c in range(rank)) for l in range(rank))
             if closure != expected:
@@ -346,7 +347,7 @@ def oracle_homs(source, target, cap):
         for i in range(ns):
             for j in range(ns):
                 left = target.product(g[i], g[j])
-                right = tuple(sum(source.mult[i][j][k] * g[k][coord] for k in range(ns))
+                right = tuple(sum(source.data.mult[i][j][k] * g[k][coord] for k in range(ns))
                               for coord in range(nt))
                 if left != right:
                     ok = False
@@ -369,6 +370,18 @@ def test_homs_z2_to_z2(z2):
     assert ((1, 0), (1, 0)) in matrices  # g -> 1
     cap = 2 * 2  # |J| * N
     assert sorted(h.matrix for h in homs) == oracle_homs(z2, z2, cap)
+
+
+def test_hom_counts_are_the_group_hom_counts():
+    # f(g) f(g^-1) = 1 with non-negative coordinates makes each f(g) a single
+    # group element, so the homs Z[G] -> Z[H] are the group homs G -> H, and
+    # for G = sum_i Z/a_i and H = sum_j Z/b_j there are prod gcd(a_i, b_j)
+    rings = [(orders, validate_zplus_ring(group_ring(list(orders))))
+             for orders in ABELIAN_GROUPS_UP_TO_8]
+    for a, source in rings:
+        for b, target in rings:
+            expected = math.prod(math.gcd(x, y) for x in a for y in b)
+            assert len(enumerate_ring_homs(source, target)) == expected, (a, b)
 
 
 def test_homs_fibonacci_to_trivial(fib, unit_ring):
@@ -465,6 +478,6 @@ def test_homs_preserve_everything(z3):
         for i in range(sring.rank):
             for j in range(sring.rank):
                 left = tring.product(g[i], g[j])
-                right = tuple(sum(sring.mult[i][j][k] * g[k][c] for k in range(sring.rank))
+                right = tuple(sum(sring.data.mult[i][j][k] * g[k][c] for k in range(sring.rank))
                               for c in range(tring.rank))
                 assert left == right
