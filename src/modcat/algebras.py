@@ -14,13 +14,29 @@ the validation run over the nonzero terms only.  The validating expansion,
 :func:`first_law_failure`, needs nothing of a field, and based rings
 validate their integer constants through it too.  All data is immutable after
 construction and every output is deterministic.
+
+Associativity is checked only on the rows e_i, i in a generating set S of
+the left nucleus N = {a : (a, x, y) = 0 for all x, y}, where
+(a, b, c) = (ab)c - a(bc) is the associator.  N is a subspace closed under
+products, by the Teichmueller identity
+
+    (ab, c, d) - (a, bc, d) + (a, b, cd) = a(b, c, d) + (a, b, c)d
+
+which holds in every nonassociative ring (Schafer, *An Introduction to
+Nonassociative Algebras*, ch. II): for a, b in N every term but the first
+vanishes.  :func:`nucleus_generators` picks S so that the unit and the
+single-term products of S reach every basis element; once the rows of S and
+the unit law pass, N is everything.  In an associative algebra an element
+that commutes with a generating set commutes with everything, so
+:meth:`StructureConstantAlgebra.center_basis` takes the commutators with S
+only.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .fields import Field
-from .linalg import Matrix, kernel_basis, rref, solve
+from .linalg import Matrix, kernel_basis, rref
 from .poly import Poly, factor_list, xgcd
 
 
@@ -51,22 +67,46 @@ def _combine(terms) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def first_law_failure(mult, unit, one):
-    """The first failure of associativity or of the two-sided unit law, or
-    None when both hold.
+def nucleus_generators(mult, unit) -> list[int]:
+    """A generating set S of basis indices, ascending, whose rows are all
+    :func:`first_law_failure` needs to check for associativity.
 
-    ``mult[i][j]`` is the dict {k: c} of the nonzero constants of e_i e_j
-    and ``unit`` the unit's coordinates; ``one`` is the coefficient 1.  Both
-    sides of every law are expanded over the nonzero constants only, so the
-    coefficients need just ``+``, ``*`` and a truth value: field elements
-    and ints alike.  A failure is (indices, left, right), the two sides as
-    {l: c} dicts of their nonzero coordinates.  Associativity comes first:
-    indices (i, j, k) for the first triple in lex order with
-    (e_i e_j) e_k != e_i (e_j e_k).  Then, for each i in turn, indices
-    (i, "left") when 1 e_i != e_i and (i, "right") when e_i 1 != e_i.
-    """
+    An index joins S when nothing reached so far reaches it.  The unit's
+    index u is reached when the unit is c e_u; after each new member the
+    reached set is closed under products: reached e_a, e_b whose product
+    e_a e_b is a single term c e_k reach k.  Once the rows of S and the unit
+    law hold, every reached index lies in the left nucleus: the unit does,
+    products of nucleus elements do, and so does e_k when c e_k does, since
+    c is invertible over a field and the constants are torsion-free over Z.
+
+    Only the lengths of the cells ``mult[a][b]``, dicts {k: c} of nonzero
+    constants, and the nonzero coordinates of ``unit`` are read."""
+    support = [m for m, um in enumerate(unit) if um]
+    reached = set(support) if len(support) == 1 else set()
+    generators = []
+    for i in range(len(mult)):
+        if i in reached:
+            continue
+        generators.append(i)
+        reached.add(i)
+        todo = [i]
+        while todo:
+            a = todo.pop()
+            for b in list(reached):
+                for cell in (mult[a][b], mult[b][a]):
+                    if len(cell) == 1:
+                        (k,) = cell
+                        if k not in reached:
+                            reached.add(k)
+                            todo.append(k)
+    return generators
+
+
+def _law_failure(mult, unit, one, rows):
+    """The first failure of associativity on the rows e_i, i in ``rows``,
+    or else of the two-sided unit law; None when both hold."""
     dim = len(mult)
-    for i in range(dim):
+    for i in rows:
         for j in range(dim):
             cell_ij = mult[i][j]
             for k in range(dim):
@@ -86,28 +126,68 @@ def first_law_failure(mult, unit, one):
     return None
 
 
+def first_law_failure(mult, unit, one, generators):
+    """The first failure of associativity or of the two-sided unit law, or
+    None when both hold.
+
+    ``mult[i][j]`` is the dict {k: c} of the nonzero constants of e_i e_j
+    and ``unit`` the unit's coordinates; ``one`` is the coefficient 1 and
+    ``generators`` is ``nucleus_generators(mult, unit)``.  Both sides of
+    every law are expanded over the nonzero constants only, so the
+    coefficients need just ``+``, ``*`` and a truth value: field elements
+    and ints alike.  A failure is (indices, left, right), the two sides as
+    {l: c} dicts of their nonzero coordinates.  Associativity comes first:
+    indices (i, j, k) for the first triple in lex order with
+    (e_i e_j) e_k != e_i (e_j e_k).  Then, for each i in turn, indices
+    (i, "left") when 1 e_i != e_i and (i, "right") when e_i 1 != e_i.
+
+    The laws hold when associativity holds on the rows of ``generators``
+    and the unit law holds (see the module docstring).  When either fails,
+    the same expansion runs again over every row, to name the first
+    failure in the order above.
+    """
+    if _law_failure(mult, unit, one, generators) is None:
+        return None
+    return _law_failure(mult, unit, one, range(len(mult)))
+
+
 class StructureConstantAlgebra:
     """Finite-dimensional associative unital algebra e_i e_j = sum_k c[i][j][k] e_k.
 
     The constructor takes the dense constants c[i][j][k] and keeps only the
     nonzero ones: ``mult[i][j]`` is the dict {k: c} of the nonzero constants
-    of e_i e_j, with k ascending.  Every instance is validated (associativity
-    and the two-sided unit) exactly once, at construction.
+    of e_i e_j, with k ascending; :meth:`from_sparse` takes cells already in
+    this layout.  Every instance is validated (associativity and the
+    two-sided unit) exactly once, at construction, which also records the
+    nucleus generating set ``generators``.
     """
 
     def __init__(self, field: Field, mult, unit, labels=None):
+        dim = len(mult)
+        if any(len(row) != dim or any(len(cell) != dim for cell in row) for row in mult):
+            raise ValueError("mult must be dim x dim x dim")
+        zero = field.zero()
+        self._build(field, [[{k: c for k, c in enumerate(cell) if c != zero} for cell in row]
+                            for row in mult], unit, labels)
+
+    @classmethod
+    def from_sparse(cls, field: Field, mult, unit, labels=None) -> "StructureConstantAlgebra":
+        """Algebra on cells that hold nonzero constants only, k ascending,
+        kept as they are; validated like the constructor's."""
+        algebra = cls.__new__(cls)
+        algebra._build(field, mult, unit, labels)
+        return algebra
+
+    def _build(self, field: Field, mult, unit, labels) -> None:
         self.field = field
         self.dim = len(mult)
         self.unit = list(unit)
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
         if len(self.unit) != self.dim or len(self.labels) != self.dim:
             raise ValueError("unit/label length must equal dim")
-        if any(len(row) != self.dim or any(len(cell) != self.dim for cell in row)
-               for row in mult):
+        if any(len(row) != self.dim for row in mult):
             raise ValueError("mult must be dim x dim x dim")
-        zero = field.zero()
-        self.mult = [[{k: c for k, c in enumerate(cell) if c != zero} for cell in row]
-                     for row in mult]
+        self.mult = mult
         self.validate()
 
     @classmethod
@@ -134,8 +214,9 @@ class StructureConstantAlgebra:
 
     def validate(self) -> None:
         """Check associativity, then the two-sided unit, by
-        :func:`first_law_failure`."""
-        failure = first_law_failure(self.mult, self.unit, self.field.one())
+        :func:`first_law_failure`, on the rows of :func:`nucleus_generators`."""
+        self.generators = nucleus_generators(self.mult, self.unit)
+        failure = first_law_failure(self.mult, self.unit, self.field.one(), self.generators)
         if failure is None:
             return
         indices, _, _ = failure
@@ -152,13 +233,17 @@ class StructureConstantAlgebra:
 
     def center_basis(self, conditions=()) -> list[list]:
         """Echelonized basis of the center {x : xy = yx for all y}, cut down
-        by the extra linear conditions: rows c with sum_k c[k] x[k] = 0."""
+        by the extra linear conditions: rows c with sum_k c[k] x[k] = 0.
+
+        The center is the centralizer of the generating set ``generators``,
+        so only its commutators are rows: they span the same row space as
+        all d^2 commutator rows, and the echelon form is the same."""
         zero = self.field.zero()
         c = self.mult
         # row (j, k), column i: the e_k coordinate of e_j e_i - e_i e_j
         rows = ({i: v for i in range(self.dim)
                  if (v := c[j][i].get(k, zero) - c[i][j].get(k, zero))}
-                for j in range(self.dim) for k in range(self.dim))
+                for j in self.generators for k in range(self.dim))
         stacked = [row for row in rows if row] + Matrix(self.field, conditions, ncols=self.dim).rows
         return kernel_basis(Matrix.from_sparse(self.field, stacked, self.dim))
 
@@ -174,30 +259,36 @@ def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[l
     return [[reduced.rows[r].get(k + j, zero) for r in range(k)] for j in range(len(vectors))]
 
 
-def min_poly_of_matrix(m: Matrix) -> Poly:
-    """Minimal polynomial of a square matrix, monic."""
-    field = m.field
-    n = m.nrows
-    power = Matrix.identity(field, n)
-    seen: list[list] = []
+def min_poly_of_matrix(algebra: StructureConstantAlgebra, x, e) -> Poly:
+    """Minimal polynomial, monic, of the matrix of multiplication by x on
+    e * A, for an idempotent e of a commutative algebra A.
+
+    e is the unit of e * A and the operator is multiplication by the element
+    x e there, so p kills the operator exactly when p(x e) = 0 in e * A: the
+    minimal polynomial is the first dependency among the powers e, x e,
+    (x e)^2, ..., vectors of length ``algebra.dim``.  Each power is reduced
+    once against the echelon rows of the powers before it, every row
+    carrying its coefficients over those powers; the matrix is never built.
+    """
+    field = algebra.field
+    one, minus_one = field.one(), field.zero() - field.one()
+    rows = []  # (pivot, reduced row, its coefficients over the powers)
+    power = e
     while True:
-        flat = [a for row in power.dense_rows() for a in row]
-        if seen:
-            coords = solve(Matrix(field, zip(*seen)), flat)
-            if coords is not None:
-                coeffs = [field.zero() - c for c in coords] + [field.one()]
-                return Poly(field, coeffs)
-        seen.append(flat)
-        power = power * m
-
-    # unreachable: powers of an n x n matrix become dependent by degree n**2
-
-
-def _restricted_operator(algebra: StructureConstantAlgebra, x, block_basis: list[list]) -> Matrix:
-    """Matrix of multiplication by x on the subspace spanned by block_basis."""
-    images = [algebra.mul_vec(x, w) for w in block_basis]
-    coords = _coordinates(algebra.field, block_basis, images)
-    return Matrix(algebra.field, [list(row) for row in zip(*coords)])
+        row = {l: c for l, c in enumerate(power) if c}
+        coeffs = {len(rows): one}
+        for pivot, basis_row, basis_coeffs in rows:
+            f = row.get(pivot)
+            if f:
+                row = _combine(((one, row), (minus_one * f, basis_row)))
+                coeffs = _combine(((one, coeffs), (minus_one * f, basis_coeffs)))
+        if not row:
+            return Poly(field, [coeffs.get(d, field.zero()) for d in range(len(rows) + 1)])
+        pivot = min(row)
+        inv = one / row[pivot]
+        rows.append((pivot, {l: inv * c for l, c in row.items()},
+                     {d: inv * c for d, c in coeffs.items()}))
+        power = algebra.mul_vec(x, power)
 
 
 def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> list:
@@ -205,12 +296,13 @@ def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> 
     (e, basis of e * A) along the coprime factor powers of the minimal
     polynomial of x * e on e * A; the block itself when that has one factor.
 
-    e is the unit of e * A, so x and x * e act alike there: the operator and
-    the Horner evaluation use the sparse basis vector x itself.  A
-    one-dimensional block cannot split and is returned as it is."""
+    e is the unit of e * A, so x and x * e act alike there: the minimal
+    polynomial and the Horner evaluation use the sparse basis vector x
+    itself.  A one-dimensional block cannot split and is returned as it
+    is."""
     if len(basis) == 1:
         return [(e, basis)]
-    mp = min_poly_of_matrix(_restricted_operator(algebra, x, basis))
+    mp = min_poly_of_matrix(algebra, x, e)
     factors = factor_list(mp)
     if len(factors) < 2:
         return [(e, basis)]

@@ -6,8 +6,9 @@ a[i] >= 0 with 1 = sum_i a[i] b_i.  The datum holds the dense table, the
 input and file format; a validated ring keeps only the nonzero constants,
 the dict {k: c} of b_i b_j per basis pair, the layout of the algebra layer's
 ``StructureConstantAlgebra``.  Validation checks associativity and the
-two-sided unit law exhaustively, through the algebra layer's expansion over
-the nonzero constants (``algebras.first_law_failure``).
+two-sided unit law through the algebra layer's expansion over the nonzero
+constants (``algebras.first_law_failure``), with associativity on the rows
+of a nucleus generating set (``algebras.nucleus_generators``) only.
 
 tau is the linear functional summing an element's coordinates over the unit
 support I0 = {i : a[i] != 0}.  A weak-based certificate records a basis
@@ -26,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 
-from .algebras import first_law_failure
+from .algebras import first_law_failure, nucleus_generators
 from .errors import GuardError, SizeGuardExceeded, ValidationError
 
 EXHAUSTIVE_RANK_LIMIT = 12
@@ -156,7 +157,8 @@ def validate_zplus_ring(data: BasedRingData) -> ValidatedRing:
                 raise ValidationError(f"involution is not self-inverse at {i}")
 
     ring = ValidatedRing(data)
-    failure = first_law_failure(ring.mult, data.unit_coeffs, 1)
+    failure = first_law_failure(ring.mult, data.unit_coeffs, 1,
+                                nucleus_generators(ring.mult, data.unit_coeffs))
     if failure is None:
         return ring
     indices, left, right = failure

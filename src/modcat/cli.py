@@ -62,11 +62,14 @@ def _ring_from_obj(obj) -> basedring.BasedRingData:
         obj = _load_json(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"a ring must be a JSON object, not {type(obj).__name__}")
-    return basedring.BasedRingData.build(
+    data = basedring.BasedRingData.build(
         labels=obj["labels"] if "labels" in obj else [f"b{i}" for i in range(obj["rank"])],
         mult=obj["mult"],
         unit_coeffs=obj["unit"],
         involution=obj.get("involution"))
+    if "rank" in obj and obj["rank"] != data.rank:
+        raise ValidationError(f"declared rank {obj['rank']} != label count {data.rank}")
+    return data
 
 
 def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:

@@ -129,22 +129,23 @@ def tensor_algebra(a: StructureConstantAlgebra, b: StructureConstantAlgebra,
     """
     field = a.field
     da, db = a.dim, b.dim
-    dim = da * db
-    zero, one = field.zero(), field.one()
-    mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    one = field.one()
+    mult = []
     for i1 in range(da):
         for j1 in range(db):
-            row = mult[i1 * db + j1]
+            row = []
             for i2 in range(da):
                 scale = one if twist is None else twist(j1, i2)
                 for j2 in range(db):
-                    cell = row[i2 * db + j2]
-                    for k1, ca in a.mult[i1][i2].items():
-                        for k2, cb in b.mult[j1][j2].items():
-                            cell[k1 * db + k2] = cell[k1 * db + k2] + scale * ca * cb
+                    # distinct (k1, k2) give distinct keys, ascending
+                    row.append({k1 * db + k2: v
+                                for k1, ca in a.mult[i1][i2].items()
+                                for k2, cb in b.mult[j1][j2].items()
+                                if (v := scale * ca * cb)})
+            mult.append(row)
     unit = [ua * ub for ua in a.unit for ub in b.unit]
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    return StructureConstantAlgebra(field, mult, unit, labels=labels)
+    return StructureConstantAlgebra.from_sparse(field, mult, unit, labels=labels)
 
 
 def braided_tensor_algebra(p: int, zeta: BraidingParam, a: GradedAlgebraObject,

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.algebras import (NoUnit, NotAssociative, NotCommutative,
-                             StructureConstantAlgebra, split_commutative_algebra)
+                             StructureConstantAlgebra, nucleus_generators,
+                             split_commutative_algebra)
+from modcat.fieldprofile import QUATERNION
 from modcat.fields import CyclotomicField, PrimeField, QQ
+from modcat.fusion2 import (BraidingParam, braided_tensor_algebra, graded_group_algebra,
+                            rational_division_algebra, tensor_algebra)
 from modcat.linalg import Matrix, kernel_basis
 
 
@@ -173,19 +177,27 @@ def dense_product(field, c, x, y):
     return out
 
 
+def lift(field, x):
+    """A table entry as a field element: ints are mapped in, elements kept."""
+    return field.from_int(x) if isinstance(x, int) else x
+
+
 def dense_first_failure(field, mult, unit):
     """The first failing axiom in the order validate checks them: the lex-first
     triple with (e_i e_j) e_k != e_i (e_j e_k), else the first unit-law
     message, else None."""
-    c = [[[field.from_int(x) for x in cell] for cell in row] for row in mult]
-    u = [field.from_int(x) for x in unit]
+    c = [[[lift(field, x) for x in cell] for cell in row] for row in mult]
+    u = [lift(field, x) for x in unit]
     d = len(c)
-    basis = [[field.one() if i == j else field.zero() for j in range(d)] for i in range(d)]
+    zero = field.zero()
+    basis = [[field.one() if i == j else zero for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                if (dense_product(field, c, c[i][j], basis[k])
-                        != dense_product(field, c, basis[i], c[j][k])):
+                # the e_l coordinates of both sides, summed over every m
+                if any(sum((c[i][j][m] * c[m][k][l] for m in range(d)), zero)
+                       != sum((c[j][k][m] * c[i][m][l] for m in range(d)), zero)
+                       for l in range(d)):
                     return ("associativity", (i, j, k))
     for i in range(d):
         if dense_product(field, c, u, basis[i]) != basis[i]:
@@ -199,9 +211,23 @@ def dense_center(field, mult):
     """Kernel of the dense commutator matrix: row (j, k), column i holds the
     e_k coordinate of e_j e_i - e_i e_j."""
     d = len(mult)
-    rows = [[field.from_int(mult[j][i][k] - mult[i][j][k]) for i in range(d)]
+    rows = [[lift(field, mult[j][i][k]) - lift(field, mult[i][j][k]) for i in range(d)]
             for j in range(d) for k in range(d)]
     return kernel_basis(Matrix(field, rows, ncols=d))
+
+
+def assert_validation_matches_dense_oracle(field, mult, unit):
+    expected = dense_first_failure(field, mult, unit)
+    try:
+        StructureConstantAlgebra(field, [[[lift(field, x) for x in cell] for cell in row]
+                                         for row in mult], [lift(field, x) for x in unit])
+    except NotAssociative as exc:
+        assert expected == ("associativity", exc.indices)
+    except NoUnit as exc:
+        assert expected is not None and expected[0] == "unit"
+        assert str(exc).endswith(": " + expected[1])
+    else:
+        assert expected is None
 
 
 # associative unital algebras with integer constants: (mult, unit)
@@ -275,16 +301,7 @@ def tables(draw):
 @given(table=tables(), field=FIELDS)
 def test_validate_matches_dense_oracle(table, field):
     mult, unit = table
-    expected = dense_first_failure(field, mult, unit)
-    try:
-        StructureConstantAlgebra.from_int_constants(field, mult, unit)
-    except NotAssociative as exc:
-        assert expected == ("associativity", exc.indices)
-    except NoUnit as exc:
-        assert expected is not None and expected[0] == "unit"
-        assert str(exc).endswith(": " + expected[1])
-    else:
-        assert expected is None
+    assert_validation_matches_dense_oracle(field, mult, unit)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,6 +310,96 @@ def test_center_basis_matches_dense_commutator_kernel(table, field):
     mult, unit = table
     algebra = StructureConstantAlgebra.from_int_constants(field, mult, unit)
     assert algebra.center_basis() == dense_center(field, mult)
+
+
+# -- associativity on the nucleus generators only, against the dense scan ----
+
+F7 = PrimeField(7)
+
+# tensor and twisted products: (name, field, builder); the twists are
+# bicharacters of the grading, so every product is associative
+PRODUCTS = [
+    ("Z/2 (x) Z/3 over Q", QQ,
+     lambda: tensor_algebra(cyclic_group_algebra(QQ, 2), cyclic_group_algebra(QQ, 3))),
+    ("Z/2 (x) Z/2 sign-twisted over Q", QQ,
+     lambda: tensor_algebra(cyclic_group_algebra(QQ, 2), cyclic_group_algebra(QQ, 2),
+                            lambda j1, i2: QQ.from_int((-1) ** (j1 * i2)))),
+    ("H (x) H over Q", QQ,
+     lambda: tensor_algebra(rational_division_algebra(QUATERNION),
+                            rational_division_algebra(QUATERNION))),
+    ("Z/3 (x) Z/3 over F_2", PrimeField(2),
+     lambda: tensor_algebra(cyclic_group_algebra(PrimeField(2), 3),
+                            cyclic_group_algebra(PrimeField(2), 3))),
+    ("Z/3 (x) Z/3 twisted by 2^(j1 i2) over F_7", F7,   # 2 is a cube root of 1 mod 7
+     lambda: tensor_algebra(cyclic_group_algebra(F7, 3), cyclic_group_algebra(F7, 3),
+                            lambda j1, i2: F7.from_int(2 ** (j1 * i2)))),
+    ("braided Z/3 (x) Z/3 over Q(zeta_3)", CyclotomicField(3),
+     lambda: braided_tensor_algebra(
+         3, BraidingParam(3, 1), graded_group_algebra(3, CyclotomicField(3)),
+         graded_group_algebra(3, CyclotomicField(3))).algebra),
+]
+PRODUCT_IDS = [name for name, _, _ in PRODUCTS]
+
+
+def dense_table(algebra):
+    zero = algebra.field.zero()
+    return [[[cell.get(k, zero) for k in range(algebra.dim)] for cell in row]
+            for row in algebra.mult]
+
+
+def test_nucleus_generators_of_tensor_products():
+    z3 = cyclic_group_algebra(QQ, 3)
+    assert tensor_algebra(z3, z3).generators == [1, 3]
+    quaternions = rational_division_algebra(QUATERNION)
+    assert tensor_algebra(quaternions, quaternions).generators == [1, 2, 4, 8]
+
+
+def test_two_term_products_reach_nothing():
+    # basis 1, a, b, c with a a = b + c, b y = mu(y) b and c y = -mu(y) b
+    # for mu(b) = mu(c) = 1, mu(a) = 0: every associator (a, x, y) vanishes,
+    # but (b a) a = 0 != b (a a) = 2b.  The nucleus holds a and b + c, not b,
+    # so the two-term product a a reaches nothing and b is a generator.
+    zero = [0, 0, 0, 0]
+    mult = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[0, 1, 0, 0], [0, 0, 1, 1], zero, zero],
+            [[0, 0, 1, 0], zero, [0, 0, 1, 0], [0, 0, 1, 0]],
+            [[0, 0, 0, 1], zero, [0, 0, -1, 0], [0, 0, -1, 0]]]
+    unit = [1, 0, 0, 0]
+    with pytest.raises(NotAssociative) as exc:
+        StructureConstantAlgebra.from_int_constants(QQ, mult, unit)
+    assert exc.value.indices == (2, 1, 1)
+    assert dense_first_failure(QQ, mult, unit) == ("associativity", (2, 1, 1))
+    sparse = [[{k: QQ.from_int(c) for k, c in enumerate(cell) if c} for cell in row]
+              for row in mult]
+    assert nucleus_generators(sparse, unit) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name,field,build", PRODUCTS, ids=PRODUCT_IDS)
+def test_center_of_products_matches_dense_commutator_kernel(name, field, build):
+    algebra = build()
+    assert algebra.center_basis() == dense_center(field, dense_table(algebra))
+
+
+@pytest.mark.parametrize("name,field,build", PRODUCTS, ids=PRODUCT_IDS)
+def test_product_perturbed_outside_the_generators_is_rejected(name, field, build):
+    algebra = build()
+    i = max(set(range(algebra.dim)) - set(algebra.generators))
+    mult = dense_table(algebra)
+    mult[i][i][0] = mult[i][i][0] + field.one()
+    assert_validation_matches_dense_oracle(field, mult, algebra.unit)
+    with pytest.raises((NotAssociative, NoUnit)):
+        StructureConstantAlgebra(field, mult, algebra.unit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_perturbed_products_match_dense_oracle(data):
+    _, field, build = data.draw(st.sampled_from(PRODUCTS), label="product")
+    algebra = build()
+    mult = dense_table(algebra)
+    i, j, k = (data.draw(st.integers(0, algebra.dim - 1)) for _ in range(3))
+    mult[i][j][k] = mult[i][j][k] + field.from_int(data.draw(st.sampled_from([1, -1, 2])))
+    assert_validation_matches_dense_oracle(field, mult, algebra.unit)
 
 
 # -- closed forms for the blocks of K[Z/n], written out here --------------------

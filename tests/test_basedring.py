@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modcat.algebras import nucleus_generators
 from modcat.basedring import (CANONICAL_FORM_GUARD, BasedRingData, NegativeConstant,
                               NotAssociative,
                               RankTooLargeForExhaustiveSearch, UnitLawFails,
@@ -41,9 +42,11 @@ def test_product_compares_with_the_unit():
 
 def test_validate_fibonacci_by_hand():
     # b^2 = 1 + b: the eight associativity identities reduce to
-    # (b b) b = b + b^2 = 1 + 2b = b (b b); checked exhaustively by validation
+    # (b b) b = b + b^2 = 1 + 2b = b (b b); the unit is b_0, so validation
+    # expands the row of b only
     ring = validate_zplus_ring(fibonacci_ring())
     assert ring.product([0, 1], [0, 1]) == (1, 1)
+    assert nucleus_generators(ring.mult, ring.unit_coeffs) == [1]
 
 
 def test_unit_law_failure_detected():
@@ -92,14 +95,15 @@ def dense_first_failure(mult, unit):
 
 @st.composite
 def ring_tables(draw):
-    """A random non-negative table of rank <= 4, or a group ring with one
-    structure constant or unit coordinate changed."""
+    """A random non-negative table of rank <= 4, or a group ring of rank up to
+    8 with one structure constant or unit coordinate changed."""
     if draw(st.booleans()):
         r = draw(st.integers(1, 4))
         cell = st.lists(st.integers(0, 2), min_size=r, max_size=r)
         square = st.lists(cell, min_size=r, max_size=r)
         return draw(st.lists(square, min_size=r, max_size=r)), draw(cell)
-    data = group_ring(draw(st.sampled_from([[2], [3], [4], [2, 2], [5]])))
+    data = group_ring(draw(st.sampled_from([[2], [3], [4], [2, 2], [5], [6], [2, 3], [7],
+                                            [8], [2, 4], [2, 2, 2]])))
     mult = [[list(cell) for cell in plane] for plane in data.mult]
     unit = list(data.unit_coeffs)
     r = data.rank

@@ -338,6 +338,15 @@ def test_ring_file_with_labels_needs_no_rank(tmp_path):
     assert result.payload["labels"] == ["e"]
 
 
+def test_ring_file_rank_must_match_its_labels(tmp_path):
+    path = tmp_path / "z2.ring.json"
+    path.write_text(z2_ring_text(rank=3))
+    result, code = invoke(["ring", "validate", str(path)])
+    assert code == 1
+    assert result.payload["error"]["type"] == "ValidationError"
+    assert result.payload["error"]["message"] == "declared rank 3 != label count 2"
+
+
 def test_module_search_guard_reports_size_and_guard(tmp_path, capsys):
     ring = group_ring([3, 3])
     path = tmp_path / "z3xz3.ring.json"
