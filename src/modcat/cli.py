@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from . import basedring, dy, fusion2, pointed, skeleton, zmodule
 from .errors import ModcatError, ValidationError
 from .fieldprofile import profile_from_code
-from .fields import field_from_code
+from .fields import _is_prime, field_from_code
 
 
 _EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
@@ -75,6 +75,10 @@ def _ring_from_obj(obj) -> basedring.BasedRingData:
 def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:
     if isinstance(obj, str):
         obj = _load_json(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a skeleton must be a JSON object, not {type(obj).__name__}")
+    if not all(isinstance(x, bool) for row in obj["hom_nonzero"] for x in row):
+        raise ValueError("hom_nonzero entries must be true or false")
     return skeleton.TwoCatSkeleton.build(
         simples=obj["simples"],
         hom_nonzero=obj["hom_nonzero"],
@@ -307,6 +311,8 @@ def _cmd_fusion2_ffield(args) -> CommandResult:
 
 def _cmd_fusion2_pointed(args) -> CommandResult:
     from .fieldprofile import alg_closed
+    if not _is_prime(args.p):
+        raise ValueError(f"--p {args.p} is not prime")
     group = pointed.FiniteAbelianGroup((args.p,))
     classes = pointed.module_classes(group, alg_closed(0))
     zeta = pointed.BraidingParam(args.p, args.zeta)

@@ -43,7 +43,7 @@ from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel
                            brauer_add, finite_ext, real_closed)
 from .linalg import Matrix, rank, rref
 from .pointed import BraidingParam, FiniteAbelianGroup, ModuleClass
-from .poly import Poly, factor_list, pow_mod
+from .poly import Poly, _zdivmod, _zpow, factor_list
 
 FFIELD_DEGREE_GUARD = 64  # bound on p * r in finite_field_tensor
 
@@ -431,13 +431,13 @@ def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
         raise ValueError("extension degrees must be positive")
     if p * r > FFIELD_DEGREE_GUARD:
         raise SizeGuardExceeded(p * r, FFIELD_DEGREE_GUARD)
-    f = irreducible_polynomial(p, r)
-    y = Poly.from_ints(PrimeField(p), [0, 1]) % f
+    f = [c.v for c in irreducible_polynomial(p, r).coeffs]
+    y = _zdivmod([0, 1], f, p)[1]
     # y -> y^p has order r on F_p[y]/(f), so y^(p^q) = y^(p^(q mod r))
     step = p ** (q % r)
-    w, d = pow_mod(y, step, f), 1
+    w, d = _zpow(y, step, f, p), 1
     while w != y:
-        w, d = pow_mod(w, step, f), d + 1
+        w, d = _zpow(w, step, f, p), d + 1
     copies = r // d
     assert copies == gcd(q, r), "factor count must equal gcd(q, r)"
     summands = (finite_ext(q * d).name,) * copies

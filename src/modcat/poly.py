@@ -19,8 +19,8 @@ over every field kind here, with no third-party library and no floats:
 
 Every factor is accepted by exact arithmetic, so the random choices of the
 equal-degree splitting and the choice of primes affect the running time,
-never the result.  Only the Hensel lifting works on plain int lists, because
-Z/p^k is not a field.
+never the result.  The modular core (Cantor-Zassenhaus, the candidate primes
+of Zassenhaus and the Hensel lifting) works on plain int lists of residues.
 """
 
 from __future__ import annotations
@@ -131,19 +131,6 @@ class Poly:
         return f"Poly({self.coeffs!r})"
 
 
-def pow_mod(base: Poly, exponent: int, modulus: Poly) -> Poly:
-    """base^exponent modulo modulus, by repeated squaring."""
-    field = base.field
-    result = Poly(field, [field.one()])
-    acc = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = result * acc % modulus
-        acc = acc * acc % modulus
-        exponent >>= 1
-    return result
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd of a and b; the zero polynomial when both are zero."""
     while not b.is_zero():
@@ -206,54 +193,50 @@ def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
 
 def _split_fp(f: Poly) -> list[Poly]:
     """Irreducible factors of a monic squarefree f over F_p."""
-    return _split_equal_degrees(_distinct_degree(f))
+    parts = _distinct_degree([c.v for c in f.coeffs], f.field.p)
+    return [Poly.from_ints(f.field, g) for g in _split_equal_degrees(parts, f.field.p)]
 
 
-def _split_equal_degrees(parts: list[tuple[Poly, int]]) -> list[Poly]:
+def _split_equal_degrees(parts: list[tuple[list[int], int]], p: int) -> list[list[int]]:
     rng = random.Random(0)
-    return [g for h, d in parts for g in _equal_degree(h, d, rng)]
+    return [g for h, d in parts for g in _equal_degree(h, d, p, rng)]
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Pairs (h, d), h the product of the irreducible factors of degree d of
-    the monic squarefree f: gcd(f, x^(p^d) - x) with the lower degrees removed."""
-    field = f.field
-    x = Poly(field, [field.zero(), field.one()])
-    out, h, d = [], x, 0
-    while f.degree >= 2 * (d + 1):
+    the monic squarefree f mod p: gcd(f, x^(p^d) - x) with the lower degrees removed."""
+    out, h, d = [], [0, 1], 0
+    while len(f) > 2 * (d + 1):
         d += 1
-        h = pow_mod(h, field.p, f)
-        g = gcd(f, h - x)
-        if g.degree > 0:
+        h = _zpow(h, p, f, p)
+        g = _zgcd(f, _zadd(h, [0, 1], p, -1), p)
+        if len(g) > 1:
             out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
+            f = _zdivmod(f, g, p)[0]
+            h = _zdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Irreducible factors of f, a product of distinct irreducibles of degree
-    d: split by gcd(f, a^((p^d - 1)/2) - 1) for random a, or for p = 2 by the
-    trace a + a^2 + ... + a^(2^(d-1)), until every piece has degree d."""
-    if f.degree == d:
+    d mod p: split by gcd(f, a^((p^d - 1)/2) - 1) for random a, or for p = 2
+    by the trace a + a^2 + ... + a^(2^(d-1)), until every piece has degree d."""
+    if len(f) == d + 1:
         return [f]
-    field = f.field
-    p = field.p
-    one = Poly(field, [field.one()])
     while True:
-        a = Poly(field, [field.from_int(rng.randrange(p)) for _ in range(f.degree)])
+        a = _ztrim([rng.randrange(p) for _ in range(len(f) - 1)])
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = t * t % f
-                b = b + t
+                t = _zdivmod(_zmul(t, t, 2), f, 2)[1]
+                b = _zadd(b, t, 2)
         else:
-            b = pow_mod(a, (p ** d - 1) // 2, f) - one
-        g = gcd(f, b)
-        if 0 < g.degree < f.degree:
-            return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
+            b = _zadd(_zpow(a, (p ** d - 1) // 2, f, p), [1], p, -1)
+        g = _zgcd(f, b, p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p, rng) + _equal_degree(_zdivmod(f, g, p)[0], d, p, rng)
 
 
 # -- Q: Zassenhaus ---------------------------------------------------------------
@@ -277,7 +260,7 @@ def _split_q(f: Poly) -> list[Poly]:
 def _zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors in Z[x] of a primitive squarefree f of degree at
     least 2, ascending ints with a positive leading coefficient."""
-    from .fields import PrimeField, _is_prime
+    from .fields import _is_prime
 
     n, norm_sq = len(f) - 1, sum(c * c for c in f)
     # a rejected prime divides lc(f) Res(f, f'), which is nonzero for a
@@ -291,51 +274,48 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
         q += 1
         if not _is_prime(q):
             continue
-        fq = Poly.from_ints(PrimeField(q), f)
-        if f[-1] % q == 0 or gcd(fq, fq.derivative()).degree > 0:
+        fq = [c % q for c in f]
+        if f[-1] % q == 0 or len(_zgcd(fq, _zderiv(fq, q), q)) > 1:
             rejected *= q
             if rejected ** 2 > reject_limit_sq:
                 raise AssertionError("Zassenhaus factoring needs a squarefree polynomial")
             continue
         tried += 1
         # the distinct-degree split alone counts the modular factors
-        parts = _distinct_degree(fq.monic())
-        count = sum(h.degree // d for h, d in parts)
+        parts = _distinct_degree(_zmonic(fq, q), q)
+        count = sum((len(h) - 1) // d for h, d in parts)
         if count == 1:
             return [f]
         if best is None or count < best[0]:
-            best = count, parts
+            best = count, q, parts
     # Mignotte: lc(f)/lc(g) * g has every coefficient at most 2^n ||f||_2 for
     # each factor g of f, or of a factor of f; so p^k > 2^(n+1) ||f||_2 makes
     # the centred lifted products exact
     bound_sq = 4 ** (n + 1) * norm_sq
-    factors = _split_equal_degrees(best[1])
-    m = factors[0].field.p
+    _, p, parts = best
+    m = p
     while m * m <= bound_sq:
         m *= m
-    return _recombine(f, _hensel_lift(f, factors, m), m)
+    return _recombine(f, _hensel_lift(f, _split_equal_degrees(parts, p), p, m), m)
 
 
-def _hensel_lift(f: list[int], factors: list[Poly], m: int) -> list[list[int]]:
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, m: int) -> list[list[int]]:
     """Monic int lists modulo m, m = p^(2^j), each congruent modulo p to one
-    of the monic factors over F_p of f / lc(f), whose product times lc(f) is
+    of the monic factors modulo p of f / lc(f), whose product times lc(f) is
     f modulo m.  The factors are split in halves and each pair is lifted
     quadratically (von zur Gathen and Gerhard, Modern Computer Algebra,
     Algorithm 15.10), then each half in turn."""
     if len(factors) == 1:
-        inv = pow(f[-1], -1, m)
-        return [[c * inv % m for c in f]]
-    field = factors[0].field
+        return [_zmonic(f, m)]
     half = len(factors) // 2
-    g = reduce(Poly.__mul__, factors[:half], Poly.from_ints(field, [f[-1]]))
-    h = reduce(Poly.__mul__, factors[half:])
-    _, s, t = xgcd(g, h)
-    g, h, s, t = ([c.v for c in u.coeffs] for u in (g, h, s, t))
-    q = field.p
+    g = reduce(lambda u, v: _zmul(u, v, p), factors[:half], [f[-1] % p])
+    h = reduce(lambda u, v: _zmul(u, v, p), factors[half:])
+    s, t = _zxgcd(g, h, p)
+    q = p
     while q < m:
         q *= q
         g, h, s, t = _hensel_step(f, g, h, s, t, q)
-    return _hensel_lift(g, factors[:half], m) + _hensel_lift(h, factors[half:], m)
+    return _hensel_lift(g, factors[:half], p, m) + _hensel_lift(h, factors[half:], p, m)
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -443,6 +423,44 @@ def _ztrim(c: list[int]) -> list[int]:
     return c
 
 
+def _zmonic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _zderiv(a: list[int], p: int) -> list[int]:
+    return _ztrim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _zgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd modulo the prime p; [] when a and b are both zero."""
+    while b:
+        a, b = b, _zdivmod(a, b, p)[1]
+    return _zmonic(a, p) if a else a
+
+
+def _zxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b the monic gcd of a and b modulo the prime p."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _zdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zadd(s0, _zmul(q, s1, p), p, -1)
+        t0, t1 = t1, _zadd(t0, _zmul(q, t1, p), p, -1)
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _zpow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e modulo f and p, by left-to-right repeated squaring."""
+    out, a = [1], _zdivmod(a, f, p)[1]
+    for bit in bin(e)[2:]:
+        out = _zdivmod(_zmul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _zdivmod(_zmul(out, a, p), f, p)[1]
+    return out
+
+
 # -- Q(zeta_n): Trager's norms -------------------------------------------------
 
 # the squarefree test of a norm is first made modulo this prime (or the next
@@ -456,7 +474,7 @@ def _split_cyclo(f: Poly) -> list[Poly]:
     """Irreducible monic factors of a monic squarefree f over Q(zeta_n)."""
     if f.degree == 1:
         return [f]
-    from .fields import PrimeField, _is_prime
+    from .fields import _is_prime
 
     field = f.field
     p = NORM_TEST_PRIME
@@ -464,15 +482,13 @@ def _split_cyclo(f: Poly) -> list[Poly]:
         p -= 2
         while not _is_prime(p):
             p -= 2
-    fp = PrimeField(p)
     zeta = field.zeta()
     for s in count():
         # the norm of f(x - s zeta) is squarefree for all but finitely many s
         shifted = _shift(f, field.from_int(-s) * zeta)
         norm = _norm(shifted)
-        norm_p = Poly(fp, [fp.from_int(c.numerator) / fp.from_int(c.denominator)
-                           for c in norm.coeffs])
-        if (gcd(norm_p, norm_p.derivative()).degree == 0
+        norm_p = [c.numerator * pow(c.denominator, -1, p) % p for c in norm.coeffs]
+        if (len(_zgcd(norm_p, _zderiv(norm_p, p), p)) == 1
                 or (s >= NORM_TEST_MOD_P_SHIFTS and gcd(norm, norm.derivative()).degree == 0)):
             break
     factors = _split_q(norm)
@@ -521,7 +537,5 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.leading()
-    inv = field.one() / lead
-    scale = Poly(field, [inv])
+    scale = Poly(field, [field.one() / r0.leading()])
     return r0.monic(), s0 * scale, t0 * scale

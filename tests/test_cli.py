@@ -165,6 +165,52 @@ def test_fusion2_pointed_table():
     assert result.payload["table"]["Vect x Vect"] == ["Vect(Z/3)"]
 
 
+@pytest.mark.parametrize("zeta", range(5))
+def test_fusion2_pointed_p_5_table_matches_the_closed_form(zeta):
+    # Vect x Vect is p copies of Vect at the trivial braiding (zeta^0) and one
+    # Vect(Z/p) otherwise; Vect x Vect(Z/p) = Vect; Vect(Z/p) x Vect(Z/p) = Vect(Z/p)
+    result, code = invoke(["fusion2", "pointed", "--p", "5", "--zeta", str(zeta)])
+    assert code == 0
+    unit = "Vect(Z/5)"
+    assert result.payload["table"] == {
+        "Vect x Vect": ["Vect"] * 5 if zeta == 0 else [unit],
+        f"Vect x {unit}": ["Vect"],
+        f"{unit} x Vect": ["Vect"],
+        f"{unit} x {unit}": [unit],
+    }
+
+
+@pytest.mark.parametrize("p", [4, 6, 9])
+def test_fusion2_pointed_non_prime_is_a_usage_error(capsys, p):
+    assert main(["fusion2", "pointed", "--p", str(p), "--zeta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": f"--p {p} is not prime"}
+    assert "Traceback" not in out + err
+
+
+def test_fusion2_pointed_prime_outside_the_table_is_unsupported(capsys):
+    assert main(["fusion2", "pointed", "--p", "7", "--zeta", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "error",
+        "error": {"type": "UnsupportedPrime", "message": "supported primes are 2, 3, 5 (got 7)"}}
+
+
+@pytest.mark.parametrize("command", ["pi0", "validate"])
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "a skeleton must be a JSON object, not list"),
+    ('{"simples": ["a"], "hom_nonzero": [[1]]}', "hom_nonzero entries must be true or false"),
+    ('{"simples": ["a", "b"], "hom_nonzero": [[true, false], [false, "yes"]]}',
+     "hom_nonzero entries must be true or false"),
+], ids=["list", "int-entry", "string-entry"])
+def test_skeleton_loader_checks_types(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.skeleton.json"
+    path.write_text(text)
+    assert main(["twocat", command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+    assert "Traceback" not in out + err
+
+
 def test_validation_error_exits_one_with_named_axiom(tmp_path):
     bad = tmp_path / "bad_ring.json"
     bad.write_text(json.dumps({

@@ -6,10 +6,14 @@ Random products of random factors, with multiplicities and a non-monic
 constant, must factor exactly as sympy factors them.  The fixed cases cover the inputs
 each algorithm gets wrong first: a Swinnerton-Dyer polynomial and a product
 of two (recombination of several modular factors), Phi_12 over subfields of
-Q(zeta_12) (the norm of a rational polynomial is never squarefree unshifted)
-and multiplicities divisible by p (the p-th root branch).
+Q(zeta_12) (the norm of a rational polynomial is never squarefree unshifted),
+the Trager norms of x^p - 1 over Q(zeta_p) for p = 7 and 11 (many modular
+factors of one degree), products of many irreducibles of one degree over F_p
+(equal-degree splitting, and the trace map for p = 2) and multiplicities
+divisible by p (the p-th root branch).
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -20,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.polyclasses import ANP
 
 from modcat.fields import QQ, CyclotomicField, CycElem, PrimeField, cyclotomic_polynomial
-from modcat.poly import NORM_TEST_PRIME, Poly, factor_list
+from modcat.poly import NORM_TEST_PRIME, Poly, _split_q, factor_list
 
 X = sympy.symbols("x")
 
@@ -168,7 +172,7 @@ def test_norm_test_falls_back_to_q_when_its_prime_divides_the_discriminant():
                                                    (Poly.from_ints(field, [-NORM_TEST_PRIME, 1]), 1)])
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8])
 def test_x_to_the_n_minus_one_splits_into_the_n_roots_of_unity(n):
     field = CyclotomicField(n)
     poly = Poly(field, [field.from_int(-1)] + [field.zero()] * (n - 1) + [field.one()])
@@ -194,3 +198,55 @@ def test_factors_with_fractions_and_multiplicities_over_q_zeta_3():
     result = factor_list(poly)
     assert result == expected
     assert [f.degree for f, _ in result] == [1, 1, 1, 1, 2]
+
+
+def _trager_norm(p, s):
+    """The norm to Q of (x - s zeta_p)^p - 1, Res_y(Phi_p(y), (x - s y)^p - 1):
+    for s = 2 the first squarefree norm met when factoring x^p - 1 over
+    Q(zeta_p), computed by sympy."""
+    y = sympy.symbols("y")
+    norm = sympy.Poly(sympy.resultant(sympy.cyclotomic_poly(p, y), (X - s * y) ** p - 1, y), X)
+    return Poly.from_ints(QQ, [int(c) for c in reversed(norm.all_coeffs())])
+
+
+def test_p_7_trager_norm_splits_into_seven_sextics():
+    norm = _trager_norm(7, 2)
+    assert norm.degree == 42
+    result = factor_list(norm)
+    assert [(f.degree, mult) for f, mult in result] == [(6, 1)] * 7
+    assert result == sympy_factor_list(norm)
+
+
+def test_p_11_trager_norm_splits_into_eleven_factors_of_degree_10():
+    # _split_q takes the norm as _split_cyclo hands it over, known squarefree;
+    # factor_list would first run Musser's decomposition, whose gcd over Q
+    # takes minutes at degree 110
+    norm = _trager_norm(11, 2)
+    assert norm.degree == 110
+    result = _split_q(norm)
+    assert [f.degree for f in result] == [10] * 11
+    assert _product(QQ, [(f, 1) for f in result]) == norm
+
+
+def _irreducibles(p, degree, count):
+    """The first count monic irreducibles of the degree over F_p in lex order,
+    as sympy finds them."""
+    found = []
+    for tail in itertools.product(range(p), repeat=degree):
+        coeffs = list(tail) + [1]
+        if sympy.Poly(coeffs[::-1], X, modulus=p).is_irreducible:
+            found.append((Poly.from_ints(PrimeField(p), coeffs), 1))
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} irreducibles of degree {degree} over F_{p}")
+
+
+@pytest.mark.parametrize("p,degree,count", [(2, 5, 6), (2, 6, 9), (3, 3, 8), (7, 2, 10)])
+def test_products_of_irreducibles_of_one_degree_match_sympy(p, degree, count):
+    # one distinct-degree part, so equal-degree splitting (the trace map for
+    # p = 2) has to separate all count factors, which takes count - 1 splits
+    field = PrimeField(p)
+    factors = _irreducibles(p, degree, count)
+    poly = _product(field, factors)
+    assert factor_list(poly) == sympy_factor_list(poly)
+    assert factor_list(poly) == _canonical(field, factors)
