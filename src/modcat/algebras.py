@@ -30,12 +30,23 @@ the unit law pass, N is everything.  In an associative algebra an element
 that commutes with a generating set commutes with everything, so
 :meth:`StructureConstantAlgebra.center_basis` takes the commutators with S
 only.
+
+Over Q the laws are checked on ints: the constants are multiplied by the
+lcm d of their denominators, the unit by the lcm e of its own, and d e
+stands for 1.  Each associativity coordinate
+sum_m c_ij^m c_mk^l - sum_m c_jk^m c_im^l is homogeneous of degree 2 in the
+constants, so it is multiplied by d^2; in each unit-law coordinate
+sum_m u_m c_mi^l - delta_il 1 every term u_m c_mi^l is multiplied by e d,
+and so is the 1.  The same coordinates vanish, so every failure keeps its
+indices, and the supports that :func:`nucleus_generators` reads are unchanged.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import ValidationError
-from .fields import Field
+from .fields import QQ, Field
 from .linalg import Matrix, kernel_basis, rref
 from .poly import Poly, factor_list, xgcd
 
@@ -214,9 +225,17 @@ class StructureConstantAlgebra:
 
     def validate(self) -> None:
         """Check associativity, then the two-sided unit, by
-        :func:`first_law_failure`, on the rows of :func:`nucleus_generators`."""
-        self.generators = nucleus_generators(self.mult, self.unit)
-        failure = first_law_failure(self.mult, self.unit, self.field.one(), self.generators)
+        :func:`first_law_failure`, on the rows of :func:`nucleus_generators`
+        (over Q on ints, see the module docstring)."""
+        mult, unit, one = self.mult, self.unit, self.field.one()
+        self.generators = nucleus_generators(mult, unit)
+        if self.field == QQ:
+            d = lcm(*(c.denominator for row in mult for cell in row for c in cell.values()))
+            e = lcm(*(u.denominator for u in unit))
+            mult = [[{k: c.numerator * (d // c.denominator) for k, c in cell.items()}
+                     for cell in row] for row in mult]
+            unit, one = [u.numerator * (e // u.denominator) for u in unit], d * e
+        failure = first_law_failure(mult, unit, one, self.generators)
         if failure is None:
             return
         indices, _, _ = failure
@@ -240,11 +259,17 @@ class StructureConstantAlgebra:
         all d^2 commutator rows, and the echelon form is the same."""
         zero = self.field.zero()
         c = self.mult
-        # row (j, k), column i: the e_k coordinate of e_j e_i - e_i e_j
-        rows = ({i: v for i in range(self.dim)
-                 if (v := c[j][i].get(k, zero) - c[i][j].get(k, zero))}
-                for j in self.generators for k in range(self.dim))
-        stacked = [row for row in rows if row] + Matrix(self.field, conditions, ncols=self.dim).rows
+        # row (j, k), column i: the e_k coordinate of e_j e_i - e_i e_j,
+        # nonzero only at the keys of unequal cells
+        rows = {}
+        for j in self.generators:
+            for i in range(self.dim):
+                if (ji := c[j][i]) != (ij := c[i][j]):
+                    for k in ji.keys() | ij.keys():
+                        if v := ji.get(k, zero) - ij.get(k, zero):
+                            rows.setdefault((j, k), {})[i] = v
+        stacked = [rows[jk] for jk in sorted(rows)]
+        stacked += Matrix(self.field, conditions, ncols=self.dim).rows
         return kernel_basis(Matrix.from_sparse(self.field, stacked, self.dim))
 
 

@@ -57,11 +57,19 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _ring_from_obj(obj) -> basedring.BasedRingData:
+def _json_object(obj, what: str, keys=()) -> dict:
+    """obj, or the JSON file it names, checked to be an object with the keys."""
     if isinstance(obj, str):
         obj = _load_json(obj)
     if not isinstance(obj, dict):
-        raise ValueError(f"a ring must be a JSON object, not {type(obj).__name__}")
+        raise ValueError(f"a {what} must be a JSON object, not {type(obj).__name__}")
+    if missing := [key for key in keys if key not in obj]:
+        raise ValueError(f"a {what} needs the keys {', '.join(keys)}; missing: {', '.join(missing)}")
+    return obj
+
+
+def _ring_from_obj(obj) -> basedring.BasedRingData:
+    obj = _json_object(obj, "ring")
     data = basedring.BasedRingData.build(
         labels=obj["labels"] if "labels" in obj else [f"b{i}" for i in range(obj["rank"])],
         mult=obj["mult"],
@@ -73,10 +81,7 @@ def _ring_from_obj(obj) -> basedring.BasedRingData:
 
 
 def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:
-    if isinstance(obj, str):
-        obj = _load_json(obj)
-    if not isinstance(obj, dict):
-        raise ValueError(f"a skeleton must be a JSON object, not {type(obj).__name__}")
+    obj = _json_object(obj, "skeleton")
     if not all(isinstance(x, bool) for row in obj["hom_nonzero"] for x in row):
         raise ValueError("hom_nonzero entries must be true or false")
     return skeleton.TwoCatSkeleton.build(
@@ -153,7 +158,7 @@ def _cmd_ring_homs(args) -> CommandResult:
 
 
 def _cmd_zmod_validate(args) -> CommandResult:
-    obj = _load_json(args.file)
+    obj = _json_object(args.file, "module", ("ring", "rank", "action"))
     ring_ref = obj["ring"]
     if isinstance(ring_ref, str):
         # resolve a relative ring path against the module file's directory

@@ -11,8 +11,8 @@ representation:
   positive integer with gcd(den, *num) = 1.  Phi_n is computed once per n as
   a :class:`~modcat.poly.Poly` over QQ; it is monic with integer
   coefficients, so sums and products are int arithmetic reduced modulo
-  Phi_n, followed by one gcd.  The ``Fraction`` coefficients are derived on
-  demand.
+  Phi_n, followed by one gcd when the denominator is not 1.  The
+  ``Fraction`` coefficients are derived on demand.
 
 All arithmetic is exact; there is no floating point anywhere.  Every
 element is false exactly when it is zero, so sparse code can test entries by
@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import SizeGuardExceeded
 from .poly import Poly
@@ -233,6 +234,12 @@ class CycElem:
     gcd(den, *num) = 1, so every element has one representation.  The
     constructor takes any ints (more than phi(n) are reduced modulo Phi_n,
     fewer are padded with zeros) and any nonzero ``den``, and normalises.
+
+    Results that are normal already skip that and come from :func:`_normal`:
+    zero and one; a negation, which keeps den and the gcd; and a sum,
+    difference or product of two elements with den 1, whose den is 1 and so
+    prime to any ints.  A product with a rational operand scales the other
+    operand's ints instead of convolving them.
     """
 
     __slots__ = ("n", "num", "den")
@@ -263,30 +270,39 @@ class CycElem:
     def __add__(self, other):
         self._check(other)
         if self.den == other.den:
-            return CycElem(self.n, [a + b for a, b in zip(self.num, other.num)], self.den)
+            num = tuple(map(add, self.num, other.num))
+            return _normal(self.n, num, 1) if self.den == 1 else CycElem(self.n, num, self.den)
         return CycElem(self.n, [a * other.den + b * self.den for a, b in zip(self.num, other.num)],
                        self.den * other.den)
 
     def __sub__(self, other):
         self._check(other)
         if self.den == other.den:
-            return CycElem(self.n, [a - b for a, b in zip(self.num, other.num)], self.den)
+            num = tuple(map(sub, self.num, other.num))
+            return _normal(self.n, num, 1) if self.den == 1 else CycElem(self.n, num, self.den)
         return CycElem(self.n, [a * other.den - b * self.den for a, b in zip(self.num, other.num)],
                        self.den * other.den)
 
     def __neg__(self):
-        return CycElem(self.n, [-a for a in self.num], self.den)
+        return _normal(self.n, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        # int convolution; the constructor reduces it modulo Phi_n
-        b = other.num
-        out = [0] * (len(self.num) + len(b) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return CycElem(self.n, out, self.den * other.den)
+        a, b, den = self.num, other.num, self.den * other.den
+        if any(a[1:]) and any(b[1:]):
+            # int convolution, reduced modulo Phi_n in place or by the constructor
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            if den != 1:
+                return CycElem(self.n, out, den)
+            return _normal(self.n, tuple(_reduce(self.n, out)), 1)
+        # a rational operand scales the other's ints
+        r, a = (b[0], a) if any(a[1:]) else (a[0], b)
+        out = [r * x for x in a]
+        return _normal(self.n, tuple(out), 1) if den == 1 else CycElem(self.n, out, den)
 
     def __truediv__(self, other):
         self._check(other)
@@ -337,6 +353,13 @@ class CycElem:
         return " + ".join(terms) if terms else "0"
 
 
+def _normal(n: int, num: tuple, den: int) -> CycElem:
+    """num(zeta) / den in Q(zeta_n), num and den taken as they are: normal."""
+    x = object.__new__(CycElem)
+    x.n, x.num, x.den = n, num, den
+    return x
+
+
 class CyclotomicField:
     """Cyclotomic field Q(zeta_n), zeta_n a primitive n-th root of unity."""
 
@@ -350,10 +373,10 @@ class CyclotomicField:
         self.tag = f"cyclo{n}"
 
     def zero(self) -> CycElem:
-        return CycElem(self.n, [])
+        return _normal(self.n, (0,) * self.degree, 1)
 
     def one(self) -> CycElem:
-        return CycElem(self.n, [1])
+        return _normal(self.n, (1,) + (0,) * (self.degree - 1), 1)
 
     def from_int(self, k: int) -> CycElem:
         return CycElem(self.n, [k])

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, count
 from math import gcd as igcd, lcm
 from typing import TYPE_CHECKING
@@ -170,11 +170,14 @@ def factor_list(p: Poly) -> list[tuple[Poly, int]]:
 
 def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
     """Pairs (g, m), g monic, squarefree and pairwise coprime, with f (monic)
-    the product of the g^m: Musser's algorithm.
+    the product of the g^m: [(f, 1)] when :func:`_squarefree_mod_q` proves f
+    squarefree, else Musser's algorithm.
 
     In characteristic p a factor whose multiplicity p divides is invisible to
     the derivative and is left in c; c' = 0 then, so c is a polynomial in x^p,
     and over F_p its p-th root keeps every p-th coefficient."""
+    if _squarefree_mod_q(f):
+        return [(f, 1)]
     c = gcd(f, f.derivative())
     w = f // c
     out, mult = [], 1
@@ -187,6 +190,42 @@ def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
         p = f.field.char
         out += [(g, m * p) for g, m in _squarefree(Poly(f.field, c.coeffs[::p]))]
     return out
+
+
+@lru_cache(maxsize=None)
+def _test_prime(n: int) -> tuple[int, int]:
+    """The largest prime q <= NORM_TEST_PRIME with q = 1 (mod n), and an r
+    of order n modulo q: r^d != 1 for the proper divisors d of n."""
+    from .fields import _is_prime
+
+    q = NORM_TEST_PRIME - (NORM_TEST_PRIME - 1) % n
+    while not _is_prime(q):
+        q -= n
+    for g in count(2):
+        r = pow(g, (q - 1) // n, q)
+        if all(pow(r, d, q) != 1 for d in range(1, n) if n % d == 0):
+            return q, r
+
+
+def _squarefree_mod_q(f: Poly) -> bool:
+    """Whether f, monic, is squarefree modulo a prime q; if so, f is
+    squarefree.  Over F_p, q = p.  Otherwise (q, r) = _test_prime(n), with
+    n = 1 over Q, and zeta -> r maps the elements whose den q does not
+    divide onto F_q.  The monic factors of f have such coefficients when f
+    has, so a square factor of f maps to one of f mod q, a monic polynomial
+    of the same degree.  False when q divides a den of f."""
+    field = f.field
+    if field.char:
+        q, image = field.char, [c.v for c in f.coeffs]
+    else:
+        q, r = _test_prime(getattr(field, "n", 1))
+        pairs = [(c.num, c.den) if hasattr(c, "num") else ((c.numerator,), c.denominator)
+                 for c in f.coeffs]
+        if any(den % q == 0 for _, den in pairs):
+            return False
+        image = [sum(a * pow(r, i, q) for i, a in enumerate(num)) * pow(den, -1, q) % q
+                 for num, den in pairs]
+    return len(_zgcd(image, _zderiv(image, q), q)) == 1
 
 
 # -- F_p: Cantor-Zassenhaus -----------------------------------------------------
@@ -463,9 +502,9 @@ def _zpow(a: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 # -- Q(zeta_n): Trager's norms -------------------------------------------------
 
-# the squarefree test of a norm is first made modulo this prime (or the next
-# one below it that divides no denominator of f); after that many failed
-# shifts it is made over Q, which always ends the search
+# the squarefree tests are made modulo the largest prime q at most this with
+# q = 1 (mod n); a norm's test is made over Q after that many failed
+# shifts, which always ends the search
 NORM_TEST_PRIME = 2 ** 31 - 1
 NORM_TEST_MOD_P_SHIFTS = 3
 
@@ -474,21 +513,13 @@ def _split_cyclo(f: Poly) -> list[Poly]:
     """Irreducible monic factors of a monic squarefree f over Q(zeta_n)."""
     if f.degree == 1:
         return [f]
-    from .fields import _is_prime
-
     field = f.field
-    p = NORM_TEST_PRIME
-    while any(c.den % p == 0 for c in f.coeffs):
-        p -= 2
-        while not _is_prime(p):
-            p -= 2
     zeta = field.zeta()
     for s in count():
         # the norm of f(x - s zeta) is squarefree for all but finitely many s
         shifted = _shift(f, field.from_int(-s) * zeta)
         norm = _norm(shifted)
-        norm_p = [c.numerator * pow(c.denominator, -1, p) % p for c in norm.coeffs]
-        if (len(_zgcd(norm_p, _zderiv(norm_p, p), p)) == 1
+        if (_squarefree_mod_q(norm)
                 or (s >= NORM_TEST_MOD_P_SHIFTS and gcd(norm, norm.derivative()).degree == 0)):
             break
     factors = _split_q(norm)

@@ -304,6 +304,29 @@ def test_validate_matches_dense_oracle(table, field):
     assert_validation_matches_dense_oracle(field, mult, unit)
 
 
+NONZERO_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+
+def in_rescaled_basis(draw, mult, unit):
+    """The constants and unit in the basis f_i = lambda_i e_i for random
+    nonzero rationals lambda_i: f_i f_j = sum_k lambda_i lambda_j / lambda_k
+    c[i][j][k] f_k, and the unit has coordinates u_k / lambda_k."""
+    d = len(mult)
+    lam = draw(st.lists(NONZERO_RATIONALS, min_size=d, max_size=d))
+    return ([[[lam[i] * lam[j] / lam[k] * mult[i][j][k] for k in range(d)] for j in range(d)]
+             for i in range(d)],
+            [Fraction(unit[k]) / lam[k] for k in range(d)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validate_on_rescaled_rational_tables_matches_dense_oracle(data):
+    # the denominators make the integer scaling of the validation over Q
+    # nontrivial: its lcm d of the constants and e of the unit exceed 1
+    mult, unit = in_rescaled_basis(data.draw, *data.draw(tables()))
+    assert_validation_matches_dense_oracle(QQ, mult, unit)
+
+
 @settings(max_examples=100, deadline=None)
 @given(table=associative_tables(), field=FIELDS)
 def test_center_basis_matches_dense_commutator_kernel(table, field):

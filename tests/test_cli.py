@@ -211,6 +211,24 @@ def test_skeleton_loader_checks_types(tmp_path, capsys, command, text, message):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "a module must be a JSON object, not list"),
+    (json.dumps({"ring": str(DATA / "z2.ring.json"), "rank": 1}),
+     "a module needs the keys ring, rank, action; missing: action"),
+    (json.dumps({"action": [[[1]], [[1]]]}),
+     "a module needs the keys ring, rank, action; missing: ring, rank"),
+    (json.dumps({"ring": str(DATA / "z2.ring.json"), "action": [[[1]], [[1]]]}),
+     "a module needs the keys ring, rank, action; missing: rank"),
+], ids=["list", "no-action", "no-ring-no-rank", "no-rank"])
+def test_module_loader_names_the_problem(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.module.json"
+    path.write_text(text)
+    assert main(["zmod", "validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+    assert "Traceback" not in out + err
+
+
 def test_validation_error_exits_one_with_named_axiom(tmp_path):
     bad = tmp_path / "bad_ring.json"
     bad.write_text(json.dumps({

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.errors import SizeGuardExceeded
-from modcat.fields import (PRIME_TEST_GUARD, CyclotomicField, PrimeField, QQ, _is_prime,
-                           cyclotomic_polynomial, field_from_code)
+from modcat.fields import (PRIME_TEST_GUARD, CyclotomicField, CycElem, PrimeField, QQ,
+                           _is_prime, cyclotomic_polynomial, field_from_code)
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -297,8 +297,22 @@ def _oracle_inverse(n, a):
     return _oracle_reduce(n, [x / r0[0] for x in s0])
 
 
-_coefficient_lists = st.lists(
-    st.fractions(min_value=-8, max_value=8, max_denominator=6), max_size=20)
+_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+# general, integral (den 1), single-coefficient (a rational scalar) and zero
+_coefficient_lists = st.one_of(
+    st.lists(_fractions, max_size=20),
+    st.lists(st.integers(-8, 8).map(Fraction), max_size=20),
+    st.lists(_fractions, min_size=1, max_size=1),
+    st.lists(st.integers(-8, 8).map(Fraction), min_size=1, max_size=1),
+    st.just([]))
+
+
+def assert_normal(field, x):
+    """The representation invariant of CycElem, and == and hash agreeing
+    with the element rebuilt through the normalising constructor."""
+    assert len(x.num) == field.degree and x.den > 0 and gcd(x.den, *x.num) == 1
+    rebuilt = CycElem(field.n, x.num, x.den)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
 
 
 @given(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 21]),
@@ -312,5 +326,11 @@ def test_cyclotomic_arithmetic_matches_dense_oracle(n, raw_a, raw_b):
     assert (a + b).coeffs == _oracle_reduce(n, _oracle_sub(raw_a, [-x for x in raw_b]))
     assert (a - b).coeffs == _oracle_reduce(n, _oracle_sub(raw_a, raw_b))
     assert (a * b).coeffs == _oracle_reduce(n, _oracle_mul(raw_a, raw_b))
+    assert (b * a).coeffs == (a * b).coeffs
+    assert (-a).coeffs == tuple(-x for x in a.coeffs)
+    results = [a, b, a + b, a - b, a * b, b * a, -a, field.zero(), field.one()]
     if a:
         assert a.inverse().coeffs == _oracle_inverse(n, a.coeffs)
+        results += [a.inverse(), b / a]
+    for x in results:
+        assert_normal(field, x)

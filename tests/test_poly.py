@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.polyclasses import ANP
 
 from modcat.fields import QQ, CyclotomicField, CycElem, PrimeField, cyclotomic_polynomial
-from modcat.poly import NORM_TEST_PRIME, Poly, _split_q, factor_list
+from modcat.poly import NORM_TEST_PRIME, Poly, _split_q, _test_prime, factor_list
 
 X = sympy.symbols("x")
 
@@ -219,13 +219,24 @@ def test_p_7_trager_norm_splits_into_seven_sextics():
 
 def test_p_11_trager_norm_splits_into_eleven_factors_of_degree_10():
     # _split_q takes the norm as _split_cyclo hands it over, known squarefree;
-    # factor_list would first run Musser's decomposition, whose gcd over Q
-    # takes minutes at degree 110
+    # factor_list proves it squarefree modulo NORM_TEST_PRIME first, where
+    # Musser's decomposition over Q would take minutes at degree 110
     norm = _trager_norm(11, 2)
     assert norm.degree == 110
     result = _split_q(norm)
     assert [f.degree for f in result] == [10] * 11
     assert _product(QQ, [(f, 1) for f in result]) == norm
+    assert factor_list(norm) == _canonical(QQ, [(f, 1) for f in result])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 11, 12, 21])
+def test_test_prime_maps_zeta_to_a_root_of_phi_n(n):
+    q, r = _test_prime(n)
+    assert q <= NORM_TEST_PRIME and (q - 1) % n == 0 and sympy.isprime(q)
+    assert not any(sympy.isprime(t) for t in range(q + n, NORM_TEST_PRIME + 1, n))
+    # Phi_n(r) = 0 modulo a prime q not dividing n: r has order exactly n
+    phi = cyclotomic_polynomial(n)
+    assert sum(int(c) * pow(r, i, q) for i, c in enumerate(phi)) % q == 0
 
 
 def _irreducibles(p, degree, count):
