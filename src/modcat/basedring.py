@@ -28,9 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 from math import factorial
 
 from .algebras import first_law_failure, nucleus_generators
-from .errors import GuardError, SizeGuardExceeded, ValidationError
+from .errors import SizeGuardExceeded, ValidationError
 
-EXHAUSTIVE_RANK_LIMIT = 12
 # canonical_form builds an r + r^3 key for each of the r! permutations;
 # admits rank 8 (20,966,400): about 1.4 s on a group ring of order 8
 CANONICAL_FORM_GUARD = 20_966_400
@@ -52,11 +51,6 @@ class UnitLawFails(ValidationError):
 class NegativeConstant(ValidationError):
     def __init__(self, where: str):
         super().__init__(f"negative integer in {where}")
-
-
-class RankTooLargeForExhaustiveSearch(GuardError):
-    def __init__(self, rank: int):
-        super().__init__(f"rank {rank} exceeds the exhaustive-search limit {EXHAUSTIVE_RANK_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +202,6 @@ def find_weak_based_involutions(ring: ValidatedRing) -> list[WeakBasedCertificat
     the candidate map is then checked to be an involutive anti-automorphism.
     """
     r = ring.rank
-    if r > EXHAUSTIVE_RANK_LIMIT:
-        raise RankTooLargeForExhaustiveSearch(r)
     sigma = []
     t_values = []
     for plane in ring.mult:

@@ -69,7 +69,9 @@ def _json_object(obj, what: str, keys=()) -> dict:
 
 
 def _ring_from_obj(obj) -> basedring.BasedRingData:
-    obj = _json_object(obj, "ring")
+    obj = _json_object(obj, "ring", ("mult", "unit"))
+    if "labels" not in obj and "rank" not in obj:
+        raise ValueError("a ring needs its labels or its rank")
     data = basedring.BasedRingData.build(
         labels=obj["labels"] if "labels" in obj else [f"b{i}" for i in range(obj["rank"])],
         mult=obj["mult"],
@@ -81,7 +83,7 @@ def _ring_from_obj(obj) -> basedring.BasedRingData:
 
 
 def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:
-    obj = _json_object(obj, "skeleton")
+    obj = _json_object(obj, "skeleton", ("simples", "hom_nonzero"))
     if not all(isinstance(x, bool) for row in obj["hom_nonzero"] for x in row):
         raise ValueError("hom_nonzero entries must be true or false")
     return skeleton.TwoCatSkeleton.build(

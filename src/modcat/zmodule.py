@@ -27,29 +27,29 @@ from the source ring.  Both searches accept a cap multiplier (at least 1) so
 the stability of the counts under enlarged caps can be demonstrated.
 
 A basis element b_i with b_i b_j = 1 acts by a permutation matrix, which the
-module search uses to prune.  The module search is guarded on its own work:
-``module_search_size`` bounds the row-0 fillings it enumerates from N (times
-the cap multiplier), the ring rank and the number of non-invertible basis
-elements, and ``MODULE_SEARCH_GUARD`` is that bound for the group rings of
-order 8, the largest admitted (Z/3 x Z/3 is refused).  The hom search keeps
-its guard of ring rank ``ENUMERATION_RANK_LIMIT``.
+module search uses to prune.  Both searches count their work, the values they
+try plus the terms their caps and prunes sum or compare, over every module
+rank of one call, and raise SizeGuardExceeded once it passes
+``SEARCH_WORK_BUDGET``; the count is deterministic.  Z/2^3 -> Z/2^3 homs, the
+largest admitted case, count 6,808,935 (1.5-2.5 s), and the modules of the
+group rings of order 8 3.4-3.9 million (4-6 s with their canonical keys).
+Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (37, 160 and 12 s to finish)
+are refused after 2.5-5 s, Z/2^4 -> Z/2^4 homs after 1.5 s (Python 3.11,
+one core of a 2-CPU host).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .basedring import (ValidatedRing, WeakBasedCertificate, _ints, _is_list,
                         find_weak_based_involutions)
 from .errors import SizeGuardExceeded, ValidationError
 
-ENUMERATION_RANK_LIMIT = 8  # ring rank guard of the hom search
-# module_search_size of the group rings of order 8 at cap_scale 1, whose
-# modules take about 6 s (Python 3.11, one core of a 2-CPU host); Z/3 x Z/3,
-# at 574,304,985, is refused
-MODULE_SEARCH_GUARD = 24_684_612
+# 3% above the work of the largest admitted case, Z/2^3 -> Z/2^3 homs at
+# 6,808,935 (see the module docstring)
+SEARCH_WORK_BUDGET = 7_000_000
 
 
 class NegativeEntry(ValidationError):
@@ -72,11 +72,6 @@ class ActionLawFails(ValidationError):
 class RingNotWeakBased(ValidationError):
     def __init__(self):
         super().__init__("ring admits no weak based involution")
-
-
-class RankGuardExceeded(SizeGuardExceeded):
-    """A search exceeds its guard: ``size`` is the module search size of
-    :func:`module_search_size`, or the ring rank for a hom search."""
 
 
 @dataclass(frozen=True)
@@ -272,25 +267,18 @@ def enumerate_irreducible_modules(ring, cap_scale: int = 1) -> list[ValidatedMod
     ``ring`` is a weak based certificate (or a validated ring, which is then
     certified first).  ``cap_scale`` multiplies every search cap; the result
     must be independent of it, which the tests exercise.  Raises
-    RankGuardExceeded when ``module_search_size`` exceeds
-    ``MODULE_SEARCH_GUARD``.
+    SizeGuardExceeded once the search's work passes ``SEARCH_WORK_BUDGET``.
     """
-    cert = _as_certificate(ring)
-    vring = cert.ring
+    vring = _as_certificate(ring).ring
     bounds = EnumerationBounds.for_ring(vring, cap_scale)
-    invertible = invertible_generators(vring)
-    size = module_search_size(bounds.n_max, vring.rank, vring.rank - len(invertible))
-    if size > MODULE_SEARCH_GUARD:
-        raise RankGuardExceeded(size, MODULE_SEARCH_GUARD)
     found: dict[tuple, ValidatedModule] = {}
-    for r in range(1, bounds.rank_bound + 1):
-        for action in _search_actions(vring, r, bounds, invertible):
-            module = validate_module(ZPlusModuleData.build(vring, action))
-            if not is_irreducible(module):
-                continue
-            key = module.canonical_key()
-            if key not in found:
-                found[key] = module
+    for action in _search_actions(vring, bounds, invertible_generators(vring)):
+        module = validate_module(ZPlusModuleData.build(vring, action))
+        if not is_irreducible(module):
+            continue
+        key = module.canonical_key()
+        if key not in found:
+            found[key] = module
     return [found[k] for k in sorted(found)]
 
 
@@ -300,34 +288,10 @@ def invertible_generators(ring: ValidatedRing) -> frozenset[int]:
     return frozenset(i for i, plane in enumerate(ring.mult) if one in plane)
 
 
-def module_search_size(n_max: int, rank: int, non_invertible: int) -> int:
-    """An upper bound on the row-0 fillings the module search enumerates,
-    summed over the module ranks r <= n_max.
-
-    With i = rank - non_invertible invertible generators, m = non_invertible
-    and N = n_max: each invertible A_i puts its one 1 of row 0 in one of r
-    columns; the u = max(0, r - i) columns they cannot cover each need a
-    positive entry of some non-invertible A_j (m choices), and the rest of
-    the r * m non-invertible entries sum to at most N - i - u, the row-0 sum
-    of F being at most N.  So rank r contributes at most
-    r^i m^u C(N - i - u + r m, r m), and nothing when N < i + u; for a group
-    ring (m = 0) that leaves the ranks r <= |G|.  Rows below row 0 of an
-    invertible A_i are pinned by the per-cell caps, so this counts the
-    branching of group rings; a non-invertible A_j can branch again in later
-    rows, which the count does not see.
-    """
-    i, m = rank - non_invertible, non_invertible
-    total = 0
-    for r in range(1, n_max + 1):
-        u = max(0, r - i)
-        if n_max >= i + u:
-            total += r ** i * m ** u * comb(n_max - i - u + r * m, r * m)
-    return total
-
-
-def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
+def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
                     invertible: frozenset[int]):
-    """Backtracking over the rows of all generator matrices at module rank r.
+    """Backtracking over the rows of all generator matrices, at each module
+    rank r = 1, ..., N in turn.
 
     Row l is filled for every generator matrix A_i at once, cell by cell and
     within a cell generator by generator, each value counting up from its
@@ -369,7 +333,6 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
       targets on filled rows.
     """
     n_gen = ring.rank
-    n_cap = bounds.n_max
     unit = ring.unit_coeffs
     last_unit = max(t for t in range(n_gen) if unit[t])
     ones = [1] * n_gen
@@ -377,13 +340,15 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
     rows: list[list[list[int]]] = [[] for _ in range(n_gen)]  # rows[i][l] = row l of A_i
     f_mat: list[list[int]] = []     # rows of F = sum_i A_i
     f_rows: list[int] = []          # total row sums of F
+    work = 0
 
     def row_candidates(l: int, cap: int):
         """All joint assignments of row l for every generator matrix, with
         total row sum at most ``cap``."""
+        nonlocal work
         current = [[0] * r for _ in range(n_gen)]
         # vmax[j][k]: the largest A_j[l][k] that keeps every generator law at
-        # a filled row within its target; law_prune has already checked the
+        # a filled row within its target; prune_ok has already checked the
         # terms through rows below l, so a zero A_i[lp][l] gives no bound
         vmax = [[cap] * r for _ in range(n_gen)]
         for i in range(n_gen):
@@ -392,6 +357,7 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
                 if not row_ilp[l]:
                     continue
                 for j, cij in enumerate(ring.mult[i]):
+                    work += r * (len(cij) + l + 1)
                     for k in range(r):
                         target = sum(c * rows[m][lp][k] for m, c in cij.items())
                         base = sum(row_ilp[s] * rows[j][s][k] for s in range(l))
@@ -406,6 +372,8 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
         placed = [0] * n_gen  # row sum of A_i[l] so far
 
         def fill(k: int, used: int):
+            if work > SEARCH_WORK_BUDGET:
+                raise SizeGuardExceeded(work, SEARCH_WORK_BUDGET)
             if k == r:
                 yield [list(row) for row in current], used
                 return
@@ -414,6 +382,7 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
             # assign the k-th cell of row l for all generators; while
             # ``tied``, column k of row 0 equals column k-1 so far
             def assign(i: int, cell_sum: int, unit_sum: int, tied: bool):
+                nonlocal work
                 if i == n_gen:
                     if cell_sum >= 1:  # F must be strictly positive for irreducibility
                         yield from fill(k + 1, used + cell_sum)
@@ -426,6 +395,7 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
                     if k == last_free[i] and not placed[i]:
                         low = max(low, 1)
                 for v in range(low, high + 1):
+                    work += 1
                     partial = unit_sum + unit[i] * v
                     if partial > unit_target:
                         break
@@ -441,23 +411,22 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
 
         yield from fill(0, 0)
 
-    def budget_prune(filled: int, f_min: int) -> bool:
+    def prune_ok(filled: int, f_min: int) -> bool:
+        nonlocal work
+        complete = filled == r
         # coordinate sums of m_l b b computed both ways give, for every l,
         # sum_j F[l][j] f_j == sum_i n_i rowsum(A_i[l]) exactly; unfilled row
         # sums are at least f_min
-        complete = filled == r
         for l in range(filled):
+            work += r * (n_gen + 1) + 1
             target = sum(b_squared[m] * sum(rows[m][l]) for m in range(n_gen))
             lower = sum(f_mat[l][j] * (f_rows[j] if j < filled else f_min)
                         for j in range(r))
             if lower > target or (complete and lower != target):
                 return False
-        return True
-
-    def law_prune(filled: int) -> bool:
-        complete = filled == r
         # F law: F F = sum_i n_i A_i
         for lp in range(filled):
+            work += r * (n_gen + filled + 1)
             for k in range(r):
                 target = sum(b_squared[m] * rows[m][lp][k] for m in range(n_gen))
                 partial = sum(f_mat[lp][s] * f_mat[s][k] for s in range(filled))
@@ -469,6 +438,7 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
             for j, cij in enumerate(ring.mult[i]):
                 rows_j = rows[j]
                 for lp in range(filled):
+                    work += r * (len(cij) + filled + 1)
                     row_ilp = rows_i[lp]
                     for k in range(r):
                         target = sum(c * rows[m][lp][k] for m, c in cij.items())
@@ -482,7 +452,7 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
             yield [tuple(tuple(row) for row in rows[i]) for i in range(n_gen)]
             return
         if l == 0:
-            cap = n_cap
+            cap = bounds.n_max
         else:
             # f_l enters every filled budget equality; each gives an upper
             # bound (target - other terms at their minima) / F[lp][l]
@@ -505,14 +475,16 @@ def _search_actions(ring: ValidatedRing, r: int, bounds: EnumerationBounds,
             f_mat.append([sum(assignment[i][k] for i in range(n_gen)) for k in range(r)])
             f_rows.append(row_sum)
             f_min = max(f_rows[0], r)
-            if budget_prune(l + 1, f_min) and law_prune(l + 1):
+            if prune_ok(l + 1, f_min):
                 yield from extend(l + 1)
             for i in range(n_gen):
                 rows[i].pop()
             f_mat.pop()
             f_rows.pop()
 
-    yield from extend(0)
+    # the helpers read r when called, so each rank reuses them
+    for r in range(1, bounds.rank_bound + 1):
+        yield from extend(0)
 
 
 @dataclass(frozen=True)
@@ -552,8 +524,6 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
     """
     src = _as_certificate(source)
     tgt = _as_certificate(target)
-    if src.rank > ENUMERATION_RANK_LIMIT or tgt.rank > ENUMERATION_RANK_LIMIT:
-        raise RankGuardExceeded(max(src.rank, tgt.rank), ENUMERATION_RANK_LIMIT)
     sring, tring = src.ring, tgt.ring
     n_src, n_tgt = sring.rank, tring.rank
     cap = EnumerationBounds.for_hom(sring, tring, cap_scale).coeff_bound_hom
@@ -561,6 +531,7 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
     sigma_s, sigma_t = src.involution, tgt.involution
     assigned: list[list[int] | None] = [None] * n_src
     results: list[RingHomCandidate] = []
+    work = 0
 
     source_unit = {t: a for t, a in enumerate(sring.unit_coeffs) if a}
 
@@ -568,6 +539,8 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
         """Whether lhs = sum_k c f(b_k) over the {k: c} terms can still hold:
         lhs is at least the assigned terms and at most those plus cap per
         unit of c on an unassigned image, and equal to them when complete."""
+        nonlocal work
+        work += n_tgt * (1 + len(terms))
         lower = [0] * n_tgt
         unknown = 0
         for k, c in terms.items():
@@ -617,6 +590,7 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
         unit_terms = [(a, assigned[t]) for t, a in enumerate(sring.unit_coeffs)
                       if a and assigned[t] is not None]
         coords = [c for c in range(n_tgt) if partner != i or sigma_t[c] >= c]
+        value_work = 1 + n_tgt * len(pair_bounds)  # a value and its pair bounds
 
         def exceeds(c: int) -> bool:
             """Whether, after coordinate c of f(b_i) was set, the left side
@@ -628,12 +602,16 @@ def enumerate_ring_homs(source, target, cap_scale: int = 1) -> list[RingHomCandi
                            for x, bound in zip(tring.product(gj, gk), upper)))
 
         def fill(pos: int):
+            nonlocal work
+            if work > SEARCH_WORK_BUDGET:
+                raise SizeGuardExceeded(work, SEARCH_WORK_BUDGET)
             if pos == len(coords):
                 if prune_ok(complete=False):
                     extend(i + 1)
                 return
             c = coords[pos]
             for v in range(cap + 1):
+                work += value_work
                 vec[c] = star[sigma_t[c]] = v
                 if exceeds(c):
                     break

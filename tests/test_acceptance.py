@@ -202,7 +202,7 @@ def _property_field_axioms() -> int:
 def _property_tau_condition() -> int:
     checks = 0
     for orders in [[2], [3], [4], [2, 2], [5], [6], [2, 4], [7], [8], [2, 2, 2],
-                   [9], [3, 3], [10], [11], [12], [2, 6]]:
+                   [9], [3, 3], [10], [11], [12], [2, 6], [13], [2, 2, 2, 2]]:
         ring = validate_zplus_ring(group_ring(orders))
         certs = find_weak_based_involutions(ring)
         assert len(certs) == 1

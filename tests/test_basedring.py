@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from modcat.algebras import nucleus_generators
 from modcat.basedring import (CANONICAL_FORM_GUARD, BasedRingData, NegativeConstant,
-                              NotAssociative,
-                              RankTooLargeForExhaustiveSearch, UnitLawFails,
-                              canonical_form, fibonacci_ring,
+                              NotAssociative, UnitLawFails, canonical_form, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, tau, trivial_ring,
                               validate_zplus_ring)
@@ -219,11 +217,11 @@ def test_klein_group_ring():
     assert find_weak_based_involutions(ring)[0].involution == (0, 1, 2, 3)
 
 
-def test_rank_guard():
-    data = group_ring([13])
-    ring = validate_zplus_ring(data)
-    with pytest.raises(RankTooLargeForExhaustiveSearch):
-        find_weak_based_involutions(ring)
+def test_rank_13_is_certified():
+    ring = validate_zplus_ring(group_ring([13]))
+    (cert,) = find_weak_based_involutions(ring)
+    assert cert.involution == (0,) + tuple(range(12, 0, -1))  # g -> g^-1
+    assert cert.based
 
 
 def test_canonical_form_guard_counts_permutation_keys():

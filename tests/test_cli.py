@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from modcat import zmodule
 from modcat.basedring import group_ring
 from modcat.cli import main, render, run
 from modcat.fields import PRIME_TEST_GUARD
-from modcat.zmodule import MODULE_SEARCH_GUARD
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -322,7 +322,9 @@ SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
     (["dy", "dims", "--group", "0", "--coeff", "q"], None, "ValueError"),
     (["dy", "dims", "--group", "2", "--coeff", "fp4"], None, "ValueError"),
     (["pointed", "classes", "--group", "x"], None, "ValueError"),
-    (["ring", "validate"], '{"rank": 1, "unit": [1]}', "KeyError"),
+    (["ring", "validate"], '{"rank": 1, "unit": [1]}', "ValueError"),
+    (["ring", "validate"], '{"mult": [[[1]]], "unit": [1]}', "ValueError"),
+    (["twocat", "pi0"], '{"simples": ["a"]}', "ValueError"),
     (["ring", "validate"], "not json", "JSONDecodeError"),
     (["ring", "validate", "{tmp}/missing.json"], None, "FileNotFoundError"),
     (["ring", "validate", "{tmp}"], None, "IsADirectoryError"),
@@ -348,7 +350,8 @@ SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
     (["zmod", "validate"], z2_module_text(action=[[[1]]]), "ValueError"),
     (["zmod", "validate"], z2_module_text(action=[[[1, 0]], [[0, 1]]]), "ValueError"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
-        "bad-group", "ring-without-mult", "not-json", "missing-file", "directory",
+        "bad-group", "ring-without-mult", "ring-without-rank-or-labels",
+        "skeleton-without-hom-nonzero", "not-json", "missing-file", "directory",
         "family-p-4", "family-p-1", "family-p-minus-3", "zmod-cap-scale-0",
         "zmod-cap-scale-minus-1", "homs-cap-scale-0", "ring-not-an-object",
         "validate-short-cell", "homs-short-cell", "enumerate-short-cell",
@@ -411,17 +414,33 @@ def test_ring_file_rank_must_match_its_labels(tmp_path):
     assert result.payload["error"]["message"] == "declared rank 3 != label count 2"
 
 
-def test_module_search_guard_reports_size_and_guard(tmp_path, capsys):
-    ring = group_ring([3, 3])
-    path = tmp_path / "z3xz3.ring.json"
+def group_ring_file(path, orders):
+    ring = group_ring(orders)
     path.write_text(json.dumps({"labels": list(ring.labels), "mult": ring.mult,
                                 "unit": ring.unit_coeffs}))
-    assert main(["zmod", "enumerate", str(path)]) == 1
+    return str(path)
+
+
+def test_module_search_guard_reports_size_and_guard(tmp_path, capsys, monkeypatch):
+    # a small budget refuses Z/3 x Z/3 within milliseconds; the count of work
+    # done is deterministic, so a second run reports the same payload
+    monkeypatch.setattr(zmodule, "SEARCH_WORK_BUDGET", 1_000)
+    path = group_ring_file(tmp_path / "z3xz3.ring.json", [3, 3])
+    assert main(["zmod", "enumerate", path]) == 1
     out, err = capsys.readouterr()
     error = json.loads(out)["error"]
-    assert error["type"] == "RankGuardExceeded"
-    assert (error["size"], error["guard"]) == (574_304_985, MODULE_SEARCH_GUARD)
+    assert error["type"] == "SizeGuardExceeded"
+    assert error["guard"] == 1_000 < error["size"]
     assert "Traceback" not in out + err
+    assert main(["zmod", "enumerate", path]) == 1
+    assert capsys.readouterr()[0] == out
+
+
+def test_ring_validate_certifies_a_rank_13_group_ring(tmp_path):
+    result, code = invoke(["ring", "validate", group_ring_file(tmp_path / "z13.ring.json", [13])])
+    assert code == 0
+    assert result.payload["weak_based"] is True
+    assert result.payload["involution"] == [0] + list(range(12, 0, -1))  # g -> g^-1
 
 
 def test_family_depth_guard_reports_size_and_guard():

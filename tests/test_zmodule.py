@@ -9,13 +9,14 @@ from modcat.basedring import (BasedRingData, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, trivial_ring,
                               validate_zplus_ring)
+from modcat.errors import SizeGuardExceeded
 from modcat.pointed import FiniteAbelianGroup, subgroups
-from modcat.zmodule import (MODULE_SEARCH_GUARD, ActionLawFails, EnumerationBounds,
-                            RankGuardExceeded, RingNotWeakBased, UnitActionFails,
-                            ZPlusModuleData, direct_sum, enumerate_irreducible_modules,
+from modcat.zmodule import (SEARCH_WORK_BUDGET, ActionLawFails, EnumerationBounds,
+                            RingNotWeakBased, UnitActionFails, ZPlusModuleData,
+                            direct_sum, enumerate_irreducible_modules,
                             enumerate_ring_homs, invertible_generators,
-                            is_indecomposable, is_irreducible, module_search_size,
-                            regular_module, validate_module)
+                            is_indecomposable, is_irreducible, regular_module,
+                            validate_module)
 
 
 @pytest.fixture(scope="module")
@@ -242,57 +243,56 @@ def test_enumeration_requires_weak_based_ring():
         enumerate_irreducible_modules(ring)
 
 
-def test_rank_guard_on_enumeration():
-    ring = validate_zplus_ring(group_ring([3, 3]))
-    with pytest.raises(RankGuardExceeded):
-        enumerate_irreducible_modules(ring)
+def tensor_ring(a, b):
+    """The based ring a (x) b: basis pairs, constants and unit multiplied."""
+    pairs = list(itertools.product(range(a.rank), range(b.rank)))
+    mult = [[[a.mult[i][j][k] * b.mult[i2][j2][k2] for k, k2 in pairs]
+             for j, j2 in pairs] for i, i2 in pairs]
+    unit = [a.unit_coeffs[i] * b.unit_coeffs[i2] for i, i2 in pairs]
+    return BasedRingData.build([a.labels[i] + b.labels[i2] for i, i2 in pairs], mult, unit)
 
 
-def test_rank_guard_reports_the_search_size():
-    ring = validate_zplus_ring(group_ring([3, 3]))
-    with pytest.raises(RankGuardExceeded) as info:
-        enumerate_irreducible_modules(ring)
-    assert (info.value.size, info.value.guard) == (574_304_985, MODULE_SEARCH_GUARD)
+@pytest.fixture(scope="module")
+def z3xz3_refusal():
+    """The refusal of the Z/3 x Z/3 module search, run once for the tests below."""
+    with pytest.raises(SizeGuardExceeded) as info:
+        enumerate_irreducible_modules(validate_zplus_ring(group_ring([3, 3])))
+    return info.value
+
+
+def test_rank_guard_on_enumeration(z3xz3_refusal):
+    # it would finish past the budget, in about 37 s; the count of work done
+    # stops it within seconds
+    assert isinstance(z3xz3_refusal, SizeGuardExceeded)
+
+
+def test_rank_guard_reports_the_search_size(z3xz3_refusal):
+    assert z3xz3_refusal.guard == SEARCH_WORK_BUDGET < z3xz3_refusal.size
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(tensor_ring(fibonacci_ring(), fibonacci_ring()), id="FibxFib"),
+    # the third refusal at the full budget would add its 4 s to the default run
+    pytest.param(tensor_ring(group_ring([3]), fibonacci_ring()), id="Z3xFib",
+                 marks=pytest.mark.slow),
+])
+def test_module_search_stops_at_the_work_budget(data):
+    # each would finish past the budget (in about 160 and 12 s); the count of
+    # work done stops it within seconds
+    with pytest.raises(SizeGuardExceeded) as info:
+        enumerate_irreducible_modules(validate_zplus_ring(data))
+    assert info.value.guard == SEARCH_WORK_BUDGET < info.value.size
+
+
+def test_hom_search_stops_at_the_work_budget():
+    ring = validate_zplus_ring(group_ring([2, 2, 2, 2]))
+    with pytest.raises(SizeGuardExceeded) as info:
+        enumerate_ring_homs(ring, ring)
+    assert info.value.guard == SEARCH_WORK_BUDGET < info.value.size
 
 
 ABELIAN_GROUPS_UP_TO_8 = [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,),
                           (2, 4), (2, 2, 2)]
-
-
-@pytest.mark.parametrize("orders", ABELIAN_GROUPS_UP_TO_8)
-def test_every_abelian_group_up_to_order_8_is_admitted(orders):
-    ring = validate_zplus_ring(group_ring(list(orders)))
-    n_max = EnumerationBounds.for_ring(ring).n_max
-    m = ring.rank - len(invertible_generators(ring))
-    assert module_search_size(n_max, ring.rank, m) <= MODULE_SEARCH_GUARD
-
-
-def test_the_guard_is_the_size_at_order_8():
-    # the boundary case: the group rings of order 8 at cap_scale 1
-    assert module_search_size(8, 8, 0) == MODULE_SEARCH_GUARD
-
-
-def row_zero_fillings(ring, r, n_max):
-    """Brute force: joint rows 0 of all generator matrices at module rank r
-    with invertible rows unit vectors, every cell of F positive and the row
-    sum of F at most n_max."""
-    inv = invertible_generators(ring)
-    choices = [[tuple(int(k == c) for k in range(r)) for c in range(r)] if i in inv
-               else [v for v in itertools.product(range(n_max + 1), repeat=r)
-                     if sum(v) <= n_max]
-               for i in range(ring.rank)]
-    return sum(1 for rows in itertools.product(*choices)
-               if sum(map(sum, rows)) <= n_max and all(map(sum, zip(*rows))))
-
-
-@pytest.mark.parametrize("name,cap_scale", [("z3", 1), ("klein", 1), ("fib", 1),
-                                            ("fib", 2), ("unit_ring", 3)])
-def test_search_size_bounds_the_row_zero_fillings(request, name, cap_scale):
-    ring = request.getfixturevalue(name)
-    n_max = EnumerationBounds.for_ring(ring, cap_scale).n_max
-    m = ring.rank - len(invertible_generators(ring))
-    total = sum(row_zero_fillings(ring, r, n_max) for r in range(1, n_max + 1))
-    assert 0 < total <= module_search_size(n_max, ring.rank, m)
 
 
 def test_invertible_generators(z3, klein, fib, unit_ring):
@@ -375,13 +375,15 @@ def test_homs_z2_to_z2(z2):
 def test_hom_counts_are_the_group_hom_counts():
     # f(g) f(g^-1) = 1 with non-negative coordinates makes each f(g) a single
     # group element, so the homs Z[G] -> Z[H] are the group homs G -> H, and
-    # for G = sum_i Z/a_i and H = sum_j Z/b_j there are prod gcd(a_i, b_j)
-    rings = [(orders, validate_zplus_ring(group_ring(list(orders))))
-             for orders in ABELIAN_GROUPS_UP_TO_8]
-    for a, source in rings:
-        for b, target in rings:
-            expected = math.prod(math.gcd(x, y) for x in a for y in b)
-            assert len(enumerate_ring_homs(source, target)) == expected, (a, b)
+    # for G = sum_i Z/a_i and H = sum_j Z/b_j there are prod gcd(a_i, b_j);
+    # every pair up to order 8, and a few above rank 8
+    pairs = list(itertools.product(ABELIAN_GROUPS_UP_TO_8, repeat=2)) + [
+        ((9,), (3,)), ((3, 3), (3,)), ((10,), (10,)), ((12,), (2,))]
+    rings = {orders: validate_zplus_ring(group_ring(list(orders)))
+             for pair in pairs for orders in pair}
+    for a, b in pairs:
+        expected = math.prod(math.gcd(x, y) for x in a for y in b)
+        assert len(enumerate_ring_homs(rings[a], rings[b])) == expected, (a, b)
 
 
 def test_homs_fibonacci_to_trivial(fib, unit_ring):
