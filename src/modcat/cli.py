@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -163,11 +164,8 @@ def _cmd_zmod_validate(args) -> CommandResult:
     obj = _json_object(args.file, "module", ("ring", "rank", "action"))
     ring_ref = obj["ring"]
     if isinstance(ring_ref, str):
-        # resolve a relative ring path against the module file's directory
-        from pathlib import Path
-        candidate = Path(args.file).parent / ring_ref
-        base = Path(ring_ref)
-        ring_ref = str(base if base.exists() else candidate)
+        # a relative ring path is resolved against the module file's directory
+        ring_ref = os.path.join(os.path.dirname(args.file), ring_ref)
     ring = basedring.validate_zplus_ring(_ring_from_obj(ring_ref))
     data = zmodule.ZPlusModuleData.build(ring, obj["action"])
     if data.rank != obj["rank"]:

@@ -32,7 +32,7 @@ try plus the terms their caps and prunes sum or compare, over every module
 rank of one call, and raise SizeGuardExceeded once it passes
 ``SEARCH_WORK_BUDGET``; the count is deterministic.  Z/2^3 -> Z/2^3 homs, the
 largest admitted case, count 6,808,935 (1.5-2.5 s), and the modules of the
-group rings of order 8 3.4-3.9 million (4-6 s with their canonical keys).
+group rings of order 8 3.4-3.9 million (3-3.5 s with their canonical keys).
 Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (37, 160 and 12 s to finish)
 are refused after 2.5-5 s, Z/2^4 -> Z/2^4 homs after 1.5 s (Python 3.11,
 one core of a 2-CPU host).
@@ -40,16 +40,11 @@ one core of a 2-CPU host).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .basedring import (ValidatedRing, WeakBasedCertificate, _ints, _is_list,
-                        find_weak_based_involutions)
+from .basedring import (SEARCH_WORK_BUDGET, ValidatedRing, WeakBasedCertificate, _ints,
+                        _is_list, find_weak_based_involutions, lex_min_key)
 from .errors import SizeGuardExceeded, ValidationError
-
-# 3% above the work of the largest admitted case, Z/2^3 -> Z/2^3 homs at
-# 6,808,935 (see the module docstring)
-SEARCH_WORK_BUDGET = 7_000_000
 
 
 class NegativeEntry(ValidationError):
@@ -109,16 +104,9 @@ class ValidatedModule:
         self.action = data.action
 
     def canonical_key(self):
-        """Lexicographically minimal concatenated action matrices over
-        simultaneous permutations of the module basis."""
-        r = self.rank
-        best = None
-        for perm in itertools.permutations(range(r)):
-            key = tuple(mat[perm[l]][perm[k]]
-                        for mat in self.action for l in range(r) for k in range(r))
-            if best is None or key < best:
-                best = key
-        return (self.rank, best)
+        """(rank, the least concatenated action matrices over simultaneous
+        permutations of the module basis), by ``lex_min_key``."""
+        return self.rank, lex_min_key([(mat, 2) for mat in self.action], self.rank)
 
     def __repr__(self) -> str:
         return f"ValidatedModule(rank={self.rank} over rank-{self.ring.rank} ring)"
@@ -152,50 +140,41 @@ def validate_module(data: ZPlusModuleData) -> ValidatedModule:
     return ValidatedModule(data)
 
 
-def is_irreducible(module: ValidatedModule) -> bool:
-    """No proper non-empty basis subset generates a proper submodule."""
+def _positivity_graph(module: ValidatedModule, undirected: bool) -> list[set[int]]:
+    """adj[l]: every k with a positive cell (l, k) in some action matrix, and
+    with a positive cell (k, l) too when ``undirected``."""
     r = module.rank
-    succ = [set() for _ in range(r)]
-    for mat in module.action:
-        for l in range(r):
-            for k in range(r):
-                if mat[l][k] > 0:
-                    succ[l].add(k)
-    for start in range(r):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            l = frontier.pop()
-            for k in succ[l]:
-                if k not in seen:
-                    seen.add(k)
-                    frontier.append(k)
-        if len(seen) != r:
-            return False
-    return True
-
-
-def is_indecomposable(module: ValidatedModule) -> bool:
-    """The undirected positivity graph on the basis is connected."""
-    r = module.rank
-    if r == 0:
-        return False
     adj = [set() for _ in range(r)]
     for mat in module.action:
         for l in range(r):
             for k in range(r):
                 if mat[l][k] > 0:
                     adj[l].add(k)
-                    adj[k].add(l)
-    seen = {0}
-    frontier = [0]
+                    if undirected:
+                        adj[k].add(l)
+    return adj
+
+
+def _reach(adj: list[set[int]], start: int) -> set[int]:
+    seen, frontier = {start}, [start]
     while frontier:
-        l = frontier.pop()
-        for k in adj[l]:
+        for k in adj[frontier.pop()]:
             if k not in seen:
                 seen.add(k)
                 frontier.append(k)
-    return len(seen) == r
+    return seen
+
+
+def is_irreducible(module: ValidatedModule) -> bool:
+    """No proper non-empty basis subset generates a proper submodule."""
+    adj = _positivity_graph(module, undirected=False)
+    return all(len(_reach(adj, start)) == module.rank for start in range(module.rank))
+
+
+def is_indecomposable(module: ValidatedModule) -> bool:
+    """The undirected positivity graph on the basis is connected."""
+    return module.rank > 0 and len(
+        _reach(_positivity_graph(module, undirected=True), 0)) == module.rank
 
 
 def regular_module(ring: ValidatedRing) -> ValidatedModule:
@@ -207,17 +186,9 @@ def regular_module(ring: ValidatedRing) -> ValidatedModule:
 def direct_sum(a: ValidatedModule, b: ValidatedModule) -> ValidatedModule:
     if a.ring is not b.ring and a.ring.data != b.ring.data:
         raise ValueError("modules must share the ring")
-    ra, rb = a.rank, b.rank
-    action = []
-    for i in range(a.ring.rank):
-        mat = [[0] * (ra + rb) for _ in range(ra + rb)]
-        for l in range(ra):
-            for k in range(ra):
-                mat[l][k] = a.action[i][l][k]
-        for l in range(rb):
-            for k in range(rb):
-                mat[ra + l][ra + k] = b.action[i][l][k]
-        action.append(tuple(tuple(row) for row in mat))
+    # the block-diagonal matrix of each pair of actions
+    action = [[row + (0,) * b.rank for row in mat_a] + [(0,) * a.rank + row for row in mat_b]
+              for mat_a, mat_b in zip(a.action, b.action)]
     return validate_module(ZPlusModuleData.build(a.ring, action))
 
 
@@ -225,9 +196,7 @@ def direct_sum(a: ValidatedModule, b: ValidatedModule) -> ValidatedModule:
 class EnumerationBounds:
     """Search caps, recomputed from the ring data (never user-supplied)."""
 
-    n_max: int                 # N = max coefficient of b^2 over the basis
-    rank_bound: int            # module rank <= N
-    coeff_budget_module: int   # N^2, bounds sum_{j,k} F[l0][j] F[j][k]
+    n_max: int                 # N = max coefficient of b^2 over the basis, module rank <= N
     coeff_bound_hom: int = 0   # |J| N, set when built for a hom search
 
     @classmethod
@@ -239,7 +208,7 @@ class EnumerationBounds:
         ones = [1] * ring.rank
         b_squared = ring.product(ones, ones)
         n = max(b_squared) * cap_scale
-        return cls(n_max=n, rank_bound=n, coeff_budget_module=n * n)
+        return cls(n_max=n)
 
     @classmethod
     def for_hom(cls, source: ValidatedRing, target: ValidatedRing,
@@ -247,9 +216,7 @@ class EnumerationBounds:
         """Caps for a homomorphism search; N comes from the source ring and
         the per-coordinate cap is the target rank times N."""
         bounds = cls.for_ring(source, cap_scale)
-        return cls(n_max=bounds.n_max, rank_bound=bounds.rank_bound,
-                   coeff_budget_module=bounds.coeff_budget_module,
-                   coeff_bound_hom=target.rank * bounds.n_max)
+        return cls(n_max=bounds.n_max, coeff_bound_hom=target.rank * bounds.n_max)
 
 
 def _as_certificate(ring) -> WeakBasedCertificate:
@@ -483,7 +450,7 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
             f_rows.pop()
 
     # the helpers read r when called, so each rank reuses them
-    for r in range(1, bounds.rank_bound + 1):
+    for r in range(1, bounds.n_max + 1):
         yield from extend(0)
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.algebras import nucleus_generators
-from modcat.basedring import (CANONICAL_FORM_GUARD, BasedRingData, NegativeConstant,
+from modcat import basedring
+from modcat.basedring import (BasedRingData, NegativeConstant,
                               NotAssociative, UnitLawFails, canonical_form, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, tau, trivial_ring,
@@ -224,20 +225,33 @@ def test_rank_13_is_certified():
     assert cert.based
 
 
-def test_canonical_form_guard_counts_permutation_keys():
-    # the first refused rank: 9! permutations, each an r + r^3 = 738 key
-    ring = validate_zplus_ring(group_ring([9]))
+def test_canonical_form_guard_counts_permutation_keys(monkeypatch):
+    # the guard bounds the work done, 1 per permutation and per key entry
+    # compared or written; it is deterministic, so a second call stops at the
+    # same count
+    monkeypatch.setattr(basedring, "SEARCH_WORK_BUDGET", 1_000)
+    ring = validate_zplus_ring(group_ring([2, 2, 2]))
     with pytest.raises(SizeGuardExceeded) as info:
         canonical_form(ring)
-    assert (info.value.size, info.value.guard) == (362880 * 738, CANONICAL_FORM_GUARD)
+    assert info.value.guard == 1_000 < info.value.size
+    with pytest.raises(SizeGuardExceeded) as again:
+        canonical_form(ring)
+    assert again.value.size == info.value.size
+
+
+def test_canonical_form_at_rank_8():
+    # the least unit vector puts the 1 of the identity last
+    ring = validate_zplus_ring(group_ring([2, 2, 2]))
+    assert canonical_form(ring)[0] == (0,) * 7 + (1,)
 
 
 @pytest.mark.slow
-def test_canonical_form_guard_boundary_finishes():
-    # rank 8 is the largest admitted: 8! * (8 + 8^3) keys
-    assert CANONICAL_FORM_GUARD == 40320 * 520
-    ring = validate_zplus_ring(group_ring([2, 2, 2]))
-    assert canonical_form(ring)[0] == (0,) * 7 + (1,)
+def test_canonical_form_stops_at_the_work_budget_at_rank_9():
+    # about 2 s of work before the refusal
+    ring = validate_zplus_ring(group_ring([9]))
+    with pytest.raises(SizeGuardExceeded) as info:
+        canonical_form(ring)
+    assert info.value.guard == basedring.SEARCH_WORK_BUDGET < info.value.size
 
 
 def test_canonical_form_is_permutation_invariant():

@@ -55,6 +55,21 @@ def test_zmod_validate_regular_module():
     assert result.payload["irreducible"] is True
 
 
+def test_zmod_validate_reads_the_ring_next_to_the_module(tmp_path, monkeypatch):
+    # a relative ring path names the file in the module file's directory,
+    # not a file of that name in the working directory
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    for folder in (home, cwd):
+        folder.mkdir()
+    for name in ("z2.ring.json", "regular_z2.module.json"):
+        (home / name).write_text((DATA / name).read_text())
+    (cwd / "z2.ring.json").write_text((DATA / "z3.ring.json").read_text())
+    monkeypatch.chdir(cwd)
+    result, code = invoke(["zmod", "validate", str(home / "regular_z2.module.json")])
+    assert code == 0
+    assert result.payload["rank"] == 2
+
+
 def test_zmod_enumerate():
     result, code = invoke(["zmod", "enumerate", str(DATA / "z2.ring.json")])
     assert code == 0

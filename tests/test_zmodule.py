@@ -129,7 +129,7 @@ def test_rank_one_trivial_is_indecomposable(z2):
 def test_bounds_are_ring_derived(z2, fib):
     assert EnumerationBounds.for_ring(z2).n_max == 2       # (1+g)^2 = 2 + 2g
     assert EnumerationBounds.for_ring(fib).n_max == 3      # (1+b)^2 = 2 + 3b
-    assert EnumerationBounds.for_ring(z2, cap_scale=2).coeff_budget_module == 16
+    assert EnumerationBounds.for_ring(z2, cap_scale=2).n_max == 4
 
 
 @pytest.mark.parametrize("cap_scale", [0, -1])
