@@ -33,10 +33,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import basedring, dy, fusion2, pointed, skeleton, zmodule
+from . import basedring, dy, fieldprofile, fields, fusion2, pointed, skeleton, zmodule
 from .errors import ModcatError, ValidationError
-from .fieldprofile import profile_from_code
-from .fields import _is_prime, field_from_code
 
 
 _EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
@@ -231,7 +229,7 @@ def _cmd_twocat_family(args) -> CommandResult:
 
 def _cmd_pointed_classes(args) -> CommandResult:
     group = _parse_group(args.group)
-    profile = profile_from_code(_field_code(args))
+    profile = fieldprofile.profile_from_code(_field_code(args))
     classes = pointed.module_classes(group, profile)
     rows = [(c.label, str(c.subgroup), c.subgroup.order, c.cocycle_class_index, c.separable)
             for c in classes]
@@ -248,7 +246,7 @@ def _cmd_pointed_classes(args) -> CommandResult:
 
 
 def _cmd_pointed_braidings(args) -> CommandResult:
-    profile = profile_from_code(_field_code(args))
+    profile = fieldprofile.profile_from_code(_field_code(args))
     braidings = pointed.braidings_on_cyclic(args.p, profile)
     payload = {"count": len(braidings),
                "zeta_exponents": [b.zeta_exponent for b in braidings]}
@@ -266,7 +264,7 @@ def _cmd_pointed_squareclasses(args) -> CommandResult:
 
 def _cmd_dy_dims(args) -> CommandResult:
     group = _parse_group(args.group)
-    field = field_from_code(args.coeff)
+    field = fields.field_from_code(args.coeff)
     functor = dy.PointedFunctorData.identity(group, field)
     complex_ = dy.build_dy_complex(functor, args.nmax)
     dims = dy.dy_cohomology_dims(complex_)
@@ -280,7 +278,7 @@ def _cmd_dy_dims(args) -> CommandResult:
 
 def _cmd_dy_diagnostic(args) -> CommandResult:
     group = _parse_group(args.group)
-    field = field_from_code(args.coeff)
+    field = fields.field_from_code(args.coeff)
     diag = dy.separability_diagnostic(group, field)
     payload = {"h2_dim": diag.h2_dim, "h3_dim": diag.h3_dim,
                "consistent_with_separability": diag.consistent_with_separability}
@@ -290,8 +288,7 @@ def _cmd_dy_diagnostic(args) -> CommandResult:
 
 
 def _cmd_fusion2_real(args) -> CommandResult:
-    from .fieldprofile import BASE, COMPLEXIFICATION, QUATERNION
-    classes = [BASE, COMPLEXIFICATION, QUATERNION]
+    classes = [fieldprofile.BASE, fieldprofile.COMPLEXIFICATION, fieldprofile.QUATERNION]
     rows = []
     table = {}
     for d in classes:
@@ -315,11 +312,10 @@ def _cmd_fusion2_ffield(args) -> CommandResult:
 
 
 def _cmd_fusion2_pointed(args) -> CommandResult:
-    from .fieldprofile import alg_closed
-    if not _is_prime(args.p):
+    if not fields._is_prime(args.p):
         raise ValueError(f"--p {args.p} is not prime")
     group = pointed.FiniteAbelianGroup((args.p,))
-    classes = pointed.module_classes(group, alg_closed(0))
+    classes = pointed.module_classes(group, fieldprofile.alg_closed(0))
     zeta = pointed.BraidingParam(args.p, args.zeta)
     rows = []
     table = {}

@@ -476,14 +476,57 @@ def test_family_prime_beyond_the_primality_guard_reports_size_and_guard(capsys):
     assert "Traceback" not in out + err
 
 
-def test_sympy_is_imported_only_for_factorization():
-    # importing the CLI and validating a ring never factor a polynomial
+# modcat modules whose bodies a command never runs; a module registered by
+# LazyLoader keeps its lazy class until its first attribute access
+UNEXECUTED = [
+    (["ring", "validate", "data/fib.ring.json"],
+     {"fusion2", "dy", "pointed", "skeleton", "zmodule", "fieldprofile"}),
+    (["pointed", "braidings", "--p", "3"],
+     {"algebras", "linalg", "basedring", "zmodule", "dy", "fusion2", "skeleton"}),
+    (["twocat", "family", "--p", "2", "--depth", "8"],
+     {"algebras", "linalg", "basedring", "pointed", "fieldprofile", "dy", "fusion2"}),
+]
+
+
+@pytest.mark.parametrize("argv, unexecuted", UNEXECUTED,
+                         ids=["-".join(argv[:2]) for argv, _ in UNEXECUTED])
+def test_a_command_runs_only_the_modules_it_calls(argv, unexecuted):
+    script = (
+        "import json, sys, types\n"
+        "import modcat.cli\n"
+        f"code = modcat.cli.run({argv!r})[1]\n"
+        "print(json.dumps({'code': code, 'sympy': 'sympy' in sys.modules,\n"
+        "                  'lazy': [n.split('.')[1] for n, m in sys.modules.items()\n"
+        "                           if n.startswith('modcat.')\n"
+        "                           and type(m) is not types.ModuleType]}))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=str(DATA.parent))
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    assert seen["code"] == 0
+    assert not seen["sympy"]
+    assert unexecuted <= set(seen["lazy"]), unexecuted - set(seen["lazy"])
+
+
+def test_import_modcat_registers_every_submodule_and_serves_the_public_names():
     script = (
         "import sys\n"
-        "import modcat.cli\n"
-        "assert 'sympy' not in sys.modules, 'import modcat.cli loaded sympy'\n"
-        "assert modcat.cli.run(['ring', 'validate', 'data/fib.ring.json'])[1] == 0\n"
-        "assert 'sympy' not in sys.modules, 'ring validate loaded sympy'\n")
+        "sys.path.insert(0, 'perfbench')\n"
+        "from tracing import TRACED\n"
+        "import modcat\n"
+        "for module_name, _ in TRACED.values():\n"
+        "    assert module_name in sys.modules, module_name\n"
+        "    assert getattr(modcat, module_name.split('.')[1]) is sys.modules[module_name]\n"
+        "for name in set(modcat.__all__) - {'AlgebraNotAssociative'}:\n"
+        "    value = getattr(modcat, name)\n"
+        "    # a class or function by its own module, a constant by its class's\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+        "assert modcat.AlgebraNotAssociative is modcat.algebras.NotAssociative\n"
+        "assert not hasattr(modcat, 'no_such_name')\n"
+        "namespace = {}\n"
+        "exec('from modcat import *', namespace)\n"
+        "assert {n: namespace[n] for n in modcat.__all__} == "
+        "{n: getattr(modcat, n) for n in modcat.__all__}\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, cwd=str(DATA.parent))
     assert result.returncode == 0, result.stderr

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from operator import mul
 
 import pytest
 
@@ -148,41 +149,42 @@ def test_cap_scale_below_one_is_refused(z2, cap_scale):
 
 # -- brute-force oracles ------------------------------------------------------
 
+def _relation_row_holds(unit_row, row, cols, top, relation):
+    """Row l of the defining relation M^top = sum c M^e, from e_l and row l of M."""
+    chain = [unit_row, row]
+    for _ in range(top - 1):
+        chain.append(tuple(sum(map(mul, chain[-1], col)) for col in cols))
+    return chain[top] == tuple(sum(c * chain[e][k] for e, c in relation)
+                               for k in range(len(row)))
+
+
 def oracle_modules_single_generator(ring, generator_index, power_relations, cap):
     """Exhaustive oracle for rings generated by one basis element.
 
-    Enumerates every candidate matrix for the generator with entries up to
-    ``cap`` and ranks up to ``cap``, derives the other action matrices as
-    powers, and filters by the module laws.  Returns canonical keys.
+    Enumerates every candidate matrix M for the generator with entries up to
+    ``cap`` and ranks up to ``cap``; basis element ``power_relations[j]`` acts
+    by M^(j+1).  Each candidate, a flat tuple of ints, must first satisfy the
+    defining relation b_last b_gen = sum_k N_{last,gen}^k b_k, tested row by
+    row so that most fail on row 0.  Only the survivors get their powers
+    built and are filtered by the module laws.  Returns canonical keys.
     """
+    exponent = {0: 0, **{index: j + 1 for j, index in enumerate(power_relations)}}
+    top = len(power_relations) + 1
+    relation = [(exponent[k], c)
+                for k, c in enumerate(ring.data.mult[power_relations[-1]][generator_index]) if c]
     found = set()
     for rank in range(1, cap + 1):
-        cells = rank * rank
-        for entries in itertools.product(range(cap + 1), repeat=cells):
-            mat = tuple(tuple(entries[l * rank + k] for k in range(rank))
-                        for l in range(rank))
-            action = [None] * ring.rank
-            identity = tuple(tuple(1 if l == k else 0 for k in range(rank))
-                             for l in range(rank))
-            action[0] = identity
-            power = identity
-            for index in power_relations:
-                power = tuple(
-                    tuple(sum(power[l][s] * mat[s][k] for s in range(rank))
-                          for k in range(rank)) for l in range(rank))
-                action[index] = power
-            # cheap pre-filter: the product of the last power with the
-            # generator must match its structure-constant expansion
-            last = power_relations[-1]
-            closure = tuple(
-                tuple(sum(power[l][s] * mat[s][k] for s in range(rank))
-                      for k in range(rank)) for l in range(rank))
-            expected = tuple(
-                tuple(sum(ring.data.mult[last][generator_index][k] * action[k][l][c]
-                          for k in range(ring.rank))
-                      for c in range(rank)) for l in range(rank))
-            if closure != expected:
+        identity = tuple(tuple(int(l == k) for k in range(rank)) for l in range(rank))
+        for entries in itertools.product(range(cap + 1), repeat=rank * rank):
+            cols = [entries[k::rank] for k in range(rank)]
+            if not all(_relation_row_holds(identity[l], entries[l * rank:(l + 1) * rank],
+                                           cols, top, relation) for l in range(rank)):
                 continue
+            action = [None] * ring.rank
+            action[0] = power = identity
+            for index in power_relations:
+                power = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in power)
+                action[index] = power
             try:
                 module = validate_module(ZPlusModuleData.build(ring, action))
             except Exception:
