@@ -46,7 +46,7 @@ _EXPORTS = {
                "coefficient_field finite_field_tensor graded_group_algebra "
                "pointed_braided_product rational_division_algebra "
                "real_division_tensor realize_module_class unit_algebra_object",
-    "errors": "GuardError ModcatError SizeGuardExceeded ValidationError",
+    "errors": "GuardError ModcatError SizeGuardExceeded UsageError ValidationError",
 }
 
 # public name -> (defining module, attribute)

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebras import first_law_failure, nucleus_generators
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError
 
 # 3% above the largest admitted search, Z/2^3 -> Z/2^3 homs at 6,808,935 (see
 # the zmodule docstring); each search and each canonical key counts from 0
@@ -68,14 +68,17 @@ class BasedRingData:
 
     @classmethod
     def build(cls, labels, mult, unit_coeffs, involution=None) -> "BasedRingData":
-        """The datum of rank len(labels).  Raises ValueError unless mult is
-        rank x rank x rank and every coefficient, unit and involution entry is
-        an int (a bool is not); lengths and signs are left to validation."""
+        """The datum of rank len(labels).  Raises UsageError unless labels are
+        strings, mult is rank x rank x rank and every coefficient, unit and
+        involution entry is an int (not a bool); lengths and signs are left
+        to validation."""
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+            raise UsageError(f"labels must be a list of strings, not {labels!r}")
         labels = tuple(labels)
         r = len(labels)
         if not _is_list(mult, r) or not all(
                 _is_list(plane, r) and all(_is_list(cell, r) for cell in plane) for plane in mult):
-            raise ValueError(f"mult must be {r} x {r} x {r} nested lists")
+            raise UsageError(f"mult must be {r} x {r} x {r} nested lists")
         mult = tuple(tuple(_ints(cell, f"mult[{i}][{j}]") for j, cell in enumerate(plane))
                      for i, plane in enumerate(mult))
         return cls(rank=r, labels=labels, mult=mult,
@@ -90,7 +93,7 @@ def _is_list(value, length: int) -> bool:
 def _ints(values, where: str) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{where} must be a list of ints, not {values!r}")
+        raise UsageError(f"{where} must be a list of ints, not {values!r}")
     return tuple(values)
 
 
@@ -136,6 +139,8 @@ class ValidatedRing:
 def validate_zplus_ring(data: BasedRingData) -> ValidatedRing:
     """Check non-negativity, associativity and the unit law; raise on failure."""
     r = data.rank
+    if r == 0:
+        raise ValidationError("rank must be at least 1: the unit needs a nonempty support")
     if len(data.labels) != r or len(data.unit_coeffs) != r:
         raise ValidationError("labels/unit_coeffs length must equal rank")
     for i in range(r):

@@ -12,8 +12,10 @@ Subcommands mirror the library modules:
 All payloads are exact (integers, fraction strings, coefficient vectors) and
 serialized with sorted keys, so identical invocations produce byte-identical
 output.  Exit codes: 0 on success, 1 on a validation error (the message names
-the violated axiom and its indices), 2 on a usage error: bad arguments or a
-missing, unreadable or malformed input file.
+the violated axiom and its indices), 2 on a usage error: bad arguments, or a
+missing, unreadable, malformed or ill-typed input file.  Every usage error,
+argparse's included, is a ``UsageError`` raised where the input is checked,
+and prints {"status": "usage", "error": {"type": "UsageError", "message": ...}}.
 
 File formats (JSON):
 
@@ -34,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from . import basedring, dy, fieldprofile, fields, fusion2, pointed, skeleton, zmodule
-from .errors import ModcatError, ValidationError
+from .errors import ModcatError, UsageError, ValidationError
 
 
 _EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
@@ -52,39 +54,63 @@ class CommandResult:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, bad UTF-8 or JSON
+        raise UsageError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None
 
 
 def _json_object(obj, what: str, keys=()) -> dict:
-    """obj, or the JSON file it names, checked to be an object with the keys."""
+    """obj, or the JSON file it names, checked to be an object with the keys;
+    a key set to null is missing."""
     if isinstance(obj, str):
         obj = _load_json(obj)
     if not isinstance(obj, dict):
-        raise ValueError(f"a {what} must be a JSON object, not {type(obj).__name__}")
-    if missing := [key for key in keys if key not in obj]:
-        raise ValueError(f"a {what} needs the keys {', '.join(keys)}; missing: {', '.join(missing)}")
+        raise UsageError(f"a {what} must be a JSON object, not {type(obj).__name__}")
+    if missing := [key for key in keys if obj.get(key) is None]:
+        raise UsageError(f"a {what} needs the keys {', '.join(keys)}; missing: {', '.join(missing)}")
     return obj
+
+
+def _is_json_list(value, kind, depth: int = 1) -> bool:
+    """value is a list (of lists, depth deep) of JSON values of type kind."""
+    if depth == 0:
+        return type(value) is kind
+    return isinstance(value, list) and all(_is_json_list(x, kind, depth - 1) for x in value)
+
+
+def _declared_rank(obj, what: str) -> int | None:
+    """obj's "rank", checked to be a non-negative int; None if it has none."""
+    rank = obj.get("rank")
+    if rank is not None and (type(rank) is not int or rank < 0):
+        raise UsageError(f"a {what}'s rank must be a non-negative int, not {rank!r}")
+    return rank
 
 
 def _ring_from_obj(obj) -> basedring.BasedRingData:
     obj = _json_object(obj, "ring", ("mult", "unit"))
-    if "labels" not in obj and "rank" not in obj:
-        raise ValueError("a ring needs its labels or its rank")
+    labels, rank = obj.get("labels"), _declared_rank(obj, "ring")
+    if labels is None and rank is None:
+        raise UsageError("a ring needs its labels or its rank")
     data = basedring.BasedRingData.build(
-        labels=obj["labels"] if "labels" in obj else [f"b{i}" for i in range(obj["rank"])],
+        labels=labels if labels is not None else [f"b{i}" for i in range(rank)],
         mult=obj["mult"],
         unit_coeffs=obj["unit"],
         involution=obj.get("involution"))
-    if "rank" in obj and obj["rank"] != data.rank:
-        raise ValidationError(f"declared rank {obj['rank']} != label count {data.rank}")
+    if rank is not None and rank != data.rank:
+        raise ValidationError(f"declared rank {rank} != label count {data.rank}")
     return data
 
 
 def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:
     obj = _json_object(obj, "skeleton", ("simples", "hom_nonzero"))
-    if not all(isinstance(x, bool) for row in obj["hom_nonzero"] for x in row):
-        raise ValueError("hom_nonzero entries must be true or false")
+    for key, kind, depth, what in (("simples", str, 1, "a list of strings"),
+                                   ("hom_nonzero", bool, 2, "rows of true or false"),
+                                   ("hom_dims", int, 2, "rows of ints"),
+                                   ("max_end_dim", int, 1, "a list of ints")):
+        if obj.get(key) is not None and not _is_json_list(obj[key], kind, depth):
+            raise UsageError(f"{key} must be {what}")
     return skeleton.TwoCatSkeleton.build(
         simples=obj["simples"],
         hom_nonzero=obj["hom_nonzero"],
@@ -93,7 +119,10 @@ def _skeleton_from_obj(obj) -> skeleton.TwoCatSkeleton:
 
 
 def _parse_group(text: str) -> pointed.FiniteAbelianGroup:
-    orders = tuple(int(part) for part in text.split(","))
+    try:
+        orders = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"--group takes comma-separated invariant factors, not {text!r}") from None
     return pointed.FiniteAbelianGroup(orders)
 
 
@@ -165,9 +194,10 @@ def _cmd_zmod_validate(args) -> CommandResult:
         # a relative ring path is resolved against the module file's directory
         ring_ref = os.path.join(os.path.dirname(args.file), ring_ref)
     ring = basedring.validate_zplus_ring(_ring_from_obj(ring_ref))
+    rank = _declared_rank(obj, "module")
     data = zmodule.ZPlusModuleData.build(ring, obj["action"])
-    if data.rank != obj["rank"]:
-        raise ValidationError(f"declared rank {obj['rank']} != action rank {data.rank}")
+    if data.rank != rank:
+        raise ValidationError(f"declared rank {rank} != action rank {data.rank}")
     module = zmodule.validate_module(data)
     payload = {"valid": True, "rank": module.rank,
                "irreducible": zmodule.is_irreducible(module),
@@ -287,17 +317,19 @@ def _cmd_dy_diagnostic(args) -> CommandResult:
                          f"consistent with separability: {diag.consistent_with_separability}")
 
 
+def _product_table(payload: dict, objects, name, product) -> CommandResult:
+    """The payload with the "table" of product summands of every ordered pair
+    of objects, keyed "left x right", and the same table in markdown."""
+    pairs = [(name(a), name(b), product(a, b).summands) for a in objects for b in objects]
+    payload["table"] = {f"{a} x {b}": list(summands) for a, b, summands in pairs}
+    return CommandResult("ok", payload, _markdown_table(
+        ["left", "right", "product"], [(a, b, " + ".join(summands)) for a, b, summands in pairs]))
+
+
 def _cmd_fusion2_real(args) -> CommandResult:
-    classes = [fieldprofile.BASE, fieldprofile.COMPLEXIFICATION, fieldprofile.QUATERNION]
-    rows = []
-    table = {}
-    for d in classes:
-        for e in classes:
-            product = fusion2.real_division_tensor(d, e)
-            rows.append((d.name, e.name, " + ".join(product.summands)))
-            table[f"{d.name} x {e.name}"] = list(product.summands)
-    return CommandResult("ok", {"table": table},
-                         _markdown_table(["left", "right", "product"], rows))
+    return _product_table({}, [fieldprofile.BASE, fieldprofile.COMPLEXIFICATION,
+                               fieldprofile.QUATERNION],
+                          lambda d: d.name, fusion2.real_division_tensor)
 
 
 def _cmd_fusion2_ffield(args) -> CommandResult:
@@ -313,25 +345,65 @@ def _cmd_fusion2_ffield(args) -> CommandResult:
 
 def _cmd_fusion2_pointed(args) -> CommandResult:
     if not fields._is_prime(args.p):
-        raise ValueError(f"--p {args.p} is not prime")
+        raise UsageError(f"--p {args.p} is not prime")
     group = pointed.FiniteAbelianGroup((args.p,))
     classes = pointed.module_classes(group, fieldprofile.alg_closed(0))
     zeta = pointed.BraidingParam(args.p, args.zeta)
-    rows = []
-    table = {}
-    for a in classes:
-        for b in classes:
-            product = fusion2.pointed_braided_product(args.p, zeta, a, b)
-            rows.append((a.label, b.label, " + ".join(product.summands)))
-            table[f"{a.label} x {b.label}"] = list(product.summands)
-    payload = {"p": args.p, "zeta_exponent": args.zeta, "table": table}
-    return CommandResult("ok", payload, _markdown_table(["left", "right", "product"], rows))
+    return _product_table({"p": args.p, "zeta_exponent": args.zeta}, classes,
+                          lambda c: c.label,
+                          lambda a, b: fusion2.pointed_braided_product(args.p, zeta, a, b))
 
 
 # -- driver ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on a bad command line; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+_ARG_CAP_SCALE = ("--cap-scale", {"type": int, "default": 1})
+_ARG_P = ("--p", {"type": int, "required": True})
+_ARG_FIELD = ("--field", {"default": None})
+
+# command -> (help, {subcommand: (handler, [(argument, add_argument keywords)])})
+_COMMANDS = {
+    "ring": ("based ring operations", {
+        "validate": (_cmd_ring_validate, [("file", {})]),
+        "involutions": (_cmd_ring_involutions, [("file", {})]),
+        "homs": (_cmd_ring_homs, [("source", {}), ("target", {}), _ARG_CAP_SCALE])}),
+    "zmod": ("module operations", {
+        "validate": (_cmd_zmod_validate, [("file", {})]),
+        "enumerate": (_cmd_zmod_enumerate, [("file", {}), _ARG_CAP_SCALE, ("--indecomposable", {
+            "action": "store_true",
+            "help": "keep only indecomposable modules (irreducible ones always are)"})])}),
+    "twocat": ("2-category skeletons", {
+        "validate": (_cmd_twocat_validate, [("file", {})]),
+        "pi0": (_cmd_twocat_pi0, [("file", {})]),
+        "family": (_cmd_twocat_family, [_ARG_P, ("--depth", {"type": int, "required": True})])}),
+    "pointed": ("pointed category bookkeeping", {
+        "classes": (_cmd_pointed_classes, [("--group", {
+            "required": True, "help": "comma-separated invariant factors, e.g. 2,4"}), _ARG_FIELD]),
+        "braidings": (_cmd_pointed_braidings, [_ARG_P, _ARG_FIELD]),
+        "squareclasses": (_cmd_pointed_squareclasses,
+                          [("--bound", {"type": int, "required": True})])}),
+    "dy": ("deformation cohomology", {
+        "dims": (_cmd_dy_dims, [("--group", {"required": True}),
+                                ("--coeff", {"required": True, "help": "q, fp<p> or cyclo<n>"}),
+                                ("--nmax", {"type": int, "default": 4})]),
+        "diagnostic": (_cmd_dy_diagnostic,
+                       [("--group", {"required": True}), ("--coeff", {"required": True})])}),
+    "fusion2": ("fusion product tables", {
+        "real": (_cmd_fusion2_real, []),
+        "ffield": (_cmd_fusion2_ffield, [(name, {"type": int}) for name in ("p", "q", "r")]),
+        "pointed": (_cmd_fusion2_pointed, [_ARG_P, ("--zeta", {
+            "type": int, "required": True, "help": "exponent of the braiding root"})])}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modcat",
         description="Exact bookkeeping for based rings, module classes and fusion products.")
     parser.add_argument("--format", choices=["json", "md"], default="json",
@@ -341,94 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seedless", action="store_true",
                         help="accepted for interface stability; output is always deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ring = sub.add_parser("ring", help="based ring operations").add_subparsers(
-        dest="subcommand", required=True)
-    p = ring.add_parser("validate");  p.add_argument("file");  p.set_defaults(func=_cmd_ring_validate)
-    p = ring.add_parser("involutions"); p.add_argument("file"); p.set_defaults(func=_cmd_ring_involutions)
-    p = ring.add_parser("homs")
-    p.add_argument("source"); p.add_argument("target")
-    p.add_argument("--cap-scale", type=int, default=1)
-    p.set_defaults(func=_cmd_ring_homs)
-
-    zmod = sub.add_parser("zmod", help="module operations").add_subparsers(
-        dest="subcommand", required=True)
-    p = zmod.add_parser("validate"); p.add_argument("file"); p.set_defaults(func=_cmd_zmod_validate)
-    p = zmod.add_parser("enumerate")
-    p.add_argument("file")
-    p.add_argument("--cap-scale", type=int, default=1)
-    p.add_argument("--indecomposable", action="store_true",
-                   help="keep only indecomposable modules (irreducible ones always are)")
-    p.set_defaults(func=_cmd_zmod_enumerate)
-
-    twocat = sub.add_parser("twocat", help="2-category skeletons").add_subparsers(
-        dest="subcommand", required=True)
-    p = twocat.add_parser("validate"); p.add_argument("file"); p.set_defaults(func=_cmd_twocat_validate)
-    p = twocat.add_parser("pi0"); p.add_argument("file"); p.set_defaults(func=_cmd_twocat_pi0)
-    p = twocat.add_parser("family")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=_cmd_twocat_family)
-
-    pt = sub.add_parser("pointed", help="pointed category bookkeeping").add_subparsers(
-        dest="subcommand", required=True)
-    p = pt.add_parser("classes")
-    p.add_argument("--group", required=True, help="comma-separated invariant factors, e.g. 2,4")
-    p.add_argument("--field", default=None)
-    p.set_defaults(func=_cmd_pointed_classes)
-    p = pt.add_parser("braidings")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--field", default=None)
-    p.set_defaults(func=_cmd_pointed_braidings)
-    p = pt.add_parser("squareclasses")
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=_cmd_pointed_squareclasses)
-
-    dysub = sub.add_parser("dy", help="deformation cohomology").add_subparsers(
-        dest="subcommand", required=True)
-    p = dysub.add_parser("dims")
-    p.add_argument("--group", required=True)
-    p.add_argument("--coeff", required=True, help="q, fp<p> or cyclo<n>")
-    p.add_argument("--nmax", type=int, default=4)
-    p.set_defaults(func=_cmd_dy_dims)
-    p = dysub.add_parser("diagnostic")
-    p.add_argument("--group", required=True)
-    p.add_argument("--coeff", required=True)
-    p.set_defaults(func=_cmd_dy_diagnostic)
-
-    fus = sub.add_parser("fusion2", help="fusion product tables").add_subparsers(
-        dest="subcommand", required=True)
-    p = fus.add_parser("real"); p.set_defaults(func=_cmd_fusion2_real)
-    p = fus.add_parser("ffield")
-    p.add_argument("p", type=int); p.add_argument("q", type=int); p.add_argument("r", type=int)
-    p.set_defaults(func=_cmd_fusion2_ffield)
-    p = fus.add_parser("pointed")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--zeta", type=int, required=True, help="exponent of the braiding root")
-    p.set_defaults(func=_cmd_fusion2_pointed)
-
+    for command, (help_text, subcommands) in _COMMANDS.items():
+        group = sub.add_parser(command, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for name, (func, arguments) in subcommands.items():
+            p = group.add_parser(name)
+            for argument, keywords in arguments:
+                p.add_argument(argument, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv) -> tuple[CommandResult, int]:
     """Parse and execute; returns the structured result and the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.func(args)
     except ModcatError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         for attr in ("indices", "index", "degree", "size", "guard"):
             if hasattr(exc, attr):
                 payload["error"][attr] = getattr(exc, attr)
-        result = CommandResult("error", payload, f"error: {exc}")
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        # a bad argument value, an unreadable path (missing file, directory)
-        # or a malformed input file (JSONDecodeError is a ValueError, a
-        # missing key a KeyError): a usage error, not a crash
-        result = CommandResult("usage",
-                               {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                               f"usage error: {exc}")
+        usage = isinstance(exc, UsageError)
+        result = CommandResult("usage" if usage else "error", payload,
+                               f"{'usage error' if usage else 'error'}: {exc}")
     return result, result.exit_code
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError
 from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup
@@ -148,7 +148,7 @@ def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
     group = functor.source
     field = functor.field
     if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
+        raise UsageError("n_max must be at least 1")
     if n_max > NMAX_GUARD:
         raise SizeGuardExceeded(n_max, NMAX_GUARD)
     size = sum(group.order ** (n + 1) * (n + 2) for n in range(n_max))

@@ -4,7 +4,8 @@ Every structured failure in the library derives from :class:`ModcatError`.
 Validation failures (an axiom of some input structure does not hold) derive
 from :class:`ValidationError` and carry enough indices to point at the first
 violated identity.  Guard failures (input too large for an exhaustive
-routine) derive from :class:`GuardError`.
+routine) derive from :class:`GuardError`.  A malformed argument or input
+file raises :class:`UsageError`, which is also a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ class ModcatError(Exception):
 
 class ValidationError(ModcatError):
     """An input structure violates one of its defining axioms."""
+
+
+class UsageError(ModcatError, ValueError):
+    """An argument or input file is malformed: the caller's mistake."""
 
 
 class GuardError(ModcatError):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ModcatError
-from .fields import _is_prime
+from .errors import ModcatError, UsageError
+from .fields import _code_int, _is_prime
 
 
 class FieldKind(Enum):
@@ -62,13 +62,13 @@ class FieldProfile:
     def __post_init__(self):
         if self.kind == FieldKind.ALG_CLOSED:
             if self.char != 0 and not _is_prime(self.char):
-                raise ValueError("characteristic must be 0 or prime")
+                raise UsageError("characteristic must be 0 or prime")
         elif self.kind == FieldKind.FINITE:
             if not _is_prime(self.char):
-                raise ValueError("finite profile needs a prime characteristic")
+                raise UsageError("finite profile needs a prime characteristic")
         elif self.kind in (FieldKind.REAL_CLOSED, FieldKind.RATIONALS):
             if self.char != 0:
-                raise ValueError(f"{self.kind.value} forces characteristic 0")
+                raise UsageError(f"{self.kind.value} forces characteristic 0")
 
     @property
     def code(self) -> str:
@@ -106,16 +106,16 @@ def separably_closed_nonperfect(tag: str, char: int) -> FieldProfile:
 def profile_from_code(code: str) -> FieldProfile:
     """Parse profile codes: "ac0", "ac<p>", "rc", "fp<p>", "q", "sep:<tag>"."""
     if code.startswith("ac"):
-        return alg_closed(int(code[2:]))
+        return alg_closed(_code_int(code, "ac", "field profile code"))
     if code == "rc":
         return real_closed()
     if code.startswith("fp"):
-        return finite(int(code[2:]))
+        return finite(_code_int(code, "fp", "field profile code"))
     if code == "q":
         return rationals()
     if code.startswith("sep:"):
         return separably_closed_nonperfect(code[4:], 0)
-    raise ValueError(f"unknown field profile code: {code!r}")
+    raise UsageError(f"unknown field profile code: {code!r}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from math import gcd, isqrt
 
 from .algebras import (StructureConstantAlgebra, _coordinates, _image_basis,
                        split_commutative_algebra)
-from .errors import ModcatError, SizeGuardExceeded, ValidationError
+from .errors import ModcatError, SizeGuardExceeded, UsageError, ValidationError
 from .fields import CyclotomicField, Field, PrimeField, QQ
 from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel,
                            brauer_add, finite_ext, real_closed)
@@ -428,7 +428,7 @@ def finite_field_tensor(p: int, q: int, r: int) -> Fusion2Product:
     f, depends on p and r only, so the guard bounds p * r.
     """
     if q < 1 or r < 1:
-        raise ValueError("extension degrees must be positive")
+        raise UsageError("extension degrees must be positive")
     if p * r > FFIELD_DEGREE_GUARD:
         raise SizeGuardExceeded(p * r, FFIELD_DEGREE_GUARD)
     f = [c.v for c in irreducible_polynomial(p, r).coeffs]

@@ -23,8 +23,9 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import GuardError, ModcatError
+from .errors import GuardError, ModcatError, UsageError
 from .fieldprofile import FieldKind, FieldProfile
+from .fields import _is_prime
 
 SUBGROUP_ORDER_LIMIT = 512
 
@@ -55,10 +56,10 @@ class FiniteAbelianGroup:
         orders = tuple(int(n) for n in cyclic_orders)
         for n in orders:
             if n < 2:
-                raise ValueError("cyclic orders must be at least 2")
+                raise UsageError("cyclic orders must be at least 2")
         for a, b in zip(orders, orders[1:]):
             if b % a != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+                raise UsageError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "cyclic_orders", orders)
 
     @property
@@ -341,15 +342,18 @@ class BraidingParam:
 
     def __post_init__(self):
         if not (0 <= self.zeta_exponent < self.p):
-            raise ValueError("zeta exponent must lie in [0, p)")
+            raise UsageError("zeta exponent must lie in [0, p)")
 
 
 def braidings_on_cyclic(p: int, field: FieldProfile) -> list[BraidingParam]:
     """All braidings on Z/p-graded vector spaces over the given closed field.
 
     Away from the characteristic there are p of them, one per p-th root of
-    unity; in characteristic p the only p-th root of unity is 1.
+    unity; in characteristic p the only p-th root of unity is 1.  p must be
+    prime (UsageError).
     """
+    if not _is_prime(p):
+        raise UsageError(f"{p} is not prime")
     if field.kind != FieldKind.ALG_CLOSED:
         raise UnsupportedField("braidings are enumerated over algebraically closed fields")
     if field.char == p:
@@ -364,7 +368,7 @@ def square_class_witnesses(bound: int) -> list[int]:
     witnesses pairwise inequivalent classes and grows without bound.
     """
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise UsageError("bound must be positive")
     witnesses = []
     for n in range(1, bound + 1):
         squarefree = True

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError
 from .fields import _is_prime
 
 # validate_skeleton's Schur check makes depth^3 steps on a family truncation;
@@ -157,14 +157,14 @@ def truncated_family_2vect_fp(p: int, depth: int) -> ValidatedSkeleton:
     Simples are labelled by the field extensions of degrees 1..depth, all
     pairwise connected; hom_dims(q, r) = gcd(q, r) counts the simple
     1-morphism summands, and max_end_dim grows linearly along the family.
-    Raises ValueError unless p is prime and depth positive, and
+    Raises UsageError unless p is prime and depth positive, and
     SizeGuardExceeded when depth^3 exceeds FAMILY_SIZE_GUARD or p exceeds
     the primality test's PRIME_TEST_GUARD.
     """
     if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise UsageError(f"{p} is not prime")
     if depth < 1:
-        raise ValueError("depth must be positive")
+        raise UsageError("depth must be positive")
     if depth ** 3 > FAMILY_SIZE_GUARD:
         raise SizeGuardExceeded(depth ** 3, FAMILY_SIZE_GUARD)
     simples = [f"Vect(F_{p}^{q})" if q > 1 else f"Vect(F_{p})" for q in range(1, depth + 1)]

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .basedring import (SEARCH_WORK_BUDGET, ValidatedRing, WeakBasedCertificate, _ints,
                         _is_list, find_weak_based_involutions, lex_min_key)
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError
 
 
 class NegativeEntry(ValidationError):
@@ -77,18 +77,18 @@ class ZPlusModuleData:
 
     @classmethod
     def build(cls, ring: ValidatedRing, action) -> "ZPlusModuleData":
-        """The datum of rank len(action[0]).  Raises ValueError unless action
+        """The datum of rank len(action[0]).  Raises UsageError unless action
         holds one rank x rank matrix per ring basis index and every entry is
         an int (a bool is not); signs and the module laws are left to
         validation."""
         if not _is_list(action, ring.rank):
-            raise ValueError(f"action must hold one matrix per ring basis index, "
+            raise UsageError(f"action must hold one matrix per ring basis index, "
                              f"{ring.rank} in all")
         first = action[0] if action else ()
         rank = len(first) if isinstance(first, (list, tuple)) else 0
         for i, mat in enumerate(action):
             if not _is_list(mat, rank) or not all(_is_list(row, rank) for row in mat):
-                raise ValueError(f"action[{i}] must be a {rank} x {rank} matrix")
+                raise UsageError(f"action[{i}] must be a {rank} x {rank} matrix")
         action = tuple(tuple(_ints(row, f"action[{i}][{l}]") for l, row in enumerate(mat))
                        for i, mat in enumerate(action))
         return cls(ring=ring, rank=rank, action=action)
@@ -204,7 +204,7 @@ class EnumerationBounds:
         """Caps for a module search; a ``cap_scale`` below 1 would cut the
         exhaustive search short of the forced bound, so it is refused."""
         if cap_scale < 1:
-            raise ValueError(f"cap_scale must be at least 1, got {cap_scale}")
+            raise UsageError(f"cap_scale must be at least 1, got {cap_scale}")
         ones = [1] * ring.rank
         b_squared = ring.product(ones, ones)
         n = max(b_squared) * cap_scale

@@ -7,13 +7,27 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from modcat import zmodule
+from modcat import basedring, cli, zmodule
 from modcat.basedring import group_ring
 from modcat.cli import main, render, run
-from modcat.fields import PRIME_TEST_GUARD
+from modcat.fields import CYCLOTOMIC_GUARD, PRIME_TEST_GUARD
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def z2_ring_text(**changes):
+    """data/z2.ring.json as JSON text, with the given keys replaced."""
+    ring = {"rank": 2, "labels": ["e", "g"], "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+            "unit": [1, 0], "involution": [0, 1]}
+    return json.dumps({**ring, **changes})
+
+
+def z2_module_text(**changes):
+    """A rank-1 module file over data/z2.ring.json, with the given keys replaced."""
+    module = {"ring": str(DATA / "z2.ring.json"), "rank": 1, "action": [[[1]], [[1]]]}
+    return json.dumps({**module, **changes})
 
 
 def invoke(argv):
@@ -135,6 +149,16 @@ def test_dy_diagnostic_beyond_order_seven():
     assert (result.payload["h2_dim"], result.payload["h3_dim"]) == (3, 4)
 
 
+def test_cyclotomic_guard_reports_size_and_guard(capsys):
+    n = CYCLOTOMIC_GUARD + 1
+    start = time.perf_counter()
+    assert main(["dy", "dims", "--group", "2", "--coeff", f"cyclo{n}", "--nmax", "2"]) == 1
+    assert time.perf_counter() - start < 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert (error["size"], error["guard"]) == (n, CYCLOTOMIC_GUARD)
+
+
 def test_dy_guard_reports_size_and_guard():
     from modcat.dy import SIZE_GUARD
     result, code = invoke(["dy", "diagnostic", "--group", "16", "--coeff", "q"])
@@ -199,7 +223,7 @@ def test_fusion2_pointed_p_5_table_matches_the_closed_form(zeta):
 def test_fusion2_pointed_non_prime_is_a_usage_error(capsys, p):
     assert main(["fusion2", "pointed", "--p", str(p), "--zeta", "1"]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {"type": "ValueError", "message": f"--p {p} is not prime"}
+    assert json.loads(out)["error"] == {"type": "UsageError", "message": f"--p {p} is not prime"}
     assert "Traceback" not in out + err
 
 
@@ -213,16 +237,25 @@ def test_fusion2_pointed_prime_outside_the_table_is_unsupported(capsys):
 @pytest.mark.parametrize("command", ["pi0", "validate"])
 @pytest.mark.parametrize("text,message", [
     ("[1, 2]", "a skeleton must be a JSON object, not list"),
-    ('{"simples": ["a"], "hom_nonzero": [[1]]}', "hom_nonzero entries must be true or false"),
+    ('{"simples": ["a"], "hom_nonzero": [[1]]}', "hom_nonzero must be rows of true or false"),
     ('{"simples": ["a", "b"], "hom_nonzero": [[true, false], [false, "yes"]]}',
-     "hom_nonzero entries must be true or false"),
-], ids=["list", "int-entry", "string-entry"])
+     "hom_nonzero must be rows of true or false"),
+    ('{"simples": ["a"], "hom_nonzero": [true]}', "hom_nonzero must be rows of true or false"),
+    ('{"simples": 5, "hom_nonzero": []}', "simples must be a list of strings"),
+    ('{"simples": "ab", "hom_nonzero": [[true, false], [false, true]]}',
+     "simples must be a list of strings"),
+    ('{"simples": ["a"], "hom_nonzero": [[true]], "max_end_dim": "a"}',
+     "max_end_dim must be a list of ints"),
+    ('{"simples": ["a"], "hom_nonzero": [[true]], "hom_dims": [[1.5]]}',
+     "hom_dims must be rows of ints"),
+], ids=["list", "int-entry", "string-entry", "flat-hom-nonzero", "int-simples",
+        "string-simples", "string-max-end-dim", "float-hom-dims"])
 def test_skeleton_loader_checks_types(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.skeleton.json"
     path.write_text(text)
     assert main(["twocat", command, str(path)]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+    assert json.loads(out)["error"] == {"type": "UsageError", "message": message}
     assert "Traceback" not in out + err
 
 
@@ -234,13 +267,15 @@ def test_skeleton_loader_checks_types(tmp_path, capsys, command, text, message):
      "a module needs the keys ring, rank, action; missing: ring, rank"),
     (json.dumps({"ring": str(DATA / "z2.ring.json"), "action": [[[1]], [[1]]]}),
      "a module needs the keys ring, rank, action; missing: rank"),
-], ids=["list", "no-action", "no-ring-no-rank", "no-rank"])
+    (z2_module_text(rank="1"), "a module's rank must be a non-negative int, not '1'"),
+    (z2_module_text(ring=5), "a ring must be a JSON object, not int"),
+], ids=["list", "no-action", "no-ring-no-rank", "no-rank", "string-rank", "int-ring"])
 def test_module_loader_names_the_problem(tmp_path, capsys, text, message):
     path = tmp_path / "bad.module.json"
     path.write_text(text)
     assert main(["zmod", "validate", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+    assert json.loads(out)["error"] == {"type": "UsageError", "message": message}
     assert "Traceback" not in out + err
 
 
@@ -273,9 +308,10 @@ def test_non_associative_ring_names_the_first_failing_quadruple(tmp_path, capsys
 
 
 def test_usage_error_exits_two():
-    with pytest.raises(SystemExit) as info:
-        run(["no-such-command"])
-    assert info.value.code == 2
+    result, code = run(["no-such-command"])
+    assert code == 2
+    assert result.payload["error"]["type"] == "UsageError"
+    assert "invalid choice: 'no-such-command'" in result.payload["error"]["message"]
 
 
 def test_render_json_is_sorted_and_exact():
@@ -315,65 +351,101 @@ def test_markdown_format():
     assert md.startswith("| # | rank |")
 
 
-def z2_ring_text(**changes):
-    """data/z2.ring.json as JSON text, with the given keys replaced."""
-    ring = {"rank": 2, "labels": ["e", "g"], "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
-            "unit": [1, 0], "involution": [0, 1]}
-    return json.dumps({**ring, **changes})
-
-
-def z2_module_text(**changes):
-    """A rank-1 module file over data/z2.ring.json, with the given keys replaced."""
-    module = {"ring": str(DATA / "z2.ring.json"), "rank": 1, "action": [[[1]], [[1]]]}
-    return json.dumps({**module, **changes})
-
-
 SHORT_CELL_RING = z2_ring_text(mult=[[[1, 0], [0]], [[0, 1], [1, 0]]])
 
 
-@pytest.mark.parametrize("argv,file_text,error_type", [
-    (["fusion2", "ffield", "2", "12", "0"], None, "ValueError"),
-    (["fusion2", "ffield", "4", "2", "2"], None, "ValueError"),
-    (["dy", "dims", "--group", "0", "--coeff", "q"], None, "ValueError"),
-    (["dy", "dims", "--group", "2", "--coeff", "fp4"], None, "ValueError"),
-    (["pointed", "classes", "--group", "x"], None, "ValueError"),
-    (["ring", "validate"], '{"rank": 1, "unit": [1]}', "ValueError"),
-    (["ring", "validate"], '{"mult": [[[1]]], "unit": [1]}', "ValueError"),
-    (["twocat", "pi0"], '{"simples": ["a"]}', "ValueError"),
-    (["ring", "validate"], "not json", "JSONDecodeError"),
-    (["ring", "validate", "{tmp}/missing.json"], None, "FileNotFoundError"),
-    (["ring", "validate", "{tmp}"], None, "IsADirectoryError"),
-    (["twocat", "family", "--p", "4", "--depth", "3"], None, "ValueError"),
-    (["twocat", "family", "--p", "1", "--depth", "3"], None, "ValueError"),
-    (["twocat", "family", "--p", "-3", "--depth", "3"], None, "ValueError"),
-    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "0"], None, "ValueError"),
-    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "-1"], None, "ValueError"),
+@pytest.mark.parametrize("argv,file_text,message", [
+    (["fusion2", "ffield", "2", "12", "0"], None, "extension degrees must be positive"),
+    (["fusion2", "ffield", "4", "2", "2"], None, "4 is not prime"),
+    (["dy", "dims", "--group", "0", "--coeff", "q"], None, "cyclic orders must be at least 2"),
+    (["dy", "dims", "--group", "2", "--coeff", "fp4"], None, "4 is not prime"),
+    (["dy", "dims", "--group", "2", "--coeff", "q", "--nmax", "0"], None,
+     "n_max must be at least 1"),
+    (["dy", "dims", "--group", "2", "--coeff", "q", "--nmax", "-1"], None,
+     "n_max must be at least 1"),
+    (["dy", "dims", "--group", "2", "--coeff", "fpx"], None, "unknown field code: 'fpx'"),
+    (["pointed", "classes", "--group", "2", "--field", "acx"], None,
+     "unknown field profile code: 'acx'"),
+    (["pointed", "classes", "--group", "x"], None,
+     "--group takes comma-separated invariant factors, not 'x'"),
+    (["ring", "validate"], '{"rank": 1, "unit": [1]}',
+     "a ring needs the keys mult, unit; missing: mult"),
+    (["ring", "validate"], '{"mult": [[[1]]], "unit": [1]}', "a ring needs its labels or its rank"),
+    (["twocat", "pi0"], '{"simples": ["a"]}',
+     "a skeleton needs the keys simples, hom_nonzero; missing: hom_nonzero"),
+    (["ring", "validate"], "not json",
+     "{tmp}/ring.json: Expecting value: line 1 column 1 (char 0)"),
+    (["ring", "validate", "{tmp}/missing.json"], None,
+     "{tmp}/missing.json: No such file or directory"),
+    (["ring", "validate", "{tmp}"], None, "{tmp}: Is a directory"),
+    (["twocat", "family", "--p", "4", "--depth", "3"], None, "4 is not prime"),
+    (["twocat", "family", "--p", "1", "--depth", "3"], None, "1 is not prime"),
+    (["twocat", "family", "--p", "-3", "--depth", "3"], None, "-3 is not prime"),
+    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "0"], None,
+     "cap_scale must be at least 1, got 0"),
+    (["zmod", "enumerate", str(DATA / "z2.ring.json"), "--cap-scale", "-1"], None,
+     "cap_scale must be at least 1, got -1"),
     (["ring", "homs", str(DATA / "z2.ring.json"), str(DATA / "z2.ring.json"),
-      "--cap-scale", "0"], None, "ValueError"),
-    (["ring", "validate"], "[1, 2]", "ValueError"),
-    (["ring", "validate"], SHORT_CELL_RING, "ValueError"),
-    (["ring", "homs", str(DATA / "z2.ring.json")], SHORT_CELL_RING, "ValueError"),
-    (["zmod", "enumerate"], SHORT_CELL_RING, "ValueError"),
+      "--cap-scale", "0"], None, "cap_scale must be at least 1, got 0"),
+    (["ring", "validate"], "[1, 2]", "a ring must be a JSON object, not list"),
+    (["ring", "validate"], SHORT_CELL_RING, "mult must be 2 x 2 x 2 nested lists"),
+    (["ring", "homs", str(DATA / "z2.ring.json")], SHORT_CELL_RING,
+     "mult must be 2 x 2 x 2 nested lists"),
+    (["zmod", "enumerate"], SHORT_CELL_RING, "mult must be 2 x 2 x 2 nested lists"),
     (["ring", "validate"], z2_ring_text(mult=[[[1, 0], [0, 1.5]], [[0, 1], [1, 0]]]),
-     "ValueError"),
+     "mult[0][1] must be a list of ints, not [0, 1.5]"),
     (["ring", "validate"], z2_ring_text(mult=[[[1, 0], [0, True]], [[0, 1], [1, 0]]]),
-     "ValueError"),
-    (["ring", "validate"], z2_ring_text(unit=[True, 0]), "ValueError"),
-    (["ring", "validate"], z2_ring_text(involution=[0, "1"]), "ValueError"),
-    (["zmod", "validate"], z2_module_text(action=[[[1]], [[1.5]]]), "ValueError"),
-    (["zmod", "validate"], z2_module_text(action=[[[1]], [[False]]]), "ValueError"),
-    (["zmod", "validate"], z2_module_text(action=[[[1]]]), "ValueError"),
-    (["zmod", "validate"], z2_module_text(action=[[[1, 0]], [[0, 1]]]), "ValueError"),
+     "mult[0][1] must be a list of ints, not [0, True]"),
+    (["ring", "validate"], z2_ring_text(unit=[True, 0]),
+     "unit must be a list of ints, not [True, 0]"),
+    (["ring", "validate"], z2_ring_text(involution=[0, "1"]),
+     "involution must be a list of ints, not [0, '1']"),
+    (["ring", "validate"], z2_ring_text(labels=5), "labels must be a list of strings, not 5"),
+    (["ring", "validate"], z2_ring_text(labels=[["a"]]),
+     "labels must be a list of strings, not [['a']]"),
+    (["ring", "validate"], '{"rank": "a", "mult": [], "unit": []}',
+     "a ring's rank must be a non-negative int, not 'a'"),
+    (["ring", "validate"], z2_ring_text(rank=2.5),
+     "a ring's rank must be a non-negative int, not 2.5"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]], [[1.5]]]),
+     "action[1][0] must be a list of ints, not [1.5]"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]], [[False]]]),
+     "action[1][0] must be a list of ints, not [False]"),
+    (["zmod", "validate"], z2_module_text(action=[[[1]]]),
+     "action must hold one matrix per ring basis index, 2 in all"),
+    (["zmod", "validate"], z2_module_text(action=[[[1, 0]], [[0, 1]]]),
+     "action[0] must be a 1 x 1 matrix"),
+    # Z/p braidings are counted by p-th roots of unity for a prime p only: in
+    # characteristic 2 the only 4th root of unity is 1
+    (["pointed", "braidings", "--p", "4", "--field", "ac2"], None, "4 is not prime"),
+    (["pointed", "braidings", "--p", "6", "--field", "ac3"], None, "6 is not prime"),
+    (["pointed", "braidings", "--p", "-2"], None, "-2 is not prime"),
+    (["pointed", "braidings", "--p", "0"], None, "0 is not prime"),
+    # argparse's own errors
+    (["no-such-command"], None, "modcat: argument command: invalid choice: 'no-such-command' "
+     "(choose from 'ring', 'zmod', 'twocat', 'pointed', 'dy', 'fusion2')"),
+    (["ring"], None, "modcat ring: the following arguments are required: subcommand"),
+    (["fusion2", "pointed", "--p", "3"], None,
+     "modcat fusion2 pointed: the following arguments are required: --zeta"),
+    (["fusion2", "real", "--bogus"], None, "modcat: unrecognized arguments: --bogus"),
+    (["twocat", "family", "--p", "x", "--depth", "3"], None,
+     "modcat twocat family: argument --p: invalid int value: 'x'"),
+    (["--format", "xml", "fusion2", "real"], None,
+     "modcat: argument --format: invalid choice: 'xml' (choose from 'json', 'md')"),
 ], ids=["ffield-zero-degree", "ffield-not-prime", "dy-zero-order", "dy-bad-field",
-        "bad-group", "ring-without-mult", "ring-without-rank-or-labels",
-        "skeleton-without-hom-nonzero", "not-json", "missing-file", "directory",
-        "family-p-4", "family-p-1", "family-p-minus-3", "zmod-cap-scale-0",
-        "zmod-cap-scale-minus-1", "homs-cap-scale-0", "ring-not-an-object",
-        "validate-short-cell", "homs-short-cell", "enumerate-short-cell",
-        "float-coefficient", "bool-coefficient", "bool-unit", "string-involution",
+        "dy-nmax-0", "dy-nmax-minus-1", "dy-field-code-without-int",
+        "profile-code-without-int", "bad-group", "ring-without-mult",
+        "ring-without-rank-or-labels", "skeleton-without-hom-nonzero", "not-json",
+        "missing-file", "directory", "family-p-4", "family-p-1", "family-p-minus-3",
+        "zmod-cap-scale-0", "zmod-cap-scale-minus-1", "homs-cap-scale-0",
+        "ring-not-an-object", "validate-short-cell", "homs-short-cell",
+        "enumerate-short-cell", "float-coefficient", "bool-coefficient", "bool-unit",
+        "string-involution", "int-labels", "nested-labels", "string-rank", "float-rank",
         "module-float-entry", "module-bool-entry", "module-one-matrix",
-        "module-not-square"])
-def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, error_type):
+        "module-not-square", "braidings-p-4-char-2", "braidings-p-6-char-3",
+        "braidings-p-minus-2", "braidings-p-0", "unknown-command", "missing-subcommand",
+        "missing-argument", "unrecognized-argument", "bad-int", "bad-format"])
+def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text, message):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if file_text is not None:
         path = tmp_path / "ring.json"
@@ -382,8 +454,7 @@ def test_bad_values_and_files_are_usage_errors(tmp_path, capsys, argv, file_text
     assert main(argv) == 2
     out, err = capsys.readouterr()
     error = json.loads(out)["error"]
-    assert error["type"] == error_type
-    assert set(error) == {"type", "message"}
+    assert error == {"type": "UsageError", "message": message.format(tmp=tmp_path)}
     assert "Traceback" not in out + err
 
 
@@ -410,6 +481,22 @@ def test_guard_error_reports_size_and_guard():
     result, code = invoke(["fusion2", "ffield", "2", "40", "2"])
     assert code == 0
     assert result.payload["summands"] == ["FINITE_EXT(40)"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "validate", "{ring}"],
+    ["ring", "homs", str(DATA / "z2.ring.json"), "{ring}"],
+    ["zmod", "enumerate", "{ring}"],
+], ids=["validate", "homs-into", "enumerate"])
+def test_rank_zero_ring_is_refused(tmp_path, capsys, argv):
+    # the unit is a nonnegative combination of basis elements with nonempty
+    # support, so a based ring has rank at least 1
+    path = tmp_path / "empty.ring.json"
+    path.write_text('{"labels": [], "mult": [], "unit": []}')
+    assert main([arg.format(ring=path) for arg in argv]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "ValidationError",
+        "message": "rank must be at least 1: the unit needs a nonempty support"}
 
 
 def test_ring_file_with_labels_needs_no_rank(tmp_path):
@@ -545,3 +632,147 @@ def test_fusion2_commands_never_import_sympy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, cwd=str(DATA.parent))
     assert result.returncode == 0, result.stderr
+
+
+# -- fuzzing: every argv and input file meets the exit-code contract -----------
+
+# each subcommand's arguments: a flag, a positional (DEGREE) or a JSON file
+# (RING, MODULE, SKELETON) that the test writes
+FUZZ_COMMANDS = {
+    ("ring", "validate"): ["RING"],
+    ("ring", "involutions"): ["RING"],
+    ("ring", "homs"): ["RING", "RING", "--cap-scale"],
+    ("zmod", "validate"): ["MODULE"],
+    ("zmod", "enumerate"): ["RING", "--cap-scale", "--indecomposable"],
+    ("twocat", "validate"): ["SKELETON"],
+    ("twocat", "pi0"): ["SKELETON"],
+    ("twocat", "family"): ["--p", "--depth"],
+    ("pointed", "classes"): ["--group", "--field"],
+    ("pointed", "braidings"): ["--p", "--field"],
+    ("pointed", "squareclasses"): ["--bound"],
+    ("dy", "dims"): ["--group", "--coeff", "--nmax"],
+    ("dy", "diagnostic"): ["--group", "--coeff"],
+    ("fusion2", "real"): [],
+    ("fusion2", "ffield"): ["DEGREE", "DEGREE", "DEGREE"],
+    ("fusion2", "pointed"): ["--p", "--zeta"],
+}
+# per argument, small values that run (ranks <= 3, group orders <= 6, --p in
+# {2, 3}) and values that are refused; None is a flag that takes no value
+FUZZ_VALUES = {
+    "--p": (["2", "3"], ["4", "0", "-1", "x"]),
+    "--depth": (["1", "6"], ["0", "x"]),
+    "--group": (["2", "3", "2,2", "6"], ["2,3", "1", "0", "x", ""]),
+    "--field": (["ac0", "ac2", "ac3", "rc", "q", "fp3"], ["ac4", "acx", "zz"]),
+    "--coeff": (["q", "fp2", "fp3", "cyclo3", "cyclo4"], ["fp4", "cyclo0", "cyclox", "zz"]),
+    "--nmax": (["1", "3"], ["0", "-1", "x"]),
+    "--bound": (["1", "10"], ["0", "x"]),
+    "--zeta": (["0", "1", "2"], ["-1", "5", "x"]),
+    "--cap-scale": (["1", "2"], ["0", "x"]),
+    "--indecomposable": ([None], [None]),
+    "DEGREE": (["2", "3", "1"], ["4", "0", "-1", "x"]),
+}
+# global flags; not --format md, whose tables are not JSON
+FUZZ_PREFIXES = [[], ["--format", "json"], ["--format=json"], ["--seedless"],
+                 ["--field", "ac3"], ["--format", "xml"]]
+FUZZ_STRAYS = ["--bogus", "extra", "--p", "-x", "ring", "--format", "--cap-scale"]
+
+
+def _data(name):
+    return json.loads((DATA / name).read_text())
+
+
+FUZZ_FILES = {
+    "RING": [_data(name) for name in ("trivial.ring.json", "z2.ring.json", "z3.ring.json",
+                                      "fib.ring.json", "mod_real_objects.ring.json")],
+    # the module's ring by relative path (written next to it) and inline
+    "MODULE": [_data("regular_z2.module.json"),
+               {**_data("regular_z2.module.json"), "ring": _data("z2.ring.json")}],
+    "SKELETON": [_data("mod_real.skeleton.json"),
+                 {**_data("mod_real.skeleton.json"),
+                  "hom_dims": [[1, 1, 1], [1, 2, 2], [1, 2, 4]], "max_end_dim": [1, 2, 4]}],
+}
+FUZZ_SWAPS = [0, 2, -1, 5, None, True, 2.5, "a", "ab", [], [True], [["a"]], {}]
+
+
+def mutate(draw, value):
+    """A copy of the JSON value with one change below the root: at each level
+    a key or item is drawn, then dropped, repeated (in a list), swapped for a
+    value from FUZZ_SWAPS, or changed one level further down."""
+    value = json.loads(json.dumps(value))
+    node = value
+    while isinstance(node, (dict, list)) and node:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        change = draw(st.sampled_from(["swap", "drop", "down"]
+                                      + (["repeat"] if isinstance(node, list) else [])))
+        if change == "down" and isinstance(node[key], (dict, list)) and node[key]:
+            node = node[key]
+            continue
+        if change == "drop":
+            del node[key]
+        elif change == "repeat":
+            node.insert(key, node[key])
+        else:
+            node[key] = draw(st.sampled_from(FUZZ_SWAPS))
+        break
+    return value
+
+
+def _rarely(draw) -> bool:
+    """True for about one draw in five; the middle of the range, since
+    hypothesis draws the ends of a range more often."""
+    return draw(st.integers(0, 4)) == 2
+
+
+@st.composite
+def fuzz_argv(draw, folder):
+    """An argv for one subcommand with drawn values and files (each file a
+    shipped example with up to two mutations, sometimes cut short), sometimes
+    broken further: an argument dropped, a stray token inserted, a global
+    flag put in front."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = list(command)
+    for name in FUZZ_COMMANDS[command]:
+        if name in FUZZ_FILES:
+            value = draw(st.sampled_from(FUZZ_FILES[name]))
+            for _ in range(draw(st.sampled_from([1, 1, 0, 2]))):
+                value = mutate(draw, value)
+            text = json.dumps(value)
+            path = folder / f"{len(argv)}.{name.lower()}.json"
+            path.write_text(text[:-1] if _rarely(draw) else text)  # cut short: not JSON
+            argv.append(str(path))
+        else:
+            value = draw(st.sampled_from(FUZZ_VALUES[name][_rarely(draw)]))
+            argv += [value] if name == "DEGREE" else [name] if value is None else [name, value]
+    if len(argv) > 2 and _rarely(draw):
+        del argv[draw(st.integers(2, len(argv) - 1))]
+    if _rarely(draw):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(FUZZ_STRAYS)))
+    return (draw(st.sampled_from(FUZZ_PREFIXES)) if _rarely(draw) else []) + argv
+
+
+def test_fuzzing_covers_every_subcommand():
+    assert set(FUZZ_COMMANDS) == {(command, name) for command, (_, subcommands)
+                                  in cli._COMMANDS.items() for name in subcommands}
+
+
+@pytest.fixture
+def fuzz_folder(tmp_path, monkeypatch):
+    # a small work budget refuses a mutated ring's search in milliseconds
+    monkeypatch.setattr(zmodule, "SEARCH_WORK_BUDGET", 20_000)
+    monkeypatch.setattr(basedring, "SEARCH_WORK_BUDGET", 20_000)
+    (tmp_path / "z2.ring.json").write_text((DATA / "z2.ring.json").read_text())
+    return tmp_path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_and_files_keep_the_exit_code_contract(fuzz_folder, capsys, data):
+    argv = data.draw(fuzz_argv(fuzz_folder), label="argv")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    body = json.loads(out)
+    assert body["status"] == {0: "ok", 1: "error", 2: "usage"}[code]
+    assert (code == 2) == (body.get("error", {}).get("type") == "UsageError")
+    assert "Traceback" not in out + err

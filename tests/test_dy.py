@@ -7,7 +7,7 @@ import pytest
 from modcat.dy import (NMAX_GUARD, SIZE_GUARD, PointedFunctorData, SeparabilityDiagnostic,
                        build_dy_complex, dy_cohomology_dims,
                        separability_diagnostic)
-from modcat.errors import SizeGuardExceeded, ValidationError
+from modcat.errors import SizeGuardExceeded, UsageError, ValidationError
 from modcat.fields import CyclotomicField, PrimeField, QQ, field_from_code
 from modcat.linalg import Matrix, rank
 from modcat.pointed import FiniteAbelianGroup
@@ -118,7 +118,7 @@ def test_size_guard():
     with pytest.raises(SizeGuardExceeded) as info:
         identity_complex((2,), QQ, n_max=9)
     assert (info.value.size, info.value.guard) == (9, NMAX_GUARD)
-    with pytest.raises(ValidationError):
+    with pytest.raises(UsageError):
         identity_complex((2,), QQ, n_max=0)
 
 

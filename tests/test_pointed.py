@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from modcat.errors import UsageError
 from modcat.fieldprofile import alg_closed, finite, rationals
 from modcat.pointed import (BraidingParam, FiniteAbelianGroup,
                             OrderGuardExceeded, PointedCatData,
@@ -170,6 +171,9 @@ def test_braidings():
     assert len(braidings_on_cyclic(3, alg_closed(3))) == 1
     assert len(braidings_on_cyclic(2, alg_closed(7))) == 2
     assert [b.zeta_exponent for b in braidings_on_cyclic(5, alg_closed(0))] == list(range(5))
+    # p-th roots of unity count braidings for a prime p only
+    with pytest.raises(UsageError, match="4 is not prime"):
+        braidings_on_cyclic(4, alg_closed(2))
 
 
 def test_square_class_witnesses():
