@@ -10,8 +10,12 @@ cohomology dimensions, and the product tables of the three worked families
 ``import modcat`` runs none of the library modules.  Each one is registered
 in ``sys.modules`` and as a package attribute through
 ``importlib.util.LazyLoader``, and its body runs on first attribute access;
-the public names below load on first use.  So a CLI command runs only the
-modules it calls into.
+the public names below load on first use.  Inside the package a module names
+a sibling, ``from . import poly``, and reads its names where it calls them,
+``poly.factor_list(f)``; that runs poly only when the call is made.  A
+module-level ``from .poly import Poly`` is kept only where every command
+that runs the importer calls into poly (``tests/test_imports.py`` lists
+those edges).  So a CLI command runs only the modules it calls into.
 """
 
 import importlib.util

@@ -45,10 +45,8 @@ from __future__ import annotations
 
 from math import lcm
 
+from . import fields, linalg, poly
 from .errors import ValidationError
-from .fields import QQ, Field
-from .linalg import Matrix, kernel_basis, rref
-from .poly import Poly, factor_list, xgcd
 
 
 class NotAssociative(ValidationError):
@@ -173,7 +171,7 @@ class StructureConstantAlgebra:
     nucleus generating set ``generators``.
     """
 
-    def __init__(self, field: Field, mult, unit, labels=None):
+    def __init__(self, field: fields.Field, mult, unit, labels=None):
         dim = len(mult)
         if any(len(row) != dim or any(len(cell) != dim for cell in row) for row in mult):
             raise ValueError("mult must be dim x dim x dim")
@@ -182,14 +180,15 @@ class StructureConstantAlgebra:
                             for row in mult], unit, labels)
 
     @classmethod
-    def from_sparse(cls, field: Field, mult, unit, labels=None) -> "StructureConstantAlgebra":
+    def from_sparse(cls, field: fields.Field, mult, unit,
+                    labels=None) -> "StructureConstantAlgebra":
         """Algebra on cells that hold nonzero constants only, k ascending,
         kept as they are; validated like the constructor's."""
         algebra = cls.__new__(cls)
         algebra._build(field, mult, unit, labels)
         return algebra
 
-    def _build(self, field: Field, mult, unit, labels) -> None:
+    def _build(self, field: fields.Field, mult, unit, labels) -> None:
         self.field = field
         self.dim = len(mult)
         self.unit = list(unit)
@@ -202,7 +201,7 @@ class StructureConstantAlgebra:
         self.validate()
 
     @classmethod
-    def from_int_constants(cls, field: Field, mult, unit,
+    def from_int_constants(cls, field: fields.Field, mult, unit,
                            labels=None) -> "StructureConstantAlgebra":
         conv = field.from_int
         return cls(field,
@@ -229,7 +228,7 @@ class StructureConstantAlgebra:
         (over Q on ints, see the module docstring)."""
         mult, unit, one = self.mult, self.unit, self.field.one()
         self.generators = nucleus_generators(mult, unit)
-        if self.field == QQ:
+        if self.field == fields.QQ:
             d = lcm(*(c.denominator for row in mult for cell in row for c in cell.values()))
             e = lcm(*(u.denominator for u in unit))
             mult = [[{k: c.numerator * (d // c.denominator) for k, c in cell.items()}
@@ -269,22 +268,23 @@ class StructureConstantAlgebra:
                         if v := ji.get(k, zero) - ij.get(k, zero):
                             rows.setdefault((j, k), {})[i] = v
         stacked = [rows[jk] for jk in sorted(rows)]
-        stacked += Matrix(self.field, conditions, ncols=self.dim).rows
-        return kernel_basis(Matrix.from_sparse(self.field, stacked, self.dim))
+        stacked += linalg.Matrix(self.field, conditions, ncols=self.dim).rows
+        return linalg.kernel_basis(linalg.Matrix.from_sparse(self.field, stacked, self.dim))
 
 
-def _coordinates(field: Field, basis: list[list], vectors: list[list]) -> list[list]:
+def _coordinates(field: fields.Field, basis: list[list], vectors: list[list]) -> list[list]:
     """Coordinates of each vector in an independent basis, from one rref of
     [basis columns | vector columns]."""
     k = len(basis)
-    reduced, pivots = rref(Matrix(field, [list(row) for row in zip(*basis, *vectors)]))
+    columns = [list(row) for row in zip(*basis, *vectors)]
+    reduced, pivots = linalg.rref(linalg.Matrix(field, columns))
     if pivots != list(range(k)):
         raise ValueError("basis is not independent or a vector is outside its span")
     zero = field.zero()
     return [[reduced.rows[r].get(k + j, zero) for r in range(k)] for j in range(len(vectors))]
 
 
-def min_poly_of_matrix(algebra: StructureConstantAlgebra, x, e) -> Poly:
+def min_poly_of_matrix(algebra: StructureConstantAlgebra, x, e) -> poly.Poly:
     """Minimal polynomial, monic, of the matrix of multiplication by x on
     e * A, for an idempotent e of a commutative algebra A.
 
@@ -308,7 +308,7 @@ def min_poly_of_matrix(algebra: StructureConstantAlgebra, x, e) -> Poly:
                 row = _combine(((one, row), (minus_one * f, basis_row)))
                 coeffs = _combine(((one, coeffs), (minus_one * f, basis_coeffs)))
         if not row:
-            return Poly(field, [coeffs.get(d, field.zero()) for d in range(len(rows) + 1)])
+            return poly.Poly(field, [coeffs.get(d, field.zero()) for d in range(len(rows) + 1)])
         pivot = min(row)
         inv = one / row[pivot]
         rows.append((pivot, {l: inv * c for l, c in row.items()},
@@ -328,7 +328,7 @@ def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> 
     if len(basis) == 1:
         return [(e, basis)]
     mp = min_poly_of_matrix(algebra, x, e)
-    factors = factor_list(mp)
+    factors = poly.factor_list(mp)
     if len(factors) < 2:
         return [(e, basis)]
     pieces = []
@@ -339,7 +339,7 @@ def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> 
         cofactor, _ = divmod(mp, fpow)
         # t * cofactor == 1 mod fpow and == 0 mod the other factor powers, so
         # h = t * cofactor has h(h - 1) divisible by mp: h(x e) is idempotent
-        g, _, t = xgcd(fpow, cofactor)
+        g, _, t = poly.xgcd(fpow, cofactor)
         if g.degree != 0:
             raise AssertionError("minimal polynomial factors must be coprime")
         # evaluate inside the block: e plays the role of the unit
@@ -348,7 +348,7 @@ def _split_block(algebra: StructureConstantAlgebra, e, basis: list[list], x) -> 
     return pieces
 
 
-def _eval_poly_at(algebra: StructureConstantAlgebra, p: Poly, x, unit_element):
+def _eval_poly_at(algebra: StructureConstantAlgebra, p: poly.Poly, x, unit_element):
     """Evaluate p at x by Horner, with unit_element as the local unit."""
     acc = [algebra.field.zero()] * algebra.dim
     for c in reversed(p.coeffs):
@@ -361,7 +361,7 @@ def _image_basis(algebra: StructureConstantAlgebra, e) -> list[list]:
     c = algebra.mult
     images = [_combine((ei, c[i][j]) for i, ei in enumerate(e) if ei)
               for j in range(algebra.dim)]
-    reduced, pivots = rref(Matrix.from_sparse(algebra.field, images, algebra.dim))
+    reduced, pivots = linalg.rref(linalg.Matrix.from_sparse(algebra.field, images, algebra.dim))
     return reduced.dense_rows()[:len(pivots)]
 
 
@@ -395,7 +395,7 @@ def split_commutative_algebra(algebra: StructureConstantAlgebra):
     """
     algebra.check_commutative()
     field = algebra.field
-    basis_vectors = Matrix.identity(field, algebra.dim).dense_rows()
+    basis_vectors = linalg.Matrix.identity(field, algebra.dim).dense_rows()
     blocks = [(algebra.unit, basis_vectors)]
     for x in basis_vectors:
         blocks = [piece for e, basis in blocks

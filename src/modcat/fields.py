@@ -9,9 +9,9 @@ representation:
   for a primitive n-th root of unity ``zeta``: ``num`` holds the phi(n)
   integer coefficients of a polynomial of degree < phi(n) and ``den`` is a
   positive integer with gcd(den, *num) = 1.  Phi_n is computed once per n as
-  a :class:`~modcat.poly.Poly` over QQ; it is monic with integer
-  coefficients, so sums and products are int arithmetic reduced modulo
-  Phi_n, followed by one gcd when the denominator is not 1.  The
+  a tuple of ints, from the factors x^d - 1 of x^n - 1; it is monic with
+  integer coefficients, so sums and products are int arithmetic reduced
+  modulo Phi_n, followed by one gcd when the denominator is not 1.  The
   ``Fraction`` coefficients are derived on demand.
 
 All arithmetic is exact; there is no floating point anywhere.  Every
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import SizeGuardExceeded, UsageError
-from .poly import Poly
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below
@@ -38,8 +38,8 @@ from .poly import Poly
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_GUARD = 3_317_044_064_679_887_385_961_980
 
-# Phi_n is x^n - 1 divided by the lower Phi_d over Fraction; the slowest n
-# admitted, 974 and 982 (2 p), take 0.7-1.2 s (Python 3.11, 2-CPU host)
+# Q(zeta_n) is admitted up to this n: Phi_n takes under a millisecond for
+# each such n (Python 3.11, 2-CPU host), and an element holds phi(n) < 1,000 ints
 CYCLOTOMIC_GUARD = 1_000
 
 
@@ -71,25 +71,35 @@ def _is_prime(p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _phi_poly(n: int) -> Poly:
-    """Phi_n over QQ: x^n - 1 divided once by the product of the lower Phi_d."""
+def _phi_coeffs(n: int) -> tuple[int, ...]:
+    """The ints of Phi_n, ascending, by Moebius inversion of x^n - 1 =
+    prod_{d | n} Phi_d: the product over the sets S of primes dividing n of
+    (x^(n / prod S) - 1)^((-1)^|S|).  The factors with |S| even are
+    multiplied in first, then those with |S| odd divided out exactly, each
+    in one linear pass."""
     if n < 1:
         raise ValueError("n must be positive")
-    den = Poly(QQ, [Fraction(1)])
-    for d in range(1, n):
-        if n % d == 0:
-            den = den * _phi_poly(d)
-    quo, rem = divmod(Poly(QQ, [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]), den)
-    assert rem.is_zero(), "x^n - 1 must be divisible by the product of lower Phi_d"
-    return quo
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    even, odd = ([n // prod(s) for k in range(start, len(primes) + 1, 2)
+                  for s in combinations(primes, k)] for start in (0, 1))
+    c = [1]
+    for d in even:
+        c = [(c[i - d] if i >= d else 0) - (c[i] if i < len(c) else 0)
+             for i in range(len(c) + d)]
+    for d in odd:
+        q = []  # c = q (x^d - 1), so q[i] = q[i - d] - c[i], from the bottom
+        for i in range(len(c) - d):
+            q.append((q[i - d] if i >= d else 0) - c[i])
+        c = q
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)
 def _phi_ints(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """phi(n), and the nonzero (i, c) of Phi_n below its leading 1, as ints:
     Phi_n is monic with integer coefficients."""
-    phi = _phi_poly(n)
-    return phi.degree, tuple((i, int(c)) for i, c in enumerate(phi.coeffs[:-1]) if c)
+    c = _phi_coeffs(n)
+    return len(c) - 1, tuple((i, a) for i, a in enumerate(c[:-1]) if a)
 
 
 def _reduce(n: int, c: list[int]) -> list[int]:
@@ -109,7 +119,7 @@ def _reduce(n: int, c: list[int]) -> list[int]:
 
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree."""
-    return tuple(_phi_poly(n).coeffs)
+    return tuple(map(Fraction, _phi_coeffs(n)))
 
 
 class RationalField:
@@ -375,7 +385,7 @@ class CyclotomicField:
         if n > CYCLOTOMIC_GUARD:
             raise SizeGuardExceeded(n, CYCLOTOMIC_GUARD)
         self.n = n
-        self.degree = _phi_poly(n).degree
+        self.degree = _phi_ints(n)[0]
         self.tag = f"cyclo{n}"
 
     def zero(self) -> CycElem:

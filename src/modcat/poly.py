@@ -1,10 +1,10 @@
 """Dense univariate polynomials over the exact coefficient fields, and their
 irreducible factorization.
 
-``Poly`` provides the arithmetic used to compute the cyclotomic polynomials
-Phi_n (as ``Poly`` over QQ) and by the algebra-splitting routines: division,
-gcd, extended gcd and powers modulo a polynomial.  ``factor_list`` factors
-over every field kind here, with no third-party library and no floats:
+``Poly`` provides the arithmetic used by the algebra-splitting routines:
+division, gcd, extended gcd and powers modulo a polynomial.
+``factor_list`` factors over every field kind here, with no third-party
+library and no floats:
 
 * F_p: Cantor-Zassenhaus (Math. Comp. 1981).  Squarefree decomposition,
   including the p-th root of a factor whose derivative vanishes, then
@@ -30,16 +30,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, count
 from math import gcd as igcd, lcm
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .fields import Field
+from . import fields
 
 
 class Poly:
     """Polynomial with ascending coefficients over an exact field."""
 
-    def __init__(self, field: Field, coeffs):
+    def __init__(self, field: fields.Field, coeffs):
         self.field = field
         zero = field.zero()
         c = list(coeffs)
@@ -48,7 +46,7 @@ class Poly:
         self.coeffs = c
 
     @classmethod
-    def from_ints(cls, field: Field, ints) -> "Poly":
+    def from_ints(cls, field: fields.Field, ints) -> "Poly":
         return cls(field, [field.from_int(k) for k in ints])
 
     @property
@@ -150,16 +148,14 @@ def factor_list(p: Poly) -> list[tuple[Poly, int]]:
     Swinnerton-Dyer polynomials are irreducible of degree 2^k but split into
     factors of degree at most 2 modulo every prime.
     """
-    from .fields import CyclotomicField, PrimeField, RationalField
-
     field = p.field
     if p.degree < 1:
         return []
-    if isinstance(field, PrimeField):
+    if isinstance(field, fields.PrimeField):
         split = _split_fp
-    elif isinstance(field, RationalField):
+    elif isinstance(field, fields.RationalField):
         split = _split_q
-    elif isinstance(field, CyclotomicField):
+    elif isinstance(field, fields.CyclotomicField):
         split = _split_cyclo
     else:
         raise TypeError(f"unsupported field: {field!r}")
@@ -196,10 +192,8 @@ def _squarefree(f: Poly) -> list[tuple[Poly, int]]:
 def _test_prime(n: int) -> tuple[int, int]:
     """The largest prime q <= NORM_TEST_PRIME with q = 1 (mod n), and an r
     of order n modulo q: r^d != 1 for the proper divisors d of n."""
-    from .fields import _is_prime
-
     q = NORM_TEST_PRIME - (NORM_TEST_PRIME - 1) % n
-    while not _is_prime(q):
+    while not fields._is_prime(q):
         q -= n
     for g in count(2):
         r = pow(g, (q - 1) // n, q)
@@ -299,8 +293,6 @@ def _split_q(f: Poly) -> list[Poly]:
 def _zassenhaus(f: list[int]) -> list[list[int]]:
     """Irreducible factors in Z[x] of a primitive squarefree f of degree at
     least 2, ascending ints with a positive leading coefficient."""
-    from .fields import _is_prime
-
     n, norm_sq = len(f) - 1, sum(c * c for c in f)
     # a rejected prime divides lc(f) Res(f, f'), which is nonzero for a
     # squarefree f and at most lc(f) n^n ||f||_2^(2n-1) (Hadamard), so
@@ -311,7 +303,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     tried, q = 0, 2
     while tried < MODULAR_CANDIDATES:
         q += 1
-        if not _is_prime(q):
+        if not fields._is_prime(q):
             continue
         fq = [c % q for c in f]
         if f[-1] % q == 0 or len(_zgcd(fq, _zderiv(fq, q), q)) > 1:
@@ -543,8 +535,6 @@ def _shift(f: Poly, c) -> Poly:
 def _norm(f: Poly) -> Poly:
     """The product of the Galois conjugates of f over Q(zeta_n), zeta -> zeta^k
     for k prime to n: a polynomial over Q."""
-    from .fields import QQ
-
     field = f.field
     n = field.n
     acc = f
@@ -552,7 +542,7 @@ def _norm(f: Poly) -> Poly:
         if igcd(k, n) == 1:
             acc = acc * Poly(field, [c.conjugate(k) for c in f.coeffs])
     assert not any(a for c in acc.coeffs for a in c.num[1:]), "a norm has rational coefficients"
-    return Poly(QQ, [Fraction(c.num[0], c.den) for c in acc.coeffs])
+    return Poly(fields.QQ, [Fraction(c.num[0], c.den) for c in acc.coeffs])
 
 
 def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

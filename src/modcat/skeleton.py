@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import fieldprofile, fields, pointed
 from .errors import SizeGuardExceeded, UsageError, ValidationError
-from .fields import _is_prime
 
 # validate_skeleton's Schur check makes depth^3 steps on a family truncation;
 # admits depth 256 (16,777,216): about 1.2 s end to end from the CLI
@@ -161,7 +161,7 @@ def truncated_family_2vect_fp(p: int, depth: int) -> ValidatedSkeleton:
     SizeGuardExceeded when depth^3 exceeds FAMILY_SIZE_GUARD or p exceeds
     the primality test's PRIME_TEST_GUARD.
     """
-    if not _is_prime(p):
+    if not fields._is_prime(p):
         raise UsageError(f"{p} is not prime")
     if depth < 1:
         raise UsageError("depth must be positive")
@@ -189,9 +189,8 @@ def mod_pointed_skeleton(p: int, char: int = 0) -> ValidatedSkeleton:
     trivially-acted one); in characteristic p only the regular one survives
     the separability requirement.  All simples are connected.
     """
-    from .fieldprofile import alg_closed
-    from .pointed import FiniteAbelianGroup, module_classes
-    classes = [c for c in module_classes(FiniteAbelianGroup((p,)), alg_closed(char))
+    classes = [c for c in pointed.module_classes(pointed.FiniteAbelianGroup((p,)),
+                                                 fieldprofile.alg_closed(char))
                if c.separable]
     simples = [c.label for c in classes]
     hom = [[True] * len(simples) for _ in range(len(simples))]

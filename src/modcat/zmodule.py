@@ -113,8 +113,12 @@ class ValidatedModule:
 
 
 def validate_module(data: ZPlusModuleData) -> ValidatedModule:
+    """Check rank, non-negativity, the unit action and the composition law;
+    raise on failure.  The zero module is refused, as rank-0 rings are."""
     ring = data.ring
     r = data.rank
+    if r == 0:
+        raise ValidationError("rank must be at least 1: a module needs a nonempty basis")
     for i, mat in enumerate(data.action):
         for l in range(r):
             for k in range(r):
@@ -173,8 +177,7 @@ def is_irreducible(module: ValidatedModule) -> bool:
 
 def is_indecomposable(module: ValidatedModule) -> bool:
     """The undirected positivity graph on the basis is connected."""
-    return module.rank > 0 and len(
-        _reach(_positivity_graph(module, undirected=True), 0)) == module.rank
+    return len(_reach(_positivity_graph(module, undirected=True), 0)) == module.rank
 
 
 def regular_module(ring: ValidatedRing) -> ValidatedModule:

@@ -11,9 +11,10 @@ from modcat.algebras import (NoUnit, NotAssociative, NotCommutative,
                              split_commutative_algebra)
 from modcat.fieldprofile import QUATERNION
 from modcat.fields import CyclotomicField, PrimeField, QQ
-from modcat.fusion2 import (BraidingParam, braided_tensor_algebra, graded_group_algebra,
+from modcat.fusion2 import (braided_tensor_algebra, graded_group_algebra,
                             rational_division_algebra, tensor_algebra)
 from modcat.linalg import Matrix, kernel_basis
+from modcat.pointed import BraidingParam
 
 
 def cyclic_group_algebra(field, n):

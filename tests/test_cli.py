@@ -84,6 +84,16 @@ def test_zmod_validate_reads_the_ring_next_to_the_module(tmp_path, monkeypatch):
     assert result.payload["rank"] == 2
 
 
+def test_zmod_validate_refuses_the_zero_module(tmp_path):
+    path = tmp_path / "zero.module.json"
+    path.write_text(z2_module_text(rank=0, action=[[], []]))
+    result, code = invoke(["zmod", "validate", str(path)])
+    assert (code, result.status) == (1, "error")
+    assert result.payload["error"] == {
+        "type": "ValidationError",
+        "message": "rank must be at least 1: a module needs a nonempty basis"}
+
+
 def test_zmod_enumerate():
     result, code = invoke(["zmod", "enumerate", str(DATA / "z2.ring.json")])
     assert code == 0
@@ -126,6 +136,15 @@ def test_pointed_braidings_and_squareclasses():
     assert result.payload["count"] == 3
     result, _ = invoke(["pointed", "squareclasses", "--bound", "10"])
     assert result.payload["witnesses"] == [1, 2, 3, 5, 6, 7, 10]
+
+
+def test_squareclasses_refuses_above_its_guard(capsys):
+    from modcat.pointed import SQUARE_CLASS_GUARD
+    bound = SQUARE_CLASS_GUARD + 1
+    assert main(["pointed", "squareclasses", "--bound", str(bound)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert (error["size"], error["guard"]) == (bound, SQUARE_CLASS_GUARD)
 
 
 def test_dy_dims():
@@ -565,34 +584,56 @@ def test_family_prime_beyond_the_primality_guard_reports_size_and_guard(capsys):
 
 # modcat modules whose bodies a command never runs; a module registered by
 # LazyLoader keeps its lazy class until its first attribute access
-UNEXECUTED = [
-    (["ring", "validate", "data/fib.ring.json"],
-     {"fusion2", "dy", "pointed", "skeleton", "zmodule", "fieldprofile"}),
-    (["pointed", "braidings", "--p", "3"],
-     {"algebras", "linalg", "basedring", "zmodule", "dy", "fusion2", "skeleton"}),
-    (["twocat", "family", "--p", "2", "--depth", "8"],
-     {"algebras", "linalg", "basedring", "pointed", "fieldprofile", "dy", "fusion2"}),
+# each perfbench/cli_golden.json command, in its order, with the library
+# modules it executes: those it calls into, and no other
+_RING = {"cli", "errors", "basedring", "algebras"}
+_POINTED = {"cli", "errors", "fieldprofile", "pointed"}
+_FUSION2 = {"cli", "errors", "fields", "fieldprofile", "fusion2", "poly"}
+EXECUTED = [
+    (["ring", "validate", "data/fib.ring.json"], _RING),
+    (["ring", "involutions", "data/z3.ring.json"], _RING),
+    (["ring", "homs", "data/z2.ring.json", "data/z2.ring.json"], _RING | {"zmodule"}),
+    (["zmod", "validate", "data/regular_z2.module.json"], _RING | {"zmodule"}),
+    (["zmod", "enumerate", "data/z2.ring.json"], _RING | {"zmodule"}),
+    (["twocat", "pi0", "data/mod_real.skeleton.json"], {"cli", "errors", "skeleton"}),
+    (["twocat", "family", "--p", "2", "--depth", "8"], {"cli", "errors", "fields", "skeleton"}),
+    (["pointed", "classes", "--group", "2,2", "--field", "ac0"], _POINTED | {"fields"}),
+    (["pointed", "braidings", "--p", "3"], _POINTED | {"fields"}),
+    (["pointed", "squareclasses", "--bound", "10"], _POINTED),
+    (["dy", "dims", "--group", "3", "--coeff", "fp3", "--nmax", "4"],
+     _POINTED | {"fields", "linalg", "dy"}),
+    (["dy", "diagnostic", "--group", "2", "--coeff", "fp2"],
+     _POINTED | {"fields", "linalg", "dy"}),
+    (["fusion2", "real"], _FUSION2 | {"algebras", "linalg"}),
+    (["fusion2", "ffield", "2", "3", "2"], _FUSION2),
+    (["fusion2", "pointed", "--p", "3", "--zeta", "1"],
+     _FUSION2 | {"algebras", "linalg", "pointed"}),
 ]
 
 
-@pytest.mark.parametrize("argv, unexecuted", UNEXECUTED,
-                         ids=["-".join(argv[:2]) for argv, _ in UNEXECUTED])
-def test_a_command_runs_only_the_modules_it_calls(argv, unexecuted):
+def test_the_module_table_covers_the_golden_commands():
+    golden = json.loads((DATA.parent / "perfbench" / "cli_golden.json").read_text())
+    assert [argv for argv, _ in EXECUTED] == [case["argv"] for case in golden]
+
+
+@pytest.mark.parametrize("argv, executed", EXECUTED,
+                         ids=["-".join(argv[:2]) for argv, _ in EXECUTED])
+def test_a_command_runs_only_the_modules_it_calls(argv, executed):
     script = (
         "import json, sys, types\n"
         "import modcat.cli\n"
         f"code = modcat.cli.run({argv!r})[1]\n"
         "print(json.dumps({'code': code, 'sympy': 'sympy' in sys.modules,\n"
-        "                  'lazy': [n.split('.')[1] for n, m in sys.modules.items()\n"
-        "                           if n.startswith('modcat.')\n"
-        "                           and type(m) is not types.ModuleType]}))\n")
+        "                  'executed': [n.split('.')[1] for n, m in sys.modules.items()\n"
+        "                               if n.startswith('modcat.')\n"
+        "                               and type(m) is types.ModuleType]}))\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, cwd=str(DATA.parent))
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout)
     assert seen["code"] == 0
     assert not seen["sympy"]
-    assert unexecuted <= set(seen["lazy"]), unexecuted - set(seen["lazy"])
+    assert set(seen["executed"]) == executed
 
 
 def test_import_modcat_registers_every_submodule_and_serves_the_public_names():

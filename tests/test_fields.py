@@ -32,6 +32,15 @@ def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(105) == tuple(Fraction(phi_105.get(i, 0)) for i in range(49))
 
 
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in [*range(1, 301), 982, 998, 1000]:
+        expected = sympy.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
+        phi = cyclotomic_polynomial(n)
+        assert phi == tuple(Fraction(int(c)) for c in expected), n
+        assert all(type(c) is Fraction for c in phi)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5), CyclotomicField(3),
                                    CyclotomicField(12)])
 def test_elements_are_false_exactly_at_zero(field):

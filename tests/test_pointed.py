@@ -1,15 +1,15 @@
 """Subgroups, cohomology class counts, braidings, square classes."""
 
 import itertools
-from math import prod
+from math import isqrt, prod
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from modcat.errors import UsageError
+from modcat.errors import SizeGuardExceeded, UsageError
 from modcat.fieldprofile import alg_closed, finite, rationals
-from modcat.pointed import (BraidingParam, FiniteAbelianGroup,
+from modcat.pointed import (SQUARE_CLASS_GUARD, BraidingParam, FiniteAbelianGroup,
                             OrderGuardExceeded, PointedCatData,
                             UnsupportedField, UnsupportedFieldGroupPair,
                             braidings_on_cyclic, h2_of_abelian, module_classes,
@@ -182,8 +182,23 @@ def test_square_class_witnesses():
     assert len(square_class_witnesses(30)) == 19
 
 
+def test_square_class_sieve_matches_trial_division():
+    def squarefree(n):
+        return all(n % (d * d) for d in range(2, isqrt(n) + 1))
+    witnesses = square_class_witnesses(5000)
+    assert witnesses == [n for n in range(1, 5001) if squarefree(n)]
+    for bound in range(1, 200):
+        assert square_class_witnesses(bound) == [n for n in witnesses if n <= bound]
+
+
+def test_square_class_guard():
+    assert len(square_class_witnesses(SQUARE_CLASS_GUARD)) == 607926
+    with pytest.raises(SizeGuardExceeded) as info:
+        square_class_witnesses(SQUARE_CLASS_GUARD + 1)
+    assert (info.value.size, info.value.guard) == (SQUARE_CLASS_GUARD + 1, SQUARE_CLASS_GUARD)
+
+
 def test_square_classes_pairwise_inequivalent():
-    from math import isqrt
     witnesses = square_class_witnesses(40)
     assert witnesses == sorted(witnesses)
     for a, b in itertools.combinations(witnesses, 2):

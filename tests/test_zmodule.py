@@ -10,7 +10,7 @@ from modcat.basedring import (BasedRingData, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, trivial_ring,
                               validate_zplus_ring)
-from modcat.errors import SizeGuardExceeded
+from modcat.errors import SizeGuardExceeded, ValidationError
 from modcat.pointed import FiniteAbelianGroup, subgroups
 from modcat.zmodule import (SEARCH_WORK_BUDGET, ActionLawFails, EnumerationBounds,
                             RingNotWeakBased, UnitActionFails, ZPlusModuleData,
@@ -100,6 +100,13 @@ def test_unit_action_failure(z2):
 def test_build_refuses_malformed_actions(z2, action):
     with pytest.raises(ValueError):
         ZPlusModuleData.build(z2, action)
+
+
+def test_the_zero_module_is_refused(z2):
+    data = ZPlusModuleData.build(z2, [(), ()])
+    assert data.rank == 0
+    with pytest.raises(ValidationError, match="rank must be at least 1"):
+        validate_module(data)
 
 
 def test_negative_entry_rejected(z2):
