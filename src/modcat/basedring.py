@@ -229,9 +229,7 @@ def find_weak_based_involutions(ring: ValidatedRing) -> list[WeakBasedCertificat
         return []
     if not _involution_is_antiautomorphism(ring, sigma):
         return []
-    data = BasedRingData.build(ring.labels, ring.data.mult, ring.unit_coeffs, sigma)
-    certified = ValidatedRing(data)
-    return [WeakBasedCertificate(ring=certified, involution=sigma,
+    return [WeakBasedCertificate(ring=ring, involution=sigma,
                                  t_values=tuple(t_values), i0_set=ring.i0)]
 
 

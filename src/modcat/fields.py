@@ -42,6 +42,11 @@ PRIME_TEST_GUARD = 3_317_044_064_679_887_385_961_980
 # each such n (Python 3.11, 2-CPU host), and an element holds phi(n) < 1,000 ints
 CYCLOTOMIC_GUARD = 1_000
 
+# an irrational element of Q(zeta_n) is inverted up to this phi(n): the inverse
+# takes phi(n) - 1 convolutions of length phi(n), 0.5-0.9 s at phi(n) = 200
+# (n = 275, 303) and 0.9-1.2 s at n = 211 (Python 3.11, 2-CPU host)
+CYCLOTOMIC_INVERSE_GUARD = 200
+
 
 def _is_prime(p: int) -> bool:
     """Deterministic primality test; SizeGuardExceeded above PRIME_TEST_GUARD,
@@ -334,6 +339,8 @@ class CycElem:
         # num(zeta), an int that is nonzero because Phi_n is irreducible over Q
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
+        if any(self.num[1:]) and len(self.num) > CYCLOTOMIC_INVERSE_GUARD:
+            raise SizeGuardExceeded(len(self.num), CYCLOTOMIC_INVERSE_GUARD)
         n = self.n
         num = CycElem(n, self.num)
         others = CycElem(n, [1])

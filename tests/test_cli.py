@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from modcat import basedring, cli, zmodule
+from modcat import basedring, cli, pointed, zmodule
 from modcat.basedring import group_ring
 from modcat.cli import main, render, run
 from modcat.fields import CYCLOTOMIC_GUARD, PRIME_TEST_GUARD
@@ -557,6 +557,24 @@ def test_module_search_guard_reports_size_and_guard(tmp_path, capsys, monkeypatc
     assert capsys.readouterr()[0] == out
 
 
+def test_pointed_classes_guards_report_size_and_guard(capsys, monkeypatch):
+    # small bounds refuse (Z/2)^4 within milliseconds: first its subgroups'
+    # work, then, with that budget back, its 67 subgroups' 270 classes
+    argv = ["pointed", "classes", "--group", "2,2,2,2"]
+    monkeypatch.setattr(pointed, "SUBGROUP_WORK_BUDGET", 1_000)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert error["type"] == "SizeGuardExceeded"
+    assert error["guard"] == 1_000 < error["size"]
+    assert "Traceback" not in out + err
+    monkeypatch.undo()
+    monkeypatch.setattr(pointed, "MODULE_CLASS_GUARD", 100)
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr()[0])["error"]
+    assert (error["type"], error["size"], error["guard"]) == ("SizeGuardExceeded", 270, 100)
+
+
 def test_ring_validate_certifies_a_rank_13_group_ring(tmp_path):
     result, code = invoke(["ring", "validate", group_ring_file(tmp_path / "z13.ring.json", [13])])
     assert code == 0
@@ -702,7 +720,7 @@ FUZZ_COMMANDS = {
 FUZZ_VALUES = {
     "--p": (["2", "3"], ["4", "0", "-1", "x"]),
     "--depth": (["1", "6"], ["0", "x"]),
-    "--group": (["2", "3", "2,2", "6"], ["2,3", "1", "0", "x", ""]),
+    "--group": (["2", "3", "2,2", "6"], ["2,3", "1", "0", "x", "", "2,2,2,2,2,2,2"]),
     "--field": (["ac0", "ac2", "ac3", "rc", "q", "fp3"], ["ac4", "acx", "zz"]),
     "--coeff": (["q", "fp2", "fp3", "cyclo3", "cyclo4"], ["fp4", "cyclo0", "cyclox", "zz"]),
     "--nmax": (["1", "3"], ["0", "-1", "x"]),
@@ -798,9 +816,12 @@ def test_fuzzing_covers_every_subcommand():
 
 @pytest.fixture
 def fuzz_folder(tmp_path, monkeypatch):
-    # a small work budget refuses a mutated ring's search in milliseconds
+    # a small work budget refuses a mutated ring's search, or (Z/2)^7's
+    # subgroups, in milliseconds
     monkeypatch.setattr(zmodule, "SEARCH_WORK_BUDGET", 20_000)
     monkeypatch.setattr(basedring, "SEARCH_WORK_BUDGET", 20_000)
+    monkeypatch.setattr(pointed, "SUBGROUP_WORK_BUDGET", 20_000)
+    monkeypatch.setattr(pointed, "MODULE_CLASS_GUARD", 1_000)
     (tmp_path / "z2.ring.json").write_text((DATA / "z2.ring.json").read_text())
     return tmp_path
 

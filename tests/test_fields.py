@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.errors import SizeGuardExceeded
-from modcat.fields import (PRIME_TEST_GUARD, CyclotomicField, CycElem, PrimeField, QQ,
-                           _is_prime, cyclotomic_polynomial, field_from_code)
+from modcat.fields import (CYCLOTOMIC_INVERSE_GUARD, PRIME_TEST_GUARD, CyclotomicField,
+                           CycElem, PrimeField, QQ, _is_prime, cyclotomic_polynomial,
+                           field_from_code)
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -234,6 +235,21 @@ def test_is_prime_refuses_above_its_proven_bound():
     with pytest.raises(SizeGuardExceeded) as info:
         _is_prime(PRIME_TEST_GUARD + 1)
     assert (info.value.size, info.value.guard) == (PRIME_TEST_GUARD + 1, PRIME_TEST_GUARD)
+
+
+def test_inverse_guard_refuses_an_irrational_element_past_the_bound():
+    # 211 is the least n with phi(n) > 200; phi(275) = 200 is the bound itself
+    assert CYCLOTOMIC_INVERSE_GUARD == 200
+    past = CyclotomicField(211)
+    with pytest.raises(SizeGuardExceeded) as info:
+        (past.zeta() + past.from_int(2)).inverse()
+    assert (info.value.size, info.value.guard) == (210, 200)
+    at = CyclotomicField(275)
+    x = at.zeta() + at.from_int(2)
+    assert x * x.inverse() == at.one()
+    # a rational element takes no convolution and stays admitted
+    rational = CyclotomicField(997).from_int(3)
+    assert rational * rational.inverse() == CyclotomicField(997).one()
 
 
 def test_degree_is_the_number_of_units_mod_n():

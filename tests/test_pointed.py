@@ -1,16 +1,18 @@
 """Subgroups, cohomology class counts, braidings, square classes."""
 
 import itertools
-from math import isqrt, prod
+from functools import cache
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
+from modcat import pointed
 from modcat.errors import SizeGuardExceeded, UsageError
 from modcat.fieldprofile import alg_closed, finite, rationals
-from modcat.pointed import (SQUARE_CLASS_GUARD, BraidingParam, FiniteAbelianGroup,
-                            OrderGuardExceeded, PointedCatData,
+from modcat.pointed import (MODULE_CLASS_GUARD, SQUARE_CLASS_GUARD, SUBGROUP_WORK_BUDGET,
+                            BraidingParam, FiniteAbelianGroup, PointedCatData,
                             UnsupportedField, UnsupportedFieldGroupPair,
                             braidings_on_cyclic, h2_of_abelian, module_classes,
                             square_class_witnesses, subgroups)
@@ -53,9 +55,136 @@ def test_subgroups_closed_and_deduplicated():
             assert group.add(g, h) in set(s.elements)
 
 
-def test_subgroup_order_guard():
-    with pytest.raises(OrderGuardExceeded):
-        subgroups(FiniteAbelianGroup((1024,)))
+# -- subgroup oracles ----------------------------------------------------------
+
+def chains(limit):
+    """Every invariant-factor chain n_1 | n_2 | ... (n_1 >= 2) of product <= limit,
+    the empty chain included."""
+    def extend(chain, order):
+        yield chain
+        for n in range(chain[-1] if chain else 2, limit // order + 1):
+            if not chain or n % chain[-1] == 0:
+                yield from extend(chain + (n,), order * n)
+    return list(extend((), 1))
+
+
+@cache
+def subgroups_of(orders):
+    return subgroups(FiniteAbelianGroup(orders))
+
+
+def closure_subgroups(group: FiniteAbelianGroup) -> list[tuple]:
+    """Reference enumeration: the subgroups' sorted element tuples, found by
+    closing the trivial group under one more generator at a time, with every
+    closure recomputed from all its generators."""
+    def closure(gens):
+        seen, frontier = {group.zero()}, [group.zero()]
+        while frontier:
+            g = frontier.pop()
+            for h in gens:
+                s = group.add(g, h)
+                if s not in seen:
+                    seen.add(s)
+                    frontier.append(s)
+        return frozenset(seen)
+
+    found = {closure(()): ()}
+    frontier = list(found.items())
+    while frontier:
+        current, gens = frontier.pop()
+        for x in group.elements():
+            if x not in current:
+                bigger = closure(gens + (x,))
+                if bigger not in found:
+                    found[bigger] = gens + (x,)
+                    frontier.append((bigger, gens + (x,)))
+    return sorted((tuple(sorted(s)) for s in found), key=lambda e: (len(e), e))
+
+
+def test_subgroups_match_the_closure_reference():
+    assert len(chains(32)) == 55
+    for orders in chains(32):
+        assert [s.elements for s in subgroups_of(orders)] == \
+            closure_subgroups(FiniteAbelianGroup(orders))
+
+
+def gaussian_binomial(n: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of F_p^n."""
+    return prod(p ** (n - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
+
+
+@pytest.mark.parametrize("p,counts", [(2, [1, 2, 5, 16, 67, 374, 2825]),
+                                      (3, [1, 2, 6, 28, 212])])
+def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, counts):
+    # the subgroups of (Z/p)^n are the subspaces of F_p^n
+    assert counts == [sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+                      for n in range(len(counts))]
+    assert [len(subgroups_of((p,) * n)) for n in range(len(counts))] == counts
+
+
+def test_invariant_factors_match_order_counts():
+    # prod_i gcd(m, n_i) = #{x in H : mx = 0} for every m, which fixes H up
+    # to isomorphism; the n_i form a divisibility chain of product |H|
+    assert len(chains(64)) == 117
+    for orders in chains(64):
+        for sub in subgroups_of(orders):
+            factors = sub.invariant_factors
+            assert all(n >= 2 for n in factors)
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+            assert prod(factors) == sub.order
+            for m in range(1, sub.order + 1):
+                if sub.order % m == 0:
+                    killed = sum(1 for x in sub.elements
+                                 if all(m * a % n == 0 for a, n in zip(x, orders)))
+                    assert prod(gcd(m, n) for n in factors) == killed
+
+
+def test_subgroup_work_budget():
+    # the budget counts the work done, not the order: Z/1024 has 11 subgroups
+    assert len(subgroups(FiniteAbelianGroup((1024,)))) == 11
+    assert SUBGROUP_WORK_BUDGET == 1_362_000
+    # the order is charged up front, before any element is built
+    with pytest.raises(SizeGuardExceeded) as info:
+        subgroups(FiniteAbelianGroup((10 ** 12,)))
+    assert (info.value.size, info.value.guard) == (10 ** 12, SUBGROUP_WORK_BUDGET)
+
+
+def test_subgroup_refusal_is_deterministic(monkeypatch):
+    # (Z/2)^7 passes a small budget within milliseconds, at the same count twice
+    monkeypatch.setattr(pointed, "SUBGROUP_WORK_BUDGET", 20_000)
+    sizes = []
+    for _ in range(2):
+        with pytest.raises(SizeGuardExceeded) as info:
+            subgroups(FiniteAbelianGroup((2,) * 7))
+        assert info.value.guard == 20_000 < info.value.size <= 20_000 + 2 * 128
+        sizes.append(info.value.size)
+    assert sizes[0] == sizes[1]
+
+
+def test_module_class_guard_counts_classes_before_building(monkeypatch):
+    assert MODULE_CLASS_GUARD == 156_000
+    # (Z/2)^5 has 4,590 classes, the sum of |H^2(H; k*)| over its 374 subgroups
+    group = FiniteAbelianGroup((2,) * 5)
+    assert len(module_classes(group, alg_closed(0))) == 4590
+    monkeypatch.setattr(pointed, "MODULE_CLASS_GUARD", 4589)
+    with pytest.raises(SizeGuardExceeded) as info:
+        module_classes(group, alg_closed(0))
+    assert (info.value.size, info.value.guard) == (4590, 4589)
+    # characteristic 2 drops the 2-torsion of H^2: one class per subgroup
+    assert len(module_classes(group, alg_closed(2))) == 374
+
+
+@pytest.mark.slow
+def test_guards_at_their_boundary_cases():
+    # (Z/2)^6, the class boundary, is admitted; (Z/3)^5 passes the work budget
+    # and is refused by its 183,680 classes; (Z/2)^7 passes the work budget
+    assert len(module_classes(FiniteAbelianGroup((2,) * 6), alg_closed(0))) == 151_470
+    with pytest.raises(SizeGuardExceeded) as info:
+        module_classes(FiniteAbelianGroup((3,) * 5), alg_closed(0))
+    assert (info.value.size, info.value.guard) == (183_680, MODULE_CLASS_GUARD)
+    with pytest.raises(SizeGuardExceeded) as info:
+        subgroups(FiniteAbelianGroup((2,) * 7))
+    assert info.value.guard == SUBGROUP_WORK_BUDGET < info.value.size
 
 
 # -- H^2 oracle ---------------------------------------------------------------

@@ -130,6 +130,17 @@ def test_direct_sum_is_reducible_and_decomposable(z2):
     assert not is_indecomposable(mixed)
 
 
+def test_enumerated_modules_share_the_ring_given_without_involution():
+    # the certificate holds the ring it certifies, so a module found through
+    # it sums with the ring's own regular module
+    data = group_ring([2])
+    ring = validate_zplus_ring(BasedRingData.build(data.labels, data.mult, data.unit_coeffs))
+    (cert,) = find_weak_based_involutions(ring)
+    assert cert.ring is ring
+    module = enumerate_irreducible_modules(cert)[0]
+    assert direct_sum(module, regular_module(ring)).rank == module.rank + 2
+
+
 def test_rank_one_trivial_is_indecomposable(z2):
     assert is_indecomposable(validate_module(rank_one_module(z2, [1, 1])))
 
