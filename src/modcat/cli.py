@@ -33,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import basedring, dy, fieldprofile, fields, fusion2, pointed, skeleton, zmodule
@@ -46,7 +47,7 @@ _EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
 class CommandResult:
     status: str                 # "ok", "error" or "usage"
     payload: dict
-    human_table: str | None = None
+    human_table: str | Callable[[], str] | None = None  # a callable is called for md only
 
     @property
     def exit_code(self) -> int:
@@ -261,8 +262,6 @@ def _cmd_pointed_classes(args) -> CommandResult:
     group = _parse_group(args.group)
     profile = fieldprofile.profile_from_code(_field_code(args))
     classes = pointed.module_classes(group, profile)
-    rows = [(c.label, str(c.subgroup), c.subgroup.order, c.cocycle_class_index, c.separable)
-            for c in classes]
     payload = {"count": len(classes),
                "separable_count": sum(1 for c in classes if c.separable),
                "classes": [{"label": c.label,
@@ -270,9 +269,10 @@ def _cmd_pointed_classes(args) -> CommandResult:
                             "subgroup_invariants": list(c.subgroup.invariant_factors),
                             "cocycle_class_index": c.cocycle_class_index,
                             "separable": c.separable} for c in classes]}
-    return CommandResult("ok", payload,
-                         _markdown_table(["label", "subgroup", "order", "class", "separable"],
-                                         rows))
+    return CommandResult("ok", payload, lambda: _markdown_table(
+        ["label", "subgroup", "order", "class", "separable"],
+        [(c.label, str(c.subgroup), c.subgroup.order, c.cocycle_class_index, c.separable)
+         for c in classes]))
 
 
 def _cmd_pointed_braidings(args) -> CommandResult:
@@ -444,7 +444,7 @@ def render(result: CommandResult, fmt: str) -> str:
     body = dict(result.payload)
     body["status"] = result.status
     if fmt == "md" and result.human_table is not None:
-        return result.human_table
+        return result.human_table() if callable(result.human_table) else result.human_table
     return json.dumps(body, indent=2, sort_keys=True)
 
 

@@ -9,6 +9,11 @@ functions G^n -> k, of dimension |G|^n, and the differential reads
                          + sum_{i=1..n} (-1)^i f(g_0, ..., g_{i-1} g_i, ..., g_n)
                          + (-1)^{n+1} f(g_0, ..., g_{n-1}).
 
+Only the normalized cochains N, zero when some g_i is the identity, are built
+face by face.  N and C are homotopy equivalent over Z (Brown, Cohomology of
+Groups, I.5), so Q = C/N is split exact: in a basis of Q^n that starts with
+the image of d^{n-1}, d^n is a partial identity after N's rows and columns.
+
 The differentials have integer entries whatever the coefficient field, so
 each d^n is built once as sparse integer rows, at most n + 2 nonzero entries
 per row, and d of d = 0 is checked once, over Z, on construction; that holds
@@ -35,13 +40,12 @@ from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup
 
-# Bounds the nonzero entries of the integer differentials, sum over n of
-# |G|^(n+1) rows times n + 2.  Elimination works on those entries and their
-# fill-in, and the leftover block it hands to the prime field is made of rows
-# of the differentials, so their count bounds it too.  The boundary case is
-# Z/15 at n_max 4, size 267,330: about 2 s and 72 MB over Q, F_3 or F_5 (its
-# leftover at most 11,025 x 16), on one core of a 2-CPU host.  Order 16 at
-# n_max 4 (344,864) is refused.
+# Counts |G|^(n+1) rows times n + 2, summed over n < n_max: the nonzero entries
+# of the full integer differentials, a bound on the entries built.  Elimination
+# works on those and their fill-in, and the leftover block it hands to the prime
+# field is made of rows of the differentials, so the count bounds it too.  The
+# boundary case, Z/15 at n_max 4 (267,330), takes about 2 s and 65 MB over F_5
+# on one core of a 2-CPU host; order 16 at n_max 4 (344,864) is refused.
 SIZE_GUARD = 267_330
 NMAX_GUARD = 4
 
@@ -112,17 +116,17 @@ class DYComplex:
 
 
 def _delta_rows(group: FiniteAbelianGroup, n: int) -> list[dict[int, int]]:
-    """The rows of d^n over Z, as their nonzero entries.
+    """The rows of the normalized d^n over Z, as their nonzero entries.
 
-    Row r is the (n+1)-tuple whose base-|G| digits (in the order of
-    ``group.elements()``) are the element indices of g_0, ..., g_n, and each
-    face is an n-tuple indexed the same way: face i carries the sign (-1)^i,
-    faces that coincide are summed, and sums of 0 are dropped.
+    Row r is the (n+1)-tuple whose base-(|G|-1) digits index g_0, ..., g_n
+    among the non-identity elements, and each face is an n-tuple indexed the
+    same way: face i carries the sign (-1)^i, faces with g_{i-1} g_i = e drop
+    out, faces that coincide are summed, and sums of 0 are dropped.
     """
-    elements = group.elements()
+    elements = group.elements()[1:]  # the identity comes first
     index = {g: i for i, g in enumerate(elements)}
-    # the addition table, needed from degree 1 on: |G|^2 <= |G|^(n+1) entries
-    add = [[index[group.add(g, h)] for h in elements] for g in elements] if n else []
+    # the addition table, -1 for the identity, needed from degree 1 on
+    add = [[index.get(group.add(g, h), -1) for h in elements] for g in elements] if n else []
     order = len(elements)
     # face i, 1 <= i <= n, puts the index of g_{i-1} g_i in place of digits
     # i-1 and i: the digits above move down one place, those below stay
@@ -134,8 +138,9 @@ def _delta_rows(group: FiniteAbelianGroup, n: int) -> list[dict[int, int]]:
     for r, digits in enumerate(itertools.product(range(order), repeat=n + 1)):
         terms = {r % cols: 1}
         for i, (above, shift, below, sign) in enumerate(merges, start=1):
-            col = r // above * shift + add[digits[i - 1]][digits[i]] * below + r % below
-            terms[col] = terms.get(col, 0) + sign
+            if (merged := add[digits[i - 1]][digits[i]]) >= 0:
+                col = r // above * shift + merged * below + r % below
+                terms[col] = terms.get(col, 0) + sign
         col = r // order
         terms[col] = terms.get(col, 0) + last_sign
         rows.append({c: v for c, v in terms.items() if v})
@@ -155,10 +160,15 @@ def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
     if size > SIZE_GUARD:
         raise SizeGuardExceeded(size, SIZE_GUARD)
 
-    deltas = tuple(Matrix.from_int_rows(field, _delta_rows(group, n), group.order ** n)
-                   for n in range(n_max))
-    dims = tuple(group.order ** n for n in range(n_max + 1))
-    return DYComplex(n_max=n_max, cochain_dims=dims, deltas=deltas)
+    order, deltas, q = group.order, [], 0
+    for n in range(n_max):
+        # N's rows, then the complement of the image in Q^n, q = rank of d^n on Q
+        first, q = (order - 1) ** n + q, order ** n - (order - 1) ** n - q
+        rows = _delta_rows(group, n) + [{first + j: 1} for j in range(q)]
+        rows += [{} for _ in range(order ** (n + 1) - len(rows))]
+        deltas.append(Matrix.from_int_rows(field, rows, order ** n))
+    dims = tuple(order ** n for n in range(n_max + 1))
+    return DYComplex(n_max=n_max, cochain_dims=dims, deltas=tuple(deltas))
 
 
 def dy_cohomology_dims(complex_: DYComplex) -> list[int]:

@@ -195,7 +195,7 @@ def _integer_rank(rows: list[dict], p: int) -> int:
     over Q by ``rref`` on the leftover block.  ``rows`` is not modified.
     """
     basis: dict[int, dict] = {}
-    waiting = rows
+    waiting = [row for row in rows if row]
     while True:
         found = len(basis)
         pending, waiting = waiting, []

@@ -1,11 +1,12 @@
 """Deformation cochain complexes: differential identities and dimensions."""
 
+import itertools
 import math
 
 import pytest
 
-from modcat.dy import (NMAX_GUARD, SIZE_GUARD, PointedFunctorData, SeparabilityDiagnostic,
-                       build_dy_complex, dy_cohomology_dims,
+from modcat.dy import (NMAX_GUARD, SIZE_GUARD, DYComplex, PointedFunctorData,
+                       SeparabilityDiagnostic, build_dy_complex, dy_cohomology_dims,
                        separability_diagnostic)
 from modcat.errors import SizeGuardExceeded, UsageError, ValidationError
 from modcat.fields import CyclotomicField, PrimeField, QQ, field_from_code
@@ -16,6 +17,35 @@ from modcat.pointed import FiniteAbelianGroup
 def identity_complex(orders, field, n_max=4):
     group = FiniteAbelianGroup(orders)
     return build_dy_complex(PointedFunctorData.identity(group, field), n_max)
+
+
+def full_delta_rows(group, n):
+    """The rows of the full bar differential d^n over Z, on all |G|^(n+1)
+    tuples; the reference the normalized complex is checked against.
+
+    Row r is the (n+1)-tuple whose base-|G| digits (in the order of
+    ``group.elements()``) are the element indices of g_0, ..., g_n, and each
+    face is an n-tuple indexed the same way: face i carries the sign (-1)^i,
+    faces that coincide are summed, and sums of 0 are dropped.
+    """
+    elements = group.elements()
+    index = {g: i for i, g in enumerate(elements)}
+    add = [[index[group.add(g, h)] for h in elements] for g in elements] if n else []
+    order = len(elements)
+    merges = [(order ** (n - i + 2), order ** (n - i + 1), order ** (n - i), (-1) ** i)
+              for i in range(1, n + 1)]
+    last_sign = (-1) ** (n + 1)
+    cols = order ** n
+    rows = []
+    for r, digits in enumerate(itertools.product(range(order), repeat=n + 1)):
+        terms = {r % cols: 1}
+        for i, (above, shift, below, sign) in enumerate(merges, start=1):
+            col = r // above * shift + add[digits[i - 1]][digits[i]] * below + r % below
+            terms[col] = terms.get(col, 0) + sign
+        col = r // order
+        terms[col] = terms.get(col, 0) + last_sign
+        rows.append({c: v for c, v in terms.items() if v})
+    return rows
 
 
 def test_cochain_dimensions():
@@ -30,17 +60,28 @@ def test_delta0_is_zero():
 
 
 def test_delta1_matrix_by_hand_over_q():
-    # basis of C^1: (f(e), f(g)); rows (e,e), (e,g), (g,e), (g,g) give
-    # (1,0), (1,0), (1,0), (-1,2)
+    # Z/2 = {e, g}: the normalized cochains are f(g) in degree 1 and f(g, g)
+    # in degree 2, where (d f)(g, g) = f(g) - f(e) + f(g) with f(e) = 0; the
+    # degenerate quotient Q^1 is spanned by [f(e)], and d sends it to the
+    # first basis vector of Q^2, followed by the two others of Q^2
     c = identity_complex((2,), QQ, n_max=2)
-    expected = Matrix.from_ints(QQ, [[1, 0], [1, 0], [1, 0], [-1, 2]])
+    expected = Matrix.from_ints(QQ, [[2, 0], [0, 1], [0, 0], [0, 0]])
     assert c.deltas[1] == expected
     assert rank(c.deltas[1]) == 2
 
 
 def test_delta1_rank_over_f2_is_one():
-    c = identity_complex((2,), PrimeField(2), n_max=2)
+    # the full d^1 of Z/2 in the basis of tuples has rows (e,e), (e,g), (g,e),
+    # (g,g) equal to (1,0), (1,0), (1,0), (-1,2), of rank one over F_2, as is
+    # the built one, whose normalized entry 2 vanishes; both leave H^1 = F_2
+    f2 = PrimeField(2)
+    full = Matrix.from_int_rows(f2, full_delta_rows(FiniteAbelianGroup((2,)), 1), 2)
+    assert full.rows == Matrix.from_ints(f2, [[1, 0], [1, 0], [1, 0], [-1, 2]]).rows
+    assert rank(full) == 1
+    c = identity_complex((2,), f2, n_max=2)
+    assert c.deltas[1] == Matrix.from_ints(f2, [[0, 0], [0, 1], [0, 0], [0, 0]])
     assert rank(c.deltas[1]) == 1
+    assert dy_cohomology_dims(c) == [1, 1]
 
 
 def test_trivial_group_complex():
@@ -179,6 +220,44 @@ def test_dims_match_closed_form_up_to_order_nine(orders, code):
     field = field_from_code(code)
     dims = dy_cohomology_dims(identity_complex(orders, field, n_max=4))
     assert dims == closed_form_dims(orders, field.char, 4)
+
+
+@pytest.mark.parametrize("orders,field,n_max",
+                         [(orders, field, 3) for orders in SMALL_GROUPS
+                          for field in (QQ, PrimeField(2), PrimeField(3))]
+                         + [((3,), CyclotomicField(3), 4)])
+def test_normalized_dims_match_the_full_complex(orders, field, n_max):
+    group = FiniteAbelianGroup(orders)
+    order, m = group.order, group.order - 1
+    complex_ = identity_complex(orders, field, n_max=n_max)
+    full = tuple(Matrix.from_int_rows(field, full_delta_rows(group, n), order ** n)
+                 for n in range(n_max))
+    # the full differentials compose to zero over Z, which DYComplex checks
+    DYComplex(n_max=n_max, cochain_dims=complex_.cochain_dims, deltas=full)
+    # and give the same cohomology dimensions
+    ranks = [rank(delta) for delta in full]
+    assert dy_cohomology_dims(complex_) == [
+        order ** n - ranks[n] - (ranks[n - 1] if n else 0) for n in range(n_max)]
+    # each normalized d^n is the full one on the tuples of non-identity
+    # elements: digit d of base |G| - 1 is element index d + 1 of base |G|
+    def full_index(tuple_):
+        return sum((d + 1) * order ** k for k, d in enumerate(reversed(tuple_)))
+
+    for n, delta in enumerate(complex_.deltas):
+        # the same map in another basis: same shape, same rank
+        assert (delta.nrows, delta.ncols) == (full[n].nrows, full[n].ncols)
+        assert rank(delta) == ranks[n]
+        columns = {full_index(t): j for j, t in
+                   enumerate(itertools.product(range(m), repeat=n))}
+        restricted = [{columns[col]: v for col, v in full[n].int_rows[full_index(t)].items()
+                       if col in columns}
+                      for t in itertools.product(range(m), repeat=n + 1)]
+        assert delta.int_rows[:m ** (n + 1)] == restricted
+        # then, on Q, a partial identity: single 1s in distinct columns past N's
+        rest = delta.int_rows[m ** (n + 1):]
+        ones = [col for row in rest for col, v in row.items() if v == 1]
+        assert sum(map(len, rest)) == len(ones) == len(set(ones))
+        assert all(col >= m ** n for col in ones)
 
 
 def test_hand_built_invalid_complex_is_rejected():
