@@ -19,11 +19,12 @@ each d^n is built once as sparse integer rows, at most n + 2 nonzero entries
 per row, and d of d = 0 is checked once, over Z, on construction; that holds
 in every field.  Cohomology dimensions come from exact ranks,
 dim H^n = dim ker d^n - rank d^{n-1}, and the rank of an integer matrix over
-k depends only on the characteristic of k: ``linalg.rank`` eliminates over Z
-on pivots of +-1, which are units in every field, and finishes the small
-leftover block over the prime field (on residues mod p, or on rationals), so
-Q(zeta_n) costs what Q costs.  The matrices over k itself are made only when
-their entries are read.
+k depends only on the characteristic of k, so Q(zeta_n) costs what Q costs:
+``linalg.rank`` works on the ints (over F_2 on rows packed into ints).  As
+im d^{n-1} lies in ker d^n, rank d^n is at most |G|^n - rank d^{n-1}, with
+equality exactly when H^n = 0 (over Q, or over F_p with p not dividing |G|);
+``rank`` stops there, and the dependent rows left over are never reduced.
+The matrices over k itself are made only when their entries are read.
 
 The matrices depend only on the source group multiplication, never on where
 the functor sends things, so the certified scope is untwisted pointed data;
@@ -53,6 +54,12 @@ NMAX_GUARD = 4
 class ComplexNotValid(ValidationError):
     def __init__(self, n: int):
         super().__init__(f"d^{n + 1} after d^{n} is not zero")
+        self.degree = n
+
+
+class ComplexShapeMismatch(ValidationError):
+    def __init__(self, n: int, detail: str):
+        super().__init__(f"degree {n}: {detail}")
         self.degree = n
 
 
@@ -90,13 +97,22 @@ class PointedFunctorData:
 
 @dataclass(frozen=True)
 class DYComplex:
-    """Differentials up to degree n_max, checked to satisfy d of d = 0."""
+    """Differentials up to degree n_max, checked for their shapes and d of d = 0."""
 
     n_max: int
     cochain_dims: tuple[int, ...]
     deltas: tuple[Matrix, ...]  # deltas[n]: C^n -> C^{n+1}, |G|^{n+1} x |G|^n
 
     def __post_init__(self):
+        # the laws below and the rank bound in dy_cohomology_dims read these shapes
+        for what, count, want in (("differentials", len(self.deltas), self.n_max),
+                                  ("cochain dimensions", len(self.cochain_dims), self.n_max + 1)):
+            if count != want:
+                raise ComplexShapeMismatch(min(count, want), f"{count} {what} for n_max {self.n_max}")
+        for n, delta in enumerate(self.deltas):
+            if (delta.nrows, delta.ncols) != (self.cochain_dims[n + 1], self.cochain_dims[n]):
+                raise ComplexShapeMismatch(n, f"d^{n} is {delta.nrows}x{delta.ncols}, not "
+                                              f"{self.cochain_dims[n + 1]}x{self.cochain_dims[n]}")
         # d^{n+1} d^n is composed on the integer rows where both matrices
         # carry them, as built ones do, which checks it over Z and so over
         # every field; other matrices are composed in their field
@@ -175,8 +191,9 @@ def dy_cohomology_dims(complex_: DYComplex) -> list[int]:
     """dim H^n for n = 0..n_max-1; the top degree is truncated away."""
     dims = []
     prev_rank = 0
-    for n in range(complex_.n_max):
-        r = rank(complex_.deltas[n])
+    for n, delta in enumerate(complex_.deltas):
+        # d d = 0 puts im d^{n-1} in ker d^n, so rank d^n <= ncols - rank d^{n-1}
+        r = rank(delta, at_most=delta.ncols - prev_rank)
         kernel_dim = complex_.cochain_dims[n] - r
         dims.append(kernel_dim - prev_rank)
         prev_rank = r

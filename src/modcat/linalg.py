@@ -2,7 +2,8 @@
 
 Matrices store their field handle and, for each row, the dict of its nonzero
 entries, so every operation costs what the nonzeros cost, not the shape.
-``rank`` works on integers wherever the entries are rational (see there).
+``rank`` works on integers wherever the entries are rational, over F_2 on rows
+packed into ints and reduced by XOR, and stops at a known bound (see there).
 Echelon forms follow one fixed convention so that every output is canonical:
 
 * the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
@@ -158,14 +159,16 @@ def _subtract_multiple(row: dict, factor, other: dict, zero) -> None:
             del row[j]
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix, *, at_most: int | None = None) -> int:
     """Rank of the matrix over its exact field.
 
     Rank is unchanged by field extension, so a matrix whose entries are all
     images of rationals (every matrix over Q or F_p) is ranked on integers by
     :func:`_integer_rank`: over Q each row is cleared of its denominators,
     over F_p the residues are taken between -p/2 and p/2.  A matrix with an
-    irrational cyclotomic entry is ranked by ``rref``.
+    irrational cyclotomic entry is ranked by ``rref``.  ``at_most``, if given,
+    must bound the rank from above; elimination on integers then stops as
+    soon as that many independent rows are found.
     """
     rows = m.int_rows
     if rows is None:
@@ -178,24 +181,41 @@ def rank(m: Matrix) -> int:
             den = lcm(*(q.denominator for q in lifted))
             rows.append({j: q.numerator * (den // q.denominator)
                          for j, q in zip(row, lifted)})
-    return _integer_rank(rows, m.field.char)
+    return _integer_rank(rows, m.field.char, at_most)
 
 
-def _integer_rank(rows: list[dict], p: int) -> int:
-    """Rank over F_p, or over Q when p = 0, of integer rows ``{column: int}``.
+def _integer_rank(rows: list[dict], p: int, at_most: int | None = None) -> int:
+    """Rank over F_p, or over Q when p = 0, of integer rows ``{column: int}``;
+    elimination stops once ``at_most`` independent rows are found, a bound
+    the caller proves.  The rows with one entry go first: each is a pivot,
+    or a multiple of one, and the rows after it lose that column at once.
 
-    First the rows are eliminated over Z using only pivots of +-1, which are
-    units over every prime field: each basis row holds +-1 at its own pivot
-    column and 0 at the others.  A row with no +-1 entry is divided by the
-    gcd of its entries when that is a unit over the prime field (any gcd over
-    Q, one prime to p over F_p), which may give it one; otherwise it waits.
-    The waiting rows are fed through again while that finds new pivots, so
-    in the end they vanish at every pivot column.  Their rank over the prime
-    field, added to the number of pivots, is the rank: modulo p on ints, or
-    over Q by ``rref`` on the leftover block.  ``rows`` is not modified.
+    Over F_2 each row is packed into one int, bit j set when the entry in
+    column j is odd, and reduced by XOR against the basis row with the same
+    leading bit.  Otherwise the rows are eliminated over Z using only pivots
+    of +-1, which are units over every prime field: each basis row holds +-1
+    at its own pivot column and 0 at the others.  A row with no +-1 entry is
+    divided by the gcd of its entries when that is a unit over the prime
+    field (any gcd over Q, one prime to p over F_p), which may give it one;
+    otherwise it waits.  The waiting rows are fed through again while that
+    finds new pivots, so in the end they vanish at every pivot column.  Their
+    rank over the prime field, added to the number of pivots, is the rank:
+    modulo p on ints, or over Q by ``rref`` on the leftover block (empty
+    when the bound was met).  ``rows`` is not modified.
     """
+    waiting = [row for row in rows if len(row) == 1] + [row for row in rows if len(row) > 1]
+    if p == 2:
+        packed: dict[int, int] = {}
+        for row in waiting:
+            bits = sum(1 << c for c, v in row.items() if v & 1)
+            while bits and (lead := bits.bit_length() - 1) in packed:
+                bits ^= packed[lead]
+            if bits:
+                packed[lead] = bits
+                if len(packed) == at_most:
+                    break
+        return len(packed)
     basis: dict[int, dict] = {}
-    waiting = [row for row in rows if row]
     while True:
         found = len(basis)
         pending, waiting = waiting, []
@@ -218,6 +238,9 @@ def _integer_rank(rows: list[dict], p: int) -> int:
                 if pc in other:
                     _subtract_int_multiple(other, other[pc] * row[pc], row)
             basis[pc] = row
+            if len(basis) == at_most:
+                waiting = []
+                break
         if len(basis) == found or not waiting:
             break
     if p:
@@ -230,8 +253,10 @@ def _integer_rank(rows: list[dict], p: int) -> int:
 def _unit_column(row: dict) -> int | None:
     """The last column where the row holds +-1, if any.  Any such column may
     be the pivot; the last keeps the basis short on the DY differentials,
-    whose rows come in lexicographic order (on Z/3 x Z/3 in degree 3 the
-    elimination touches about a sixth of the entries the first one costs)."""
+    whose normalized rows come in lexicographic order (on Z/3 x Z/3 in
+    degree 3 the elimination touches about a sixth of the entries the first
+    one costs).  The rows of their partial identity, fed first, have one
+    entry and so no choice."""
     return max((c for c, v in row.items() if v == 1 or v == -1), default=None)
 
 

@@ -291,3 +291,29 @@ def test_functor_hom_well_definedness():
     with pytest.raises(ValidationError):
         # an image needs one coordinate per cyclic factor of the target
         PointedFunctorData(source=tgt, target=tgt, hom=((1, 5),), field=QQ)
+
+
+def test_differentials_of_the_wrong_shape_are_rejected():
+    from modcat.dy import ComplexShapeMismatch
+    # d^0 must be 5 x 3; read as it stands, a 1 x 1 one gives H = [3, 4]
+    with pytest.raises(ComplexShapeMismatch, match="degree 0: d\\^0 is 1x1, not 5x3") as err:
+        DYComplex(n_max=2, cochain_dims=(3, 5, 7),
+                  deltas=(Matrix.from_ints(QQ, [[0]]), Matrix.from_ints(QQ, [[1]])))
+    assert err.value.degree == 0
+    # d^1 reads a column past d^0's rows, so d d cannot even be composed
+    with pytest.raises(ComplexShapeMismatch, match="degree 1: d\\^1 is 2x2, not 2x1") as err:
+        DYComplex(n_max=2, cochain_dims=(1, 1, 2),
+                  deltas=(Matrix.from_int_rows(QQ, [{0: 1}], 1),
+                          Matrix.from_int_rows(QQ, [{1: 1}, {}], 2)))
+    assert err.value.degree == 1
+
+
+# the degree named is the first one that is missing or extra
+@pytest.mark.parametrize("n_max,dims,count,degree", [(2, (1, 1, 1), 1, 1), (1, (1, 1), 2, 1),
+                                                     (2, (1, 1), 2, 2), (1, (1, 1, 1), 1, 2)])
+def test_complex_needs_one_differential_and_dimension_per_degree(n_max, dims, count, degree):
+    from modcat.dy import ComplexShapeMismatch
+    deltas = tuple(Matrix.from_int_rows(QQ, [{}], 1) for _ in range(count))
+    with pytest.raises(ComplexShapeMismatch) as err:
+        DYComplex(n_max=n_max, cochain_dims=dims, deltas=deltas)
+    assert isinstance(err.value, ValidationError) and err.value.degree == degree

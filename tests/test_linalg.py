@@ -261,3 +261,51 @@ def test_int_rows_give_the_field_entries_on_demand():
     assert (m.nrows, m.ncols) == (2, 2)
     assert m == Matrix.from_ints(PrimeField(2), [[0, 1], [0, 0]])
     assert rank(m) == 1
+
+
+@st.composite
+def wide_int_rows(draw):
+    """Up to 16 rows of 1 to 200 columns with entries in -3..3.  The nonzeros
+    lie in a few columns anywhere in the row, so rows are often dependent and
+    their packed bits run past one machine word."""
+    ncols = draw(st.integers(1, 200))
+    support = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=10, unique=True))
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(support),
+                                         st.sampled_from([1, -1, 2, -2, 3, -3])), max_size=16))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=wide_int_rows())
+def test_packed_f2_rank_matches_rref_on_wide_matrices(shape):
+    rows, ncols = shape
+    m = Matrix.from_int_rows(PrimeField(2), rows, ncols)
+    assert rank(m) == len(rref(m)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=sparse_int_rows(), field=st.sampled_from(RANK_FIELDS[:4]))
+def test_rank_bound_at_or_above_the_rank_changes_nothing(shape, field):
+    rows, ncols = shape
+    m = Matrix.from_int_rows(field, [{j: v for j, v in enumerate(r) if v} for r in rows], ncols)
+    r = rank(m)
+    assert rank(m, at_most=r) == rank(m, at_most=r + 3) == r
+
+
+class _Unread(dict):
+    """A row whose entries fail the test if they are read."""
+
+    def _fail(self, *args):
+        raise AssertionError("a row past the bound was read")
+
+    __iter__ = items = keys = values = _fail
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS[:4])
+def test_rank_stops_reading_rows_at_the_bound(field):
+    # the one-entry rows come first and meet the bound; the last row is
+    # their sum, dependent, and is never reached
+    m = Matrix.from_int_rows(field, [_Unread({0: 1, 1: 1}), {1: 1}, {0: -1}], 2)
+    assert rank(m, at_most=2) == 2
+    with pytest.raises(AssertionError, match="past the bound"):
+        rank(m)
