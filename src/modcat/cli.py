@@ -124,7 +124,7 @@ def _parse_group(text: str) -> pointed.FiniteAbelianGroup:
         orders = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"--group takes comma-separated invariant factors, not {text!r}") from None
-    return pointed.FiniteAbelianGroup(orders)
+    return pointed.FiniteAbelianGroup(() if orders == (1,) else orders)  # 1: the trivial group
 
 
 def _field_code(args) -> str:
@@ -366,6 +366,8 @@ class _Parser(argparse.ArgumentParser):
 _ARG_CAP_SCALE = ("--cap-scale", {"type": int, "default": 1})
 _ARG_P = ("--p", {"type": int, "required": True})
 _ARG_FIELD = ("--field", {"default": None})
+_ARG_GROUP = ("--group", {"required": True,
+                          "help": "comma-separated invariant factors, e.g. 2,4; 1 is the trivial group"})
 
 # command -> (help, {subcommand: (handler, [(argument, add_argument keywords)])})
 _COMMANDS = {
@@ -383,17 +385,16 @@ _COMMANDS = {
         "pi0": (_cmd_twocat_pi0, [("file", {})]),
         "family": (_cmd_twocat_family, [_ARG_P, ("--depth", {"type": int, "required": True})])}),
     "pointed": ("pointed category bookkeeping", {
-        "classes": (_cmd_pointed_classes, [("--group", {
-            "required": True, "help": "comma-separated invariant factors, e.g. 2,4"}), _ARG_FIELD]),
+        "classes": (_cmd_pointed_classes, [_ARG_GROUP, _ARG_FIELD]),
         "braidings": (_cmd_pointed_braidings, [_ARG_P, _ARG_FIELD]),
         "squareclasses": (_cmd_pointed_squareclasses,
                           [("--bound", {"type": int, "required": True})])}),
     "dy": ("deformation cohomology", {
-        "dims": (_cmd_dy_dims, [("--group", {"required": True}),
+        "dims": (_cmd_dy_dims, [_ARG_GROUP,
                                 ("--coeff", {"required": True, "help": "q, fp<p> or cyclo<n>"}),
                                 ("--nmax", {"type": int, "default": 4})]),
         "diagnostic": (_cmd_dy_diagnostic,
-                       [("--group", {"required": True}), ("--coeff", {"required": True})])}),
+                       [_ARG_GROUP, ("--coeff", {"required": True})])}),
     "fusion2": ("fusion product tables", {
         "real": (_cmd_fusion2_real, []),
         "ffield": (_cmd_fusion2_ffield, [(name, {"type": int}) for name in ("p", "q", "r")]),

@@ -41,14 +41,16 @@ from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup
 
-# Counts |G|^(n+1) rows times n + 2, summed over n < n_max: the nonzero entries
-# of the full integer differentials, a bound on the entries built.  Elimination
-# works on those and their fill-in, and the leftover block it hands to the prime
-# field is made of rows of the differentials, so the count bounds it too.  The
-# boundary case, Z/15 at n_max 4 (267,330), takes about 2 s and 65 MB over F_5
-# on one core of a 2-CPU host; order 16 at n_max 4 (344,864) is refused.
+# Charged one degree at a time, |G|^(n+1) rows times n + 2 for degree n: the
+# nonzero entries of the full integer differentials, a bound on the entries
+# built.  Elimination works on those and their fill-in, and the leftover block
+# it hands to the prime field is made of rows of the differentials, so the count
+# bounds it too.  A refusal, before anything is built, reports the sum at the
+# first degree that passes the guard, so a huge n_max costs a few degrees.
+# The boundary case, Z/15 at n_max 4 (267,330), takes about 2 s and 65 MB over
+# F_5 on one core of a 2-CPU host; order 16 at n_max 4 (344,864) and Z/2 at
+# n_max 14 (458,752) are refused.
 SIZE_GUARD = 267_330
-NMAX_GUARD = 4
 
 
 class ComplexNotValid(ValidationError):
@@ -170,11 +172,11 @@ def build_dy_complex(functor: PointedFunctorData, n_max: int) -> DYComplex:
     field = functor.field
     if n_max < 1:
         raise UsageError("n_max must be at least 1")
-    if n_max > NMAX_GUARD:
-        raise SizeGuardExceeded(n_max, NMAX_GUARD)
-    size = sum(group.order ** (n + 1) * (n + 2) for n in range(n_max))
-    if size > SIZE_GUARD:
-        raise SizeGuardExceeded(size, SIZE_GUARD)
+    size = 0
+    for n in range(n_max):
+        size += group.order ** (n + 1) * (n + 2)
+        if size > SIZE_GUARD:
+            raise SizeGuardExceeded(size, SIZE_GUARD)
 
     order, deltas, q = group.order, [], 0
     for n in range(n_max):

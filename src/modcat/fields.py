@@ -84,7 +84,7 @@ def _phi_coeffs(n: int) -> tuple[int, ...]:
     in one linear pass."""
     if n < 1:
         raise ValueError("n must be positive")
-    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    primes = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
     even, odd = ([n // prod(s) for k in range(start, len(primes) + 1, 2)
                   for s in combinations(primes, k)] for start in (0, 1))
     c = [1]

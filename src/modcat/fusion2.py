@@ -370,25 +370,14 @@ def real_division_tensor(d: DivisionAlgebraClass,
 
 def _center_block_is_imaginary(tensor: algebras.StructureConstantAlgebra, center: list[list],
                                idem: list) -> bool:
-    """True if the 2-dimensional center block e * Z is an imaginary quadratic field."""
-    zero = QQ.zero()
-    images = [tensor.mul_vec(idem, vec) for vec in center]
-    reduced, pivots = linalg.rref(linalg.Matrix(QQ, images))
-    sub = _subalgebra_on(tensor, reduced.dense_rows()[:len(pivots)], idem)
-    # find w independent of the unit; its minimal quadratic has negative
-    # discriminant exactly in the imaginary case
-    unit = sub.unit
-    for t in range(sub.dim):
-        w = [QQ.one() if s == t else zero for s in range(sub.dim)]
-        mat = linalg.Matrix(QQ, [[unit[s], w[s]] for s in range(sub.dim)])
-        if linalg.rank(mat) == 2:
-            w2 = sub.mul_vec(w, w)
-            # w^2 = alpha * 1 + beta * w
-            aug = linalg.Matrix(QQ, [[unit[s], w[s], w2[s]] for s in range(sub.dim)])
-            red, piv = linalg.rref(aug)
-            alpha, beta = red.rows[0].get(2, zero), red.rows[1].get(2, zero)
-            disc = beta * beta + 4 * alpha
-            return disc < 0
+    """True if the 2-dimensional center block e * Z is an imaginary quadratic
+    field: the first z e, z in the center basis, that is not a multiple of e
+    has minimal polynomial x^2 + b x + c, and b^2 - 4c < 0 exactly then."""
+    for vec in center:
+        f = algebras.min_poly_of_matrix(tensor, vec, idem)
+        if f.degree == 2:
+            c, b, _ = f.coeffs
+            return b * b - 4 * c < 0
     raise IdentificationAmbiguous("could not find a quadratic generator")
 
 

@@ -2,8 +2,10 @@
 
 Matrices store their field handle and, for each row, the dict of its nonzero
 entries, so every operation costs what the nonzeros cost, not the shape.
-``rank`` works on integers wherever the entries are rational, over F_2 on rows
-packed into ints and reduced by XOR, and stops at a known bound (see there).
+``rref`` is the one Gauss-Jordan elimination.  ``rank`` works on integers
+wherever the entries are rational, over F_2 on rows packed into ints and
+reduced by XOR, hands ``rref`` only the rows that elimination by +-1 pivots
+leaves, and stops at a known bound (see there).
 Echelon forms follow one fixed convention so that every output is canonical:
 
 * the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
@@ -16,11 +18,10 @@ Echelon forms follow one fixed convention so that every output is canonical:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .fields import QQ, Field
+from .fields import QQ, Field, PrimeField
 
 
 class Matrix:
@@ -166,9 +167,9 @@ def rank(m: Matrix, *, at_most: int | None = None) -> int:
     images of rationals (every matrix over Q or F_p) is ranked on integers by
     :func:`_integer_rank`: over Q each row is cleared of its denominators,
     over F_p the residues are taken between -p/2 and p/2.  A matrix with an
-    irrational cyclotomic entry is ranked by ``rref``.  ``at_most``, if given,
-    must bound the rank from above; elimination on integers then stops as
-    soon as that many independent rows are found.
+    irrational cyclotomic entry is ranked by ``rref`` alone.  ``at_most``, if
+    given, must bound the rank from above; elimination on integers then
+    stops as soon as that many independent rows are found.
     """
     rows = m.int_rows
     if rows is None:
@@ -200,8 +201,10 @@ def _integer_rank(rows: list[dict], p: int, at_most: int | None = None) -> int:
     otherwise it waits.  The waiting rows are fed through again while that
     finds new pivots, so in the end they vanish at every pivot column.  Their
     rank over the prime field, added to the number of pivots, is the rank:
-    modulo p on ints, or over Q by ``rref`` on the leftover block (empty
-    when the bound was met).  ``rows`` is not modified.
+    ``rref`` gives it over F_p or Q on the block of leftover rows, restricted
+    to the columns they use, with the entries that vanish in the field
+    dropped (the block is empty when the bound was met).  ``rows`` is not
+    modified.
     """
     waiting = [row for row in rows if len(row) == 1] + [row for row in rows if len(row) > 1]
     if p == 2:
@@ -223,7 +226,7 @@ def _integer_rank(rows: list[dict], p: int, at_most: int | None = None) -> int:
             row = dict(row)
             for pc in [c for c in row if c in basis]:
                 # the pivot is +-1, its own inverse
-                _subtract_int_multiple(row, row[pc] * basis[pc][pc], basis[pc])
+                _subtract_multiple(row, row[pc] * basis[pc][pc], basis[pc], 0)
             pc = _unit_column(row)
             if pc is None and row:
                 g = gcd(*row.values())
@@ -236,18 +239,17 @@ def _integer_rank(rows: list[dict], p: int, at_most: int | None = None) -> int:
                 continue
             for other in basis.values():
                 if pc in other:
-                    _subtract_int_multiple(other, other[pc] * row[pc], row)
+                    _subtract_multiple(other, other[pc] * row[pc], row, 0)
             basis[pc] = row
             if len(basis) == at_most:
                 waiting = []
                 break
         if len(basis) == found or not waiting:
             break
-    if p:
-        return len(basis) + _rank_mod(waiting, p)
+    field = PrimeField(p) if p else QQ
     cols = {c: i for i, c in enumerate(sorted({c for row in waiting for c in row}))}
-    block = [{cols[c]: Fraction(v) for c, v in row.items()} for row in waiting]
-    return len(basis) + len(rref(Matrix.from_sparse(QQ, block, len(cols)))[1])
+    block = [{cols[c]: x for c, v in row.items() if (x := field.from_int(v))} for row in waiting]
+    return len(basis) + len(rref(Matrix.from_sparse(field, block, len(cols)))[1])
 
 
 def _unit_column(row: dict) -> int | None:
@@ -258,38 +260,6 @@ def _unit_column(row: dict) -> int | None:
     one costs).  The rows of their partial identity, fed first, have one
     entry and so no choice."""
     return max((c for c, v in row.items() if v == 1 or v == -1), default=None)
-
-
-def _rank_mod(rows: list[dict], p: int) -> int:
-    """Rank over F_p of integer rows, by Gauss-Jordan on residues."""
-    basis: dict[int, dict] = {}
-    for row in rows:
-        row = {c: r for c, v in row.items() if (r := v % p)}
-        for pc in [c for c in row if c in basis]:
-            _subtract_int_multiple(row, row[pc], basis[pc], p)
-        if not row:
-            continue
-        pc = next(iter(row))
-        inv = pow(row[pc], -1, p)
-        row = {c: v * inv % p for c, v in row.items()}
-        for other in basis.values():
-            if pc in other:
-                _subtract_int_multiple(other, other[pc], row, p)
-        basis[pc] = row
-    return len(basis)
-
-
-def _subtract_int_multiple(row: dict, factor: int, other: dict, p: int = 0) -> None:
-    """row -= factor * other over the ints, or modulo p when p is given,
-    dropping entries that cancel."""
-    for j, b in other.items():
-        v = row.get(j, 0) - factor * b
-        if p:
-            v %= p
-        if v:
-            row[j] = v
-        else:
-            del row[j]
 
 
 def kernel_basis(m: Matrix) -> list[list]:

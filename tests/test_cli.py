@@ -178,6 +178,21 @@ def test_cyclotomic_guard_reports_size_and_guard(capsys):
     assert (error["size"], error["guard"]) == (n, CYCLOTOMIC_GUARD)
 
 
+def test_group_1_is_the_trivial_group():
+    result, code = invoke(["dy", "dims", "--group", "1", "--coeff", "q", "--nmax", "4"])
+    assert code == 0
+    assert (result.payload["cochain_dims"], result.payload["h_dims"]) == ([1] * 5, [1, 0, 0, 0])
+    result, code = invoke(["dy", "diagnostic", "--group", "1", "--coeff", "fp2"])
+    assert code == 0
+    assert (result.payload["h2_dim"], result.payload["h3_dim"],
+            result.payload["consistent_with_separability"]) == (0, 0, True)
+    result, code = invoke(["pointed", "classes", "--group", "1", "--field", "ac0"])
+    assert code == 0
+    assert [c["label"] for c in result.payload["classes"]] == ["Vect(1)"]
+    for text in ["1,2", "0", ""]:
+        assert invoke(["dy", "dims", "--group", text, "--coeff", "q"])[1] == 2
+
+
 def test_dy_guard_reports_size_and_guard():
     from modcat.dy import SIZE_GUARD
     result, code = invoke(["dy", "diagnostic", "--group", "16", "--coeff", "q"])
@@ -720,7 +735,7 @@ FUZZ_COMMANDS = {
 FUZZ_VALUES = {
     "--p": (["2", "3"], ["4", "0", "-1", "x"]),
     "--depth": (["1", "6"], ["0", "x"]),
-    "--group": (["2", "3", "2,2", "6"], ["2,3", "1", "0", "x", "", "2,2,2,2,2,2,2"]),
+    "--group": (["1", "2", "3", "2,2", "6"], ["2,3", "1,2", "0", "x", "", "2,2,2,2,2,2,2"]),
     "--field": (["ac0", "ac2", "ac3", "rc", "q", "fp3"], ["ac4", "acx", "zz"]),
     "--coeff": (["q", "fp2", "fp3", "cyclo3", "cyclo4"], ["fp4", "cyclo0", "cyclox", "zz"]),
     "--nmax": (["1", "3"], ["0", "-1", "x"]),

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from modcat.dy import (NMAX_GUARD, SIZE_GUARD, DYComplex, PointedFunctorData,
+from modcat.dy import (SIZE_GUARD, DYComplex, PointedFunctorData,
                        SeparabilityDiagnostic, build_dy_complex, dy_cohomology_dims,
                        separability_diagnostic)
 from modcat.errors import SizeGuardExceeded, UsageError, ValidationError
@@ -156,9 +156,15 @@ def test_char_zero_vanishing_above_degree_zero():
 def test_size_guard():
     with pytest.raises(SizeGuardExceeded):
         identity_complex((32,), QQ, n_max=4)
+    # the sum for Z/2 first passes the guard in degree 13, at n_max 14, so a
+    # huge n_max is refused after 14 degrees are counted
     with pytest.raises(SizeGuardExceeded) as info:
-        identity_complex((2,), QQ, n_max=9)
-    assert (info.value.size, info.value.guard) == (9, NMAX_GUARD)
+        identity_complex((2,), QQ, n_max=10 ** 9)
+    assert (info.value.size, info.value.guard) == (458_752, SIZE_GUARD)
+    # one past the largest n_max admitted, run in test_dims_match_p_rank_closed_form
+    for orders, n_max in [((2,), 14), ((3,), 9), ((2, 2), 8), ((2, 2, 2), 6)]:
+        with pytest.raises(SizeGuardExceeded):
+            identity_complex(orders, QQ, n_max=n_max)
     with pytest.raises(UsageError):
         identity_complex((2,), QQ, n_max=0)
 
@@ -202,7 +208,10 @@ def closed_form_dims(orders, char, n_max):
                          + [((5,), QQ, 4)]
                          # beyond order 7 at n_max 4, one group and field each
                          + [((8,), PrimeField(2), 4), ((2, 2, 2), QQ, 4),
-                            ((3, 3), PrimeField(3), 4), ((9,), CyclotomicField(3), 4)])
+                            ((3, 3), PrimeField(3), 4), ((9,), CyclotomicField(3), 4)]
+                         # the largest n_max the guard admits for the group
+                         + [((2,), PrimeField(2), 13), ((2,), QQ, 13), ((3,), PrimeField(3), 8),
+                            ((2, 2), PrimeField(2), 7), ((2, 2, 2), PrimeField(2), 5)])
 def test_dims_match_p_rank_closed_form(orders, field, n_max):
     complex_ = identity_complex(orders, field, n_max=n_max)
     assert dy_cohomology_dims(complex_) == closed_form_dims(orders, field.char, n_max)

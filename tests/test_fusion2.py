@@ -5,10 +5,12 @@ from math import gcd
 
 import pytest
 
+from modcat.algebras import StructureConstantAlgebra
 from modcat.errors import SizeGuardExceeded
 from modcat.fieldprofile import (BASE, COMPLEXIFICATION, QUATERNION, alg_closed,
                                  finite_ext)
-from modcat.fusion2 import (GradingMismatch, UnsupportedPrime,
+from modcat.fields import QQ
+from modcat.fusion2 import (GradingMismatch, UnsupportedPrime, _center_block_is_imaginary,
                             braided_tensor_algebra, coefficient_field,
                             finite_field_tensor, graded_group_algebra,
                             irreducible_polynomial,
@@ -173,6 +175,16 @@ def test_real_table_unit_laws():
     for cls in (BASE, COMPLEXIFICATION, QUATERNION):
         assert real_division_tensor(BASE, cls).summands == (cls.name,)
         assert real_division_tensor(cls, BASE).summands == (cls.name,)
+
+
+@pytest.mark.parametrize("square,imaginary", [(-1, True), (-3, True), (2, False), (5, False)])
+def test_quadratic_center_block_is_imaginary_by_its_discriminant(square, imaginary):
+    # Q(s) with s^2 = square on the basis 1, s; the unit is skipped, and 1 + s
+    # has minimal polynomial x^2 - 2x + 1 - square, of discriminant 4 * square
+    q_of_s = StructureConstantAlgebra.from_int_constants(
+        QQ, [[[1, 0], [0, 1]], [[0, 1], [square, 0]]], [1, 0])
+    assert _center_block_is_imaginary(q_of_s, [[QQ.one(), QQ.zero()], [QQ.one(), QQ.one()]],
+                                      q_of_s.unit) is imaginary
 
 
 def test_real_dimension_bookkeeping():

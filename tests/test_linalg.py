@@ -18,6 +18,20 @@ def test_rank_two_mod_two_is_zero():
     assert rank(Matrix.from_ints(PrimeField(2), [[2]])) == 0
 
 
+@pytest.mark.parametrize("rows,p,expected", [
+    ([[2, 3], [3, 2]], 7, 2),
+    ([[2, 3], [4, 6]], 13, 1),
+    ([[5, 10]], 5, 0),  # no entry survives in F_5
+])
+def test_rows_with_no_unit_entry_are_ranked_over_the_prime_field(rows, p, expected):
+    # no entry is +-1 mod p, so every row is left over for rref over F_p
+    field = PrimeField(p)
+    m = Matrix.from_ints(field, rows)
+    assert rank(m) == len(rref(m)[1]) == expected
+    int_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert rank(Matrix.from_int_rows(field, int_rows, len(rows[0]))) == expected
+
+
 def _dy_delta1_matrix(field):
     # (d f)(g0, g1) = f(g1) - f(g0 g1) + f(g0) on Z/2 = {e, g}, written by
     # hand on the basis (f(e), f(g)); rows ordered (e,e), (e,g), (g,e), (g,g)
