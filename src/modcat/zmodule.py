@@ -31,16 +31,17 @@ module search uses to prune.  Both searches count their work, the values they
 try plus the terms their caps and prunes sum or compare, over every module
 rank of one call, and raise SizeGuardExceeded once it passes
 ``SEARCH_WORK_BUDGET``; the count is deterministic.  Z/2^3 -> Z/2^3 homs, the
-largest admitted case, count 6,808,935 (1.5-2.5 s), and the modules of the
-group rings of order 8 3.4-3.9 million (3-3.5 s with their canonical keys).
-Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (37, 160 and 12 s to finish)
-are refused after 2.5-5 s, Z/2^4 -> Z/2^4 homs after 1.5 s (Python 3.11,
+largest admitted case, count 6,808,935 (1.3-1.7 s), and the modules of the
+group rings of order 8 3.4-3.9 million (1.2-1.5 s with their canonical keys).
+Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (10, 60 and 8 s to finish)
+are refused after 0.9-1.9 s, Z/2^4 -> Z/2^4 homs after 0.9-1 s (Python 3.11,
 one core of a 2-CPU host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .basedring import (SEARCH_WORK_BUDGET, ValidatedRing, WeakBasedCertificate, _ints,
                         _is_list, find_weak_based_involutions, lex_min_key)
@@ -130,18 +131,30 @@ def validate_module(data: ZPlusModuleData) -> ValidatedModule:
         for l in range(r))
     if unit_action != tuple(tuple(int(l == k) for k in range(r)) for l in range(r)):
         raise UnitActionFails()
-    # A_i A_j against sum_k c_ij^k A_k, over the nonzero constants of b_i b_j
-    columns = [tuple(zip(*mat)) for mat in data.action]
+    # A_i A_j against sum_k c_ij^k A_k, over the nonzero constants of b_i b_j,
+    # row by row on packed rows; with E the largest entry given, a field of
+    # either side is at most r E^2 or E sum_k c_ij^k, so the width below
+    # holds it and two rows are equal exactly when their ints are
+    largest = max(max(row) for mat in data.action for row in mat)
+    c_sum = max(sum(cell.values()) for plane in ring.mult for cell in plane)
+    width = max(r * largest * largest, c_sum * largest, 1).bit_length()
+    packed = [[_pack(row, width) for row in mat] for mat in data.action]
     for i, plane in enumerate(ring.mult):
         for j, cell in enumerate(plane):
-            left = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in columns[j])
-                         for row in data.action[i])
-            right = tuple(tuple(sum(c * data.action[k][l][m] for k, c in cell.items())
-                                for m in range(r))
-                          for l in range(r))
-            if left != right:
-                raise ActionLawFails(i, j)
+            for l, row in enumerate(data.action[i]):
+                if sum(map(mul, row, packed[j])) != sum(c * packed[k][l]
+                                                        for k, c in cell.items()):
+                    raise ActionLawFails(i, j)
     return ValidatedModule(data)
+
+
+def _pack(row, width: int) -> int:
+    """The int whose ``width``-bit field k holds row[k]; each entry must be
+    non-negative and below 2**width."""
+    packed = 0
+    for v in reversed(row):
+        packed = packed << width | v
+    return packed
 
 
 def _positivity_graph(module: ValidatedModule, undirected: bool) -> list[set[int]]:
@@ -307,9 +320,25 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
     last_unit = max(t for t in range(n_gen) if unit[t])
     ones = [1] * n_gen
     b_squared = ring.product(ones, ones)  # n_i coefficients
+    cells = [[tuple(cell.items()) for cell in plane] for plane in ring.mult]
+    # Each filled row is also kept packed, as one int with a ``width``-bit
+    # field per column.  Row 0 is capped at n_max, and the lp = 0 budget
+    # equality with F >= 1 gives every row sum f_l <= sum_j F[0][j] f_j =
+    # sum_i n_i rowsum(A_i[0]) <= max(b^2) n_max = M.  So a law's sum over a
+    # row is at most M^2 and its target at most M max(b^2) or M max_ij sum_m
+    # c_ij^m; the fields hold these below a guard bit, no packed sum carries
+    # between fields, and ((target | G) - partial) & G == G, G the guard
+    # bits, holds exactly when no field of partial exceeds that of target.
+    bound = max(b_squared) * bounds.n_max
+    c_sum = max(sum(cell.values()) for plane in ring.mult for cell in plane)
+    width = max(bound * bound, bound * c_sum, bound * max(b_squared)).bit_length() + 1
+    field = (1 << width) - 1
     rows: list[list[list[int]]] = [[] for _ in range(n_gen)]  # rows[i][l] = row l of A_i
+    packed: list[list[int]] = [[] for _ in range(n_gen)]      # packed[i][l] = row l of A_i
     f_mat: list[list[int]] = []     # rows of F = sum_i A_i
+    f_packed: list[int] = []        # the same rows, packed
     f_rows: list[int] = []          # total row sums of F
+    budgets: list[int] = []         # sum_i n_i rowsum(A_i[l]) per row l
     work = 0
 
     def row_candidates(l: int, cap: int):
@@ -324,14 +353,20 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
         for i in range(n_gen):
             for lp in range(l):
                 row_ilp = rows[i][lp]
-                if not row_ilp[l]:
+                a = row_ilp[l]
+                if not a:
                     continue
-                for j, cij in enumerate(ring.mult[i]):
-                    work += r * (len(cij) + l + 1)
+                for j, cell in enumerate(cells[i]):
+                    work += r * (len(cell) + l + 1)
+                    # target - base, packed; prune_ok has passed on rows < l,
+                    # so no field of it is negative and none borrows
+                    room = (sum(c * packed[m][lp] for m, c in cell)
+                            - sum(map(mul, row_ilp, packed[j])))
+                    vmax_j = vmax[j]
                     for k in range(r):
-                        target = sum(c * rows[m][lp][k] for m, c in cij.items())
-                        base = sum(row_ilp[s] * rows[j][s][k] for s in range(l))
-                        vmax[j][k] = min(vmax[j][k], (target - base) // row_ilp[l])
+                        v = (room >> k * width & field) // a
+                        if v < vmax_j[k]:
+                            vmax_j[k] = v
         # an invertible A_i is a permutation matrix: cells at most 1, and the
         # l columns taken by the filled rows are closed to row l
         last_free = [r] * n_gen  # the last column where row l of A_i can take its 1
@@ -389,32 +424,30 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
         # sums are at least f_min
         for l in range(filled):
             work += r * (n_gen + 1) + 1
-            target = sum(b_squared[m] * sum(rows[m][l]) for m in range(n_gen))
-            lower = sum(f_mat[l][j] * (f_rows[j] if j < filled else f_min)
-                        for j in range(r))
-            if lower > target or (complete and lower != target):
+            row = f_mat[l]
+            lower = sum(map(mul, row, f_rows)) + f_min * sum(row[filled:])
+            if lower > budgets[l] or (complete and lower != budgets[l]):
                 return False
         # F law: F F = sum_i n_i A_i
         for lp in range(filled):
             work += r * (n_gen + filled + 1)
-            for k in range(r):
-                target = sum(b_squared[m] * rows[m][lp][k] for m in range(n_gen))
-                partial = sum(f_mat[lp][s] * f_mat[s][k] for s in range(filled))
-                if partial > target or (complete and partial != target):
-                    return False
+            target = sum(n * packed[m][lp] for m, n in enumerate(b_squared))
+            partial = sum(map(mul, f_mat[lp], f_packed))
+            if (partial != target if complete
+                    else ((target | guard) - partial) & guard != guard):
+                return False
         # generator laws
         for i in range(n_gen):
             rows_i = rows[i]
-            for j, cij in enumerate(ring.mult[i]):
-                rows_j = rows[j]
+            for j, cell in enumerate(cells[i]):
+                packed_j = packed[j]
                 for lp in range(filled):
-                    work += r * (len(cij) + filled + 1)
-                    row_ilp = rows_i[lp]
-                    for k in range(r):
-                        target = sum(c * rows[m][lp][k] for m, c in cij.items())
-                        partial = sum(row_ilp[s] * rows_j[s][k] for s in range(filled))
-                        if partial > target or (complete and partial != target):
-                            return False
+                    work += r * (len(cell) + filled + 1)
+                    target = sum(c * packed[m][lp] for m, c in cell)
+                    partial = sum(map(mul, rows_i[lp], packed_j))
+                    if (partial != target if complete
+                            else ((target | guard) - partial) & guard != guard):
+                        return False
         return True
 
     def extend(l: int):
@@ -429,12 +462,11 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
             f_min = max(f_rows[0], r)
             cap = None
             for lp in range(l):
-                target = sum(b_squared[m] * sum(rows[m][lp]) for m in range(n_gen))
-                others = sum(f_mat[lp][j] * (f_rows[j] if j < l else f_min)
-                             for j in range(r) if j != l)
-                bound = (target - others) // f_mat[lp][l]
-                if cap is None or bound < cap:
-                    cap = bound
+                row = f_mat[lp]
+                others = sum(map(mul, row, f_rows)) + f_min * sum(row[l + 1:])
+                row_cap = (budgets[lp] - others) // row[l]
+                if cap is None or row_cap < cap:
+                    cap = row_cap
             if cap is None or cap < f_min:
                 return
         for assignment, row_sum in row_candidates(l, cap):
@@ -442,18 +474,26 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
                 continue  # row 0 is the minimal row
             for i in range(n_gen):
                 rows[i].append(assignment[i])
-            f_mat.append([sum(assignment[i][k] for i in range(n_gen)) for k in range(r)])
+                packed[i].append(_pack(assignment[i], width))
+            f_mat.append([sum(column) for column in zip(*assignment)])
+            f_packed.append(sum(packed[i][l] for i in range(n_gen)))
             f_rows.append(row_sum)
+            budgets.append(sum(map(mul, b_squared, map(sum, assignment))))
             f_min = max(f_rows[0], r)
             if prune_ok(l + 1, f_min):
                 yield from extend(l + 1)
             for i in range(n_gen):
                 rows[i].pop()
+                packed[i].pop()
             f_mat.pop()
+            f_packed.pop()
             f_rows.pop()
+            budgets.pop()
 
-    # the helpers read r when called, so each rank reuses them
+    # the helpers read r and the guard bits of its r fields when called, so
+    # each rank reuses them
     for r in range(1, bounds.n_max + 1):
+        guard = sum(1 << (k * width + width - 1) for k in range(r))
         yield from extend(0)
 
 

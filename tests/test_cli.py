@@ -94,6 +94,18 @@ def test_zmod_validate_refuses_the_zero_module(tmp_path):
         "message": "rank must be at least 1: a module needs a nonempty basis"}
 
 
+def test_zmod_validate_is_exact_past_64_bits(tmp_path, capsys):
+    # b acting by [[0, 2^64 + 1], [1, 0]] squares to (2^64 + 1) I: the law
+    # b b = 1 holds modulo 2^64 only, and the exact check refuses it
+    path = tmp_path / "wide.module.json"
+    path.write_text(z2_module_text(rank=2, action=[[[1, 0], [0, 1]], [[0, 2**64 + 1], [1, 0]]]))
+    assert main(["zmod", "validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert (error["type"], error["indices"]) == ("ActionLawFails", [1, 1])
+    assert "Traceback" not in out + err
+
+
 def test_zmod_enumerate():
     result, code = invoke(["zmod", "enumerate", str(DATA / "z2.ring.json")])
     assert code == 0

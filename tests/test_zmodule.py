@@ -5,7 +5,9 @@ import math
 from operator import mul
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from modcat import zmodule
 from modcat.basedring import (BasedRingData, fibonacci_ring,
                               find_weak_based_involutions, group_ring,
                               rings_equivalent, trivial_ring,
@@ -114,6 +116,70 @@ def test_negative_entry_rejected(z2):
     data = ZPlusModuleData.build(z2, [((1,),), ((-1,),)])
     with pytest.raises(NegativeEntry):
         validate_module(data)
+
+
+# validated once, for the drawn actions below
+LAW_RINGS = {name: validate_zplus_ring(data) for name, data in (
+    ("Z2", group_ring([2])), ("Z3", group_ring([3])), ("Z2xZ2", group_ring([2, 2])),
+    ("Fib", fibonacci_ring()))}
+# small entries, entries about 2^64, and entries up to 2^80
+ENTRIES = st.one_of(st.integers(0, 2), st.integers(2**64 - 2, 2**64 + 2),
+                    st.integers(0, 2**80))
+
+
+def nested_sum_law_failure(ring, action):
+    """The first (i, j), in validate_module's order, with A_i A_j != sum_k
+    c_ij^k A_k, entry by entry over the dense table; None when the law holds."""
+    n, r = ring.rank, len(action[0])
+    for i in range(n):
+        for j in range(n):
+            for l in range(r):
+                for m in range(r):
+                    left = sum(action[i][l][s] * action[j][s][m] for s in range(r))
+                    right = sum(ring.data.mult[i][j][k] * action[k][l][m] for k in range(n))
+                    if left != right:
+                        return i, j
+    return None
+
+
+@st.composite
+def unit_acting_as_identity(draw):
+    """A ring and an action with the identity for the unit b_0: the regular
+    module or random small matrices of rank 1 to 3, then up to two entries of
+    the other matrices replaced by small or huge values."""
+    ring = LAW_RINGS[draw(st.sampled_from(sorted(LAW_RINGS)))]
+    if draw(st.booleans()):
+        action = [[list(row) for row in mat] for mat in regular_module(ring).action]
+    else:
+        r = draw(st.integers(1, 3))
+        action = [[[draw(st.integers(0, 2)) for _ in range(r)] for _ in range(r)]
+                  for _ in range(ring.rank)]
+    r = len(action[0])
+    action[0] = [[int(l == k) for k in range(r)] for l in range(r)]
+    for _ in range(draw(st.integers(0, 2))):
+        row = action[draw(st.integers(1, ring.rank - 1))][draw(st.integers(0, r - 1))]
+        row[draw(st.integers(0, r - 1))] = draw(ENTRIES)
+    return ring, action
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=unit_acting_as_identity())
+# fields only as wide as the largest entry, 4 bits, would pack row 0 of
+# A_1 A_1 = (225, 0) and of A_2 = (1, 14) to the same int, 225 = 1 + 14 * 16
+@example(case=(LAW_RINGS["Z3"], [[[1, 0], [0, 1]], [[15, 0], [0, 1]], [[1, 14], [0, 1]]]))
+def test_validate_module_matches_nested_sums(case):
+    # validate_module compares packed rows whose field width comes from the
+    # largest entry given; the verdict and the failing pair must be those of
+    # the plain entrywise check, however large the entries
+    ring, action = case
+    data = ZPlusModuleData.build(ring, action)
+    failure = nested_sum_law_failure(ring, action)
+    if failure is None:
+        assert validate_module(data).action == data.action
+    else:
+        with pytest.raises(ActionLawFails) as info:
+            validate_module(data)
+        assert info.value.indices == failure
 
 
 def test_regular_modules_are_irreducible(z2, z3):
@@ -281,23 +347,35 @@ def z3xz3_refusal():
 
 
 def test_rank_guard_on_enumeration(z3xz3_refusal):
-    # it would finish past the budget, in about 37 s; the count of work done
+    # it would finish past the budget, in about 10 s; the count of work done
     # stops it within seconds
     assert isinstance(z3xz3_refusal, SizeGuardExceeded)
 
 
 def test_rank_guard_reports_the_search_size(z3xz3_refusal):
-    assert z3xz3_refusal.guard == SEARCH_WORK_BUDGET < z3xz3_refusal.size
+    assert z3xz3_refusal.guard == SEARCH_WORK_BUDGET < z3xz3_refusal.size == 7_000_706
+
+
+@pytest.mark.parametrize("orders,budget,size", [
+    ((4,), 1_000, 1_019), ((2, 2), 1_000, 1_239), ((6,), 1_000, 1_003),
+    ((6,), 20_000, 21_072)])
+def test_module_search_work_count_is_pinned(monkeypatch, orders, budget, size):
+    # the work count is part of the refusal payload: how the laws are summed
+    # may change, the charges may not
+    monkeypatch.setattr(zmodule, "SEARCH_WORK_BUDGET", budget)
+    with pytest.raises(SizeGuardExceeded) as info:
+        enumerate_irreducible_modules(validate_zplus_ring(group_ring(list(orders))))
+    assert (info.value.size, info.value.guard) == (size, budget)
 
 
 @pytest.mark.parametrize("data", [
     pytest.param(tensor_ring(fibonacci_ring(), fibonacci_ring()), id="FibxFib"),
-    # the third refusal at the full budget would add its 4 s to the default run
+    # the third refusal at the full budget would add its 2 s to the default run
     pytest.param(tensor_ring(group_ring([3]), fibonacci_ring()), id="Z3xFib",
                  marks=pytest.mark.slow),
 ])
 def test_module_search_stops_at_the_work_budget(data):
-    # each would finish past the budget (in about 160 and 12 s); the count of
+    # each would finish past the budget (in about 60 and 8 s); the count of
     # work done stops it within seconds
     with pytest.raises(SizeGuardExceeded) as info:
         enumerate_irreducible_modules(validate_zplus_ring(data))
