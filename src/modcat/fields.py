@@ -142,10 +142,6 @@ class RationalField:
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
 
-    def lift(self, x: Fraction) -> Fraction:
-        """A rational number whose image in the field is x: x itself."""
-        return x
-
     def sort_key(self, x: Fraction):
         return (x.numerator, x.denominator)
 
@@ -228,10 +224,6 @@ class PrimeField:
 
     def from_int(self, k: int) -> FpElem:
         return FpElem(self.p, k)
-
-    def lift(self, x: FpElem) -> int:
-        """The residue of x between -p/2 and p/2, an int whose image is x."""
-        return x.v - self.p if 2 * x.v > self.p else x.v
 
     def sort_key(self, x: FpElem):
         return (x.v,)
@@ -403,10 +395,6 @@ class CyclotomicField:
 
     def from_int(self, k: int) -> CycElem:
         return CycElem(self.n, [k])
-
-    def lift(self, x: CycElem) -> Fraction | None:
-        """x as a rational number, or None when x is not rational."""
-        return None if any(x.num[1:]) else Fraction(x.num[0], x.den)
 
     def zeta(self, power: int = 1) -> CycElem:
         """zeta_n^power as a field element."""

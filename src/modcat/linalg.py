@@ -2,10 +2,11 @@
 
 Matrices store their field handle and, for each row, the dict of its nonzero
 entries, so every operation costs what the nonzeros cost, not the shape.
-``rref`` is the one Gauss-Jordan elimination.  ``rank`` works on integers
-wherever the entries are rational, over F_2 on rows packed into ints and
-reduced by XOR, hands ``rref`` only the rows that elimination by +-1 pivots
-leaves, and stops at a known bound (see there).
+``rref`` is the one Gauss-Jordan elimination.  ``rank`` works on the
+integer rows of a matrix built from them, over F_2 on rows packed into ints
+and reduced by XOR, hands ``rref`` only the rows that elimination by +-1
+pivots leaves, and stops at a known bound (see there); any other matrix is
+ranked by ``rref``.
 Echelon forms follow one fixed convention so that every output is canonical:
 
 * the reduced row echelon (Gauss-Jordan) form: pivots are the leftmost
@@ -19,7 +20,7 @@ Echelon forms follow one fixed convention so that every output is canonical:
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .fields import QQ, Field, PrimeField
 
@@ -163,26 +164,16 @@ def _subtract_multiple(row: dict, factor, other: dict, zero) -> None:
 def rank(m: Matrix, *, at_most: int | None = None) -> int:
     """Rank of the matrix over its exact field.
 
-    Rank is unchanged by field extension, so a matrix whose entries are all
-    images of rationals (every matrix over Q or F_p) is ranked on integers by
-    :func:`_integer_rank`: over Q each row is cleared of its denominators,
-    over F_p the residues are taken between -p/2 and p/2.  A matrix with an
-    irrational cyclotomic entry is ranked by ``rref`` alone.  ``at_most``, if
-    given, must bound the rank from above; elimination on integers then
-    stops as soon as that many independent rows are found.
+    A matrix built by :meth:`Matrix.from_int_rows` is ranked on its integer
+    rows by :func:`_integer_rank`, since its rank depends only on the
+    characteristic; ``at_most``, if given, must bound the rank from above,
+    and elimination then stops as soon as that many independent rows are
+    found.  Any other matrix is ranked by ``rref``, and ``at_most`` is not
+    read.
     """
-    rows = m.int_rows
-    if rows is None:
-        lift = m.field.lift
-        rows = []
-        for row in m.rows:
-            lifted = [lift(c) for c in row.values()]
-            if None in lifted:
-                return len(rref(m)[1])
-            den = lcm(*(q.denominator for q in lifted))
-            rows.append({j: q.numerator * (den // q.denominator)
-                         for j, q in zip(row, lifted)})
-    return _integer_rank(rows, m.field.char, at_most)
+    if m.int_rows is None:
+        return len(rref(m)[1])
+    return _integer_rank(m.int_rows, m.field.char, at_most)
 
 
 def _integer_rank(rows: list[dict], p: int, at_most: int | None = None) -> int:

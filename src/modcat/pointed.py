@@ -83,9 +83,6 @@ class FiniteAbelianGroup:
     def add(self, g, h) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(g, h, self.cyclic_orders))
 
-    def neg(self, g) -> tuple[int, ...]:
-        return tuple((-a) % n for a, n in zip(g, self.cyclic_orders))
-
     def zero(self) -> tuple[int, ...]:
         return tuple(0 for _ in self.cyclic_orders)
 

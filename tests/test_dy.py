@@ -247,6 +247,10 @@ def test_normalized_dims_match_the_full_complex(orders, field, n_max):
     ranks = [rank(delta) for delta in full]
     assert dy_cohomology_dims(complex_) == [
         order ** n - ranks[n] - (ranks[n - 1] if n else 0) for n in range(n_max)]
+    # and so do they as matrices of field entries, which rank sends to rref
+    by_rref = DYComplex(n_max=n_max, cochain_dims=complex_.cochain_dims,
+                        deltas=tuple(Matrix.from_sparse(field, d.rows, d.ncols) for d in full))
+    assert dy_cohomology_dims(by_rref) == dy_cohomology_dims(complex_)
     # each normalized d^n is the full one on the tuples of non-identity
     # elements: digit d of base |G| - 1 is element index d + 1 of base |G|
     def full_index(tuple_):
@@ -267,6 +271,15 @@ def test_normalized_dims_match_the_full_complex(orders, field, n_max):
         ones = [col for row in rest for col, v in row.items() if v == 1]
         assert sum(map(len, rest)) == len(ones) == len(set(ones))
         assert all(col >= m ** n for col in ones)
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (4,), (2, 2)])
+@pytest.mark.parametrize("code", ["q", "fp2", "fp3", "cyclo3"])
+def test_dims_never_build_field_entries(orders, code):
+    # the differentials are ranked on their integer rows alone
+    complex_ = identity_complex(orders, field_from_code(code), n_max=4)
+    dy_cohomology_dims(complex_)
+    assert all("rows" not in delta.__dict__ for delta in complex_.deltas)
 
 
 def test_hand_built_invalid_complex_is_rejected():

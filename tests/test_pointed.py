@@ -161,6 +161,29 @@ def test_subgroup_refusal_is_deterministic(monkeypatch):
     assert sizes[0] == sizes[1]
 
 
+@pytest.mark.parametrize("budget,orders,outcome", [
+    (1_000, (2, 2, 2, 2), (1005, 1000)),
+    (1_000, (4, 8), (1007, 1000)),
+    (1_000, (2, 2, 6), (1003, 1000)),
+    (1_000, (2, 4, 8), (1003, 1000)),
+    (1_000, (3, 9), 10),
+    (1_000, (27,), 4),
+    (10_000, (2, 4, 8), (10001, 10000)),
+    (10_000, (2, 2, 2, 2), 67),
+])
+def test_subgroup_work_accounting_is_pinned(monkeypatch, budget, orders, outcome):
+    # the exact work at which each chain is refused, or its subgroup count
+    # when the whole search fits in the budget
+    monkeypatch.setattr(pointed, "SUBGROUP_WORK_BUDGET", budget)
+    group = FiniteAbelianGroup(orders)
+    if isinstance(outcome, int):
+        assert len(subgroups(group)) == outcome
+        return
+    with pytest.raises(SizeGuardExceeded) as info:
+        subgroups(group)
+    assert (info.value.size, info.value.guard) == outcome
+
+
 def test_module_class_guard_counts_classes_before_building(monkeypatch):
     assert MODULE_CLASS_GUARD == 156_000
     # (Z/2)^5 has 4,590 classes, the sum of |H^2(H; k*)| over its 374 subgroups
@@ -184,7 +207,7 @@ def test_guards_at_their_boundary_cases():
     assert (info.value.size, info.value.guard) == (183_680, MODULE_CLASS_GUARD)
     with pytest.raises(SizeGuardExceeded) as info:
         subgroups(FiniteAbelianGroup((2,) * 7))
-    assert info.value.guard == SUBGROUP_WORK_BUDGET < info.value.size
+    assert info.value.guard == SUBGROUP_WORK_BUDGET < info.value.size == 1_362_063
 
 
 # -- H^2 oracle ---------------------------------------------------------------
