@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
+from . import pointed
 from .algebras import first_law_failure, nucleus_generators
 from .errors import SizeGuardExceeded, UsageError, ValidationError
 
@@ -243,23 +244,11 @@ def group_ring(orders: list[int]) -> BasedRingData:
         raise ValueError("orders must be non-empty")
     if any(n < 1 for n in orders):
         raise ValueError("orders must be positive")
-    elements = list(itertools.product(*(range(n) for n in orders)))
-    index = {g: i for i, g in enumerate(elements)}
-    rank = len(elements)
-
-    def add(g, h):
-        return tuple((a + b) % n for a, b, n in zip(g, h, orders))
-
-    def neg(g):
-        return tuple((-a) % n for a, n in zip(g, orders))
-
-    mult = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            mult[i][j][index[add(g, h)]] = 1
-    unit = [0] * rank
-    unit[index[tuple(0 for _ in orders)]] = 1
-    involution = [index[neg(g)] for g in elements]
+    table = pointed.add_table(orders)
+    rank = len(table)
+    units = [tuple(int(k == s) for k in range(rank)) for s in range(rank)]
+    mult = [[units[s] for s in row] for row in table]
+    involution = [row.index(0) for row in table]
 
     def label(g):
         if len(orders) == 1:
@@ -267,7 +256,8 @@ def group_ring(orders: list[int]) -> BasedRingData:
             return "e" if a == 0 else ("g" if a == 1 else f"g^{a}")
         return "(" + ",".join(str(a) for a in g) + ")"
 
-    return BasedRingData.build([label(g) for g in elements], mult, unit, involution)
+    labels = [label(g) for g in itertools.product(*(range(n) for n in orders))]
+    return BasedRingData.build(labels, mult, units[0], involution)
 
 
 def trivial_ring() -> BasedRingData:

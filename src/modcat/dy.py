@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .errors import SizeGuardExceeded, UsageError, ValidationError
 from .fields import Field
 from .linalg import Matrix, rank
-from .pointed import FiniteAbelianGroup
+from .pointed import FiniteAbelianGroup, add_table
 
 # Charged one degree at a time, |G|^(n+1) rows times n + 2 for degree n: the
 # nonzero entries of the full integer differentials, a bound on the entries
@@ -141,11 +141,9 @@ def _delta_rows(group: FiniteAbelianGroup, n: int) -> list[dict[int, int]]:
     same way: face i carries the sign (-1)^i, faces with g_{i-1} g_i = e drop
     out, faces that coincide are summed, and sums of 0 are dropped.
     """
-    elements = group.elements()[1:]  # the identity comes first
-    index = {g: i for i, g in enumerate(elements)}
-    # the addition table, -1 for the identity, needed from degree 1 on
-    add = [[index.get(group.add(g, h), -1) for h in elements] for g in elements] if n else []
-    order = len(elements)
+    # sums of the non-identity elements, -1 for the identity; needed from degree 1 on
+    add = [[s - 1 for s in row[1:]] for row in add_table(group.cyclic_orders)[1:]] if n else []
+    order = group.order - 1
     # face i, 1 <= i <= n, puts the index of g_{i-1} g_i in place of digits
     # i-1 and i: the digits above move down one place, those below stay
     merges = [(order ** (n - i + 2), order ** (n - i + 1), order ** (n - i), (-1) ** i)

@@ -109,8 +109,7 @@ def unit_algebra_object(p: int, field: Field) -> GradedAlgebraObject:
 
 def graded_group_algebra(p: int, field: Field) -> GradedAlgebraObject:
     group = pointed.FiniteAbelianGroup((p,))
-    mult = [[[1 if k == (i + j) % p else 0 for k in range(p)] for j in range(p)]
-            for i in range(p)]
+    mult = [[[int(k == s) for k in range(p)] for s in row] for row in pointed.add_table((p,))]
     unit = [1] + [0] * (p - 1)
     algebra = algebras.StructureConstantAlgebra.from_int_constants(
         field, mult, unit, labels=[f"u^{a}" if a else "1" for a in range(p)])

@@ -42,6 +42,22 @@ MODULE_CLASS_GUARD = 156_000
 SQUARE_CLASS_GUARD = 10 ** 6
 
 
+def add_table(orders) -> list[list[int]]:
+    """``table[i][j]`` is the index of g_i + g_j in Z/n_1 + Z/n_2 + ..., for any
+    cyclic orders, 1s and non-chains too, the elements indexed in the order of
+    :meth:`FiniteAbelianGroup.elements`, so the identity is index 0."""
+    table = [[0]]
+    for n in orders:
+        table = [[t * n + (a + b) % n for t in row for b in range(n)]
+                 for row in table for a in range(n)]
+    return table
+
+
+def _product_label(orders) -> str:
+    """Z/n_1 x Z/n_2 x ..., or 1 for no factors."""
+    return " x ".join(f"Z/{n}" for n in orders) or "1"
+
+
 class UnsupportedFieldGroupPair(ModcatError):
     pass
 
@@ -90,9 +106,7 @@ class FiniteAbelianGroup:
         return lcm(*(n // gcd(n, a) for a, n in zip(g, self.cyclic_orders)))
 
     def __str__(self) -> str:
-        if not self.cyclic_orders:
-            return "1"
-        return " x ".join(f"Z/{n}" for n in self.cyclic_orders)
+        return _product_label(self.cyclic_orders)
 
 
 @dataclass(frozen=True)
@@ -108,9 +122,7 @@ class Subgroup:
         return len(self.elements)
 
     def __str__(self) -> str:
-        if not self.invariant_factors:
-            return "1"
-        return " x ".join(f"Z/{n}" for n in self.invariant_factors)
+        return _product_label(self.invariant_factors)
 
 
 def _invariant_factors_of(group: FiniteAbelianGroup, elements) -> tuple[int, ...]:
@@ -197,9 +209,7 @@ class H2Descriptor:
     def label(self) -> str:
         if self.infinite:
             return "INFINITE_SQUARE_CLASS_GROUP"
-        if not self.cyclic_orders:
-            return "1"
-        return " x ".join(f"Z/{n}" for n in self.cyclic_orders)
+        return _product_label(self.cyclic_orders)
 
 
 def _strip_p_part(n: int, p: int) -> int:

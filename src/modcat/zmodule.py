@@ -32,7 +32,8 @@ try plus the terms their caps and prunes sum or compare, over every module
 rank of one call, and raise SizeGuardExceeded once it passes
 ``SEARCH_WORK_BUDGET``; the count is deterministic.  Z/2^3 -> Z/2^3 homs, the
 largest admitted case, count 6,808,935 (1.3-1.7 s), and the modules of the
-group rings of order 8 3.4-3.9 million (1.2-1.5 s with their canonical keys).
+group rings of order 8 3.4-3.9 million (1.5-1.9 s with their canonical keys,
+in-process, Python 3.11.7, on a host 1.5x slower than perfbench's reference).
 Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (10, 60 and 8 s to finish)
 are refused after 0.9-1.9 s, Z/2^4 -> Z/2^4 homs after 0.9-1 s (Python 3.11,
 one core of a 2-CPU host).

@@ -204,6 +204,29 @@ def test_group_rings_validate_and_certify(orders):
     assert [(c.involution, c.t_values) for c in certs] == oracle
 
 
+def tuple_group_ring(orders):
+    """Labels, mult, unit and involution of Z[Z/n_1 + ...], built on tuples."""
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    zero = tuple(0 for _ in orders)
+    if len(orders) == 1:
+        labels = tuple("e" if a == 0 else "g" if a == 1 else f"g^{a}" for (a,) in elements)
+    else:
+        labels = tuple("(" + ",".join(map(str, g)) + ")" for g in elements)
+    mult = tuple(tuple(tuple(int(k == tuple((a + b) % n for a, b, n in zip(g, h, orders)))
+                             for k in elements) for h in elements) for g in elements)
+    unit = tuple(int(g == zero) for g in elements)
+    involution = tuple(elements.index(tuple(-a % n for a, n in zip(g, orders)))
+                       for g in elements)
+    return labels, mult, unit, involution
+
+
+@pytest.mark.parametrize("orders", [[1], [1, 2], [2, 3], [3, 2], [2, 1, 3]], ids=str)
+def test_group_ring_on_order_lists_that_are_not_chains(orders):
+    data = group_ring(orders)
+    assert (data.labels, data.mult, data.unit_coeffs, data.involution) == \
+        tuple_group_ring(orders)
+
+
 def test_group_ring_z3_structure():
     data = group_ring([3])
     assert data.rank == 3

@@ -113,6 +113,43 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return prod(p ** (n - i) - 1 for i in range(k)) // prod(p ** (i + 1) - 1 for i in range(k))
 
 
+def tuple_add_table(orders):
+    """The index of each tuple sum g + h, with the elements listed by
+    itertools.product, the first coordinate slowest."""
+    elements = list(itertools.product(*(range(n) for n in orders)))
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[tuple((a + b) % n for a, b, n in zip(g, h, orders))] for h in elements]
+            for g in elements]
+
+
+def test_add_table_matches_tuple_sums():
+    assert len(chains(64)) == 117
+    for orders in chains(64) + [(1,), (1, 2), (2, 3), (3, 2), (2, 1, 3)]:
+        table = pointed.add_table(orders)
+        assert table == tuple_add_table(orders), orders
+        # the identity is index 0: its row and column are the identity permutation
+        assert table[0] == [row[0] for row in table] == list(range(prod(orders))), orders
+
+
+def test_add_table_indexes_the_group_elements_in_order():
+    # the same order as FiniteAbelianGroup.elements, so index i is elements()[i]
+    for orders in chains(64):
+        group = FiniteAbelianGroup(orders)
+        elements = group.elements()
+        table = pointed.add_table(orders)
+        assert [[elements[k] for k in row] for row in table] == \
+            [[group.add(g, h) for h in elements] for g in elements]
+
+
+def test_group_labels_print_the_cyclic_factors():
+    assert str(FiniteAbelianGroup(())) == "1"
+    assert str(FiniteAbelianGroup((2, 4))) == "Z/2 x Z/4"
+    klein = subgroups(FiniteAbelianGroup((2, 2)))
+    assert [str(s) for s in klein] == ["1", "Z/2", "Z/2", "Z/2", "Z/2 x Z/2"]
+    assert h2_of_abelian((3,), alg_closed(0)).label == "1"
+    assert h2_of_abelian((2, 4, 4), alg_closed(0)).label == "Z/2 x Z/2 x Z/4"
+
+
 @pytest.mark.parametrize("p,counts", [(2, [1, 2, 5, 16, 67, 374, 2825]),
                                       (3, [1, 2, 6, 28, 212])])
 def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, counts):
