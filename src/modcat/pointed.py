@@ -153,7 +153,7 @@ def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     one that is H again, and the cosets kx + H with k prime to their number
     give the same extension, so they are marked tried as well.  The work, |G|
     up front and then 1 per element visited or added, is checked after every
-    coset: SizeGuardExceeded once it passes SUBGROUP_WORK_BUDGET.
+    charge: SizeGuardExceeded as soon as it passes SUBGROUP_WORK_BUDGET.
     """
     work = group.order
     if work > SUBGROUP_WORK_BUDGET:
@@ -167,6 +167,8 @@ def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
         tried = set(current)
         for x in all_elements:
             work += 1
+            if work > SUBGROUP_WORK_BUDGET:
+                raise SizeGuardExceeded(work, SUBGROUP_WORK_BUDGET)
             if x in tried:
                 continue
             cosets = []

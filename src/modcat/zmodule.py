@@ -31,12 +31,13 @@ module search uses to prune.  Both searches count their work, the values they
 try plus the terms their caps and prunes sum or compare, over every module
 rank of one call, and raise SizeGuardExceeded once it passes
 ``SEARCH_WORK_BUDGET``; the count is deterministic.  Z/2^3 -> Z/2^3 homs, the
-largest admitted case, count 6,808,935 (1.3-1.7 s), and the modules of the
-group rings of order 8 3.4-3.9 million (1.5-1.9 s with their canonical keys,
-in-process, Python 3.11.7, on a host 1.5x slower than perfbench's reference).
-Z/3 x Z/3, Fib (x) Fib and Z/3 (x) Fib modules (10, 60 and 8 s to finish)
-are refused after 0.9-1.9 s, Z/2^4 -> Z/2^4 homs after 0.9-1 s (Python 3.11,
-one core of a 2-CPU host).
+largest admitted case, count 6,808,935 (1.3-1.5 s), and the modules of the
+group rings of order 8 3.4-3.9 million (1.0-1.9 s with their canonical keys;
+the module search recurses through plain frames, and where in that range a
+call falls depends on how deep its caller's stack is).  Z/3 x Z/3,
+Fib (x) Fib and Z/3 (x) Fib modules (13, 55 and 9 s to finish) are refused
+after 0.7-1.4 s, Z/2^4 -> Z/2^4 homs after 0.9-1 s (in-process, Python
+3.11.7, on a 2-CPU host 1.5-1.7x slower than perfbench's reference).
 """
 
 from __future__ import annotations
@@ -273,15 +274,15 @@ def invertible_generators(ring: ValidatedRing) -> frozenset[int]:
 
 
 def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
-                    invertible: frozenset[int]):
-    """Backtracking over the rows of all generator matrices, at each module
-    rank r = 1, ..., N in turn.
+                    invertible: frozenset[int]) -> list[list[tuple]]:
+    """The module actions found by backtracking over the rows of all
+    generator matrices, at each module rank r = 1, ..., N in turn.
 
     Row l is filled for every generator matrix A_i at once, cell by cell and
     within a cell generator by generator, each value counting up from its
-    least admissible value; so the actions come out in lexicographic order of
-    that filling sequence, and the first labeling met of each module class is
-    the same one the search without the row-0 order below would meet first.
+    least admissible value; so the actions are listed in lexicographic order
+    of that filling sequence, and the first labeling met of each module class
+    is the same one the search without the row-0 order below would meet first.
     Row 0 is normalized to carry the minimal total row sum, which the
     finiteness argument bounds by N.  Every entry, unit coefficient and
     structure constant is non-negative, so a partial sum only grows as the
@@ -340,82 +341,8 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
     f_packed: list[int] = []        # the same rows, packed
     f_rows: list[int] = []          # total row sums of F
     budgets: list[int] = []         # sum_i n_i rowsum(A_i[l]) per row l
+    actions: list[list[tuple]] = []
     work = 0
-
-    def row_candidates(l: int, cap: int):
-        """All joint assignments of row l for every generator matrix, with
-        total row sum at most ``cap``."""
-        nonlocal work
-        current = [[0] * r for _ in range(n_gen)]
-        # vmax[j][k]: the largest A_j[l][k] that keeps every generator law at
-        # a filled row within its target; prune_ok has already checked the
-        # terms through rows below l, so a zero A_i[lp][l] gives no bound
-        vmax = [[cap] * r for _ in range(n_gen)]
-        for i in range(n_gen):
-            for lp in range(l):
-                row_ilp = rows[i][lp]
-                a = row_ilp[l]
-                if not a:
-                    continue
-                for j, cell in enumerate(cells[i]):
-                    work += r * (len(cell) + l + 1)
-                    # target - base, packed; prune_ok has passed on rows < l,
-                    # so no field of it is negative and none borrows
-                    room = (sum(c * packed[m][lp] for m, c in cell)
-                            - sum(map(mul, row_ilp, packed[j])))
-                    vmax_j = vmax[j]
-                    for k in range(r):
-                        v = (room >> k * width & field) // a
-                        if v < vmax_j[k]:
-                            vmax_j[k] = v
-        # an invertible A_i is a permutation matrix: cells at most 1, and the
-        # l columns taken by the filled rows are closed to row l
-        last_free = [r] * n_gen  # the last column where row l of A_i can take its 1
-        for i in invertible:
-            taken = {rows[i][lp].index(1) for lp in range(l)}
-            vmax[i] = [min(vmax[i][k], 0 if k in taken else 1) for k in range(r)]
-            last_free[i] = max(k for k in range(r) if k not in taken)
-        placed = [0] * n_gen  # row sum of A_i[l] so far
-
-        def fill(k: int, used: int):
-            if work > SEARCH_WORK_BUDGET:
-                raise SizeGuardExceeded(work, SEARCH_WORK_BUDGET)
-            if k == r:
-                yield [list(row) for row in current], used
-                return
-            unit_target = 1 if k == l else 0
-
-            # assign the k-th cell of row l for all generators; while
-            # ``tied``, column k of row 0 equals column k-1 so far
-            def assign(i: int, cell_sum: int, unit_sum: int, tied: bool):
-                nonlocal work
-                if i == n_gen:
-                    if cell_sum >= 1:  # F must be strictly positive for irreducibility
-                        yield from fill(k + 1, used + cell_sum)
-                    return
-                prev = current[i][k - 1] if tied else 0
-                low, high = prev, min(vmax[i][k], cap - used - cell_sum)
-                if i in invertible:
-                    # row l of A_i sums to exactly 1
-                    high = min(high, 1 - placed[i])
-                    if k == last_free[i] and not placed[i]:
-                        low = max(low, 1)
-                for v in range(low, high + 1):
-                    work += 1
-                    partial = unit_sum + unit[i] * v
-                    if partial > unit_target:
-                        break
-                    if partial < unit_target and i >= last_unit:
-                        continue
-                    current[i][k] = v
-                    placed[i] += v
-                    yield from assign(i + 1, cell_sum + v, partial, tied and v == prev)
-                    placed[i] -= v
-                current[i][k] = 0
-
-            yield from assign(0, 0, 0, l == 0 and k >= 2)
-
-        yield from fill(0, 0)
 
     def prune_ok(filled: int, f_min: int) -> bool:
         nonlocal work
@@ -452,8 +379,9 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
         return True
 
     def extend(l: int):
+        nonlocal work
         if l == r:
-            yield [tuple(tuple(row) for row in rows[i]) for i in range(n_gen)]
+            actions.append([tuple(tuple(row) for row in rows[i]) for i in range(n_gen)])
             return
         if l == 0:
             cap = bounds.n_max
@@ -470,19 +398,56 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
                     cap = row_cap
             if cap is None or cap < f_min:
                 return
-        for assignment, row_sum in row_candidates(l, cap):
-            if l > 0 and row_sum < f_rows[0]:
-                continue  # row 0 is the minimal row
+        current = [[0] * r for _ in range(n_gen)]
+        # vmax[j][k]: the largest A_j[l][k] that keeps every generator law at
+        # a filled row within its target; prune_ok has already checked the
+        # terms through rows below l, so a zero A_i[lp][l] gives no bound
+        vmax = [[cap] * r for _ in range(n_gen)]
+        for i in range(n_gen):
+            for lp in range(l):
+                row_ilp = rows[i][lp]
+                a = row_ilp[l]
+                if not a:
+                    continue
+                for j, cell in enumerate(cells[i]):
+                    work += r * (len(cell) + l + 1)
+                    # target - base, packed; prune_ok has passed on rows < l,
+                    # so no field of it is negative and none borrows
+                    room = (sum(c * packed[m][lp] for m, c in cell)
+                            - sum(map(mul, row_ilp, packed[j])))
+                    vmax_j = vmax[j]
+                    for k in range(r):
+                        v = (room >> k * width & field) // a
+                        if v < vmax_j[k]:
+                            vmax_j[k] = v
+        # an invertible A_i is a permutation matrix: cells at most 1, and the
+        # l columns taken by the filled rows are closed to row l
+        last_free = [r] * n_gen  # the last column where row l of A_i can take its 1
+        for i in invertible:
+            taken = {rows[i][lp].index(1) for lp in range(l)}
+            vmax[i] = [min(vmax[i][k], 0 if k in taken else 1) for k in range(r)]
+            last_free[i] = max(k for k in range(r) if k not in taken)
+        placed = [0] * n_gen  # row sum of A_i[l] so far
+
+        def fill(k: int, used: int):
+            """Cells k, k+1, ... of row l, with ``used`` the row sum of F so
+            far; at k == r the row is complete and the rows below it follow."""
+            if work > SEARCH_WORK_BUDGET:
+                raise SizeGuardExceeded(work, SEARCH_WORK_BUDGET)
+            if k < r:
+                assign(k, used, 0, 0, 0, l == 0 and k >= 2)
+                return
+            if l > 0 and used < f_rows[0]:
+                return  # row 0 is the minimal row
             for i in range(n_gen):
-                rows[i].append(assignment[i])
-                packed[i].append(_pack(assignment[i], width))
-            f_mat.append([sum(column) for column in zip(*assignment)])
+                rows[i].append(current[i][:])
+                packed[i].append(_pack(current[i], width))
+            f_mat.append([sum(column) for column in zip(*current)])
             f_packed.append(sum(packed[i][l] for i in range(n_gen)))
-            f_rows.append(row_sum)
-            budgets.append(sum(map(mul, b_squared, map(sum, assignment))))
-            f_min = max(f_rows[0], r)
-            if prune_ok(l + 1, f_min):
-                yield from extend(l + 1)
+            f_rows.append(used)
+            budgets.append(sum(map(mul, b_squared, map(sum, current))))
+            if prune_ok(l + 1, max(f_rows[0], r)):
+                extend(l + 1)
             for i in range(n_gen):
                 rows[i].pop()
                 packed[i].pop()
@@ -491,11 +456,43 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
             f_rows.pop()
             budgets.pop()
 
+        def assign(k: int, used: int, i: int, cell_sum: int, unit_sum: int, tied: bool):
+            """Cell k of row l for generators i, i+1, ...; while ``tied``,
+            column k of row 0 equals column k-1 so far."""
+            nonlocal work
+            if i == n_gen:
+                if cell_sum >= 1:  # F must be strictly positive for irreducibility
+                    fill(k + 1, used + cell_sum)
+                return
+            unit_target = 1 if k == l else 0
+            prev = current[i][k - 1] if tied else 0
+            low, high = prev, min(vmax[i][k], cap - used - cell_sum)
+            if i in invertible:
+                # row l of A_i sums to exactly 1
+                high = min(high, 1 - placed[i])
+                if k == last_free[i] and not placed[i]:
+                    low = max(low, 1)
+            for v in range(low, high + 1):
+                work += 1
+                partial = unit_sum + unit[i] * v
+                if partial > unit_target:
+                    break
+                if partial < unit_target and i >= last_unit:
+                    continue
+                current[i][k] = v
+                placed[i] += v
+                assign(k, used, i + 1, cell_sum + v, partial, tied and v == prev)
+                placed[i] -= v
+            current[i][k] = 0
+
+        fill(0, 0)
+
     # the helpers read r and the guard bits of its r fields when called, so
     # each rank reuses them
     for r in range(1, bounds.n_max + 1):
         guard = sum(1 << (k * width + width - 1) for k in range(r))
-        yield from extend(0)
+        extend(0)
+    return actions
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Module validation, irreducibility, and the bounded enumerations."""
 
+import hashlib
 import itertools
 import math
 from operator import mul
@@ -358,7 +359,7 @@ def test_rank_guard_reports_the_search_size(z3xz3_refusal):
 
 @pytest.mark.parametrize("orders,budget,size", [
     ((4,), 1_000, 1_019), ((2, 2), 1_000, 1_239), ((6,), 1_000, 1_003),
-    ((6,), 20_000, 21_072)])
+    ((6,), 20_000, 21_072), ((2, 4), 200_000, 200_046), ((7,), 50_000, 50_019)])
 def test_module_search_work_count_is_pinned(monkeypatch, orders, budget, size):
     # the work count is part of the refusal payload: how the laws are summed
     # may change, the charges may not
@@ -366,6 +367,29 @@ def test_module_search_work_count_is_pinned(monkeypatch, orders, budget, size):
     with pytest.raises(SizeGuardExceeded) as info:
         enumerate_irreducible_modules(validate_zplus_ring(group_ring(list(orders))))
     assert (info.value.size, info.value.guard) == (size, budget)
+
+
+@pytest.mark.parametrize("data,cap_scale,count,digest", [
+    (group_ring([2]), 1, 2, "0ea40350bfd8cc0e88594e5bd58f21371270bf0920bf98baeb903a795af5ce48"),
+    (group_ring([3]), 1, 2, "710b7ab6bf63c3686c05d9a79d87b64c543fe832c1a31071a7ae995632b41ad9"),
+    (group_ring([4]), 1, 3, "60f4837c921b0fdc36a5969c874f148dfe5754bf05766c585f3b516feca81808"),
+    (group_ring([2, 2]), 1, 5, "282817a9b436a78ba918a90cf0d6d70e0fa9348126a822d6c7f9fc6a8ead74a3"),
+    (group_ring([5]), 1, 2, "0fe985793cc176958b57beb095be24a1268fb8cc47aa27df485cd84e36276997"),
+    (group_ring([6]), 1, 4, "7c4591d760dd473d2e94de121a5c89057fe2ba688bfaa1fe9520664b2a2056d3"),
+    (group_ring([7]), 1, 2, "c4738b8cecf64ff4400756a1b5bacf0104c1000587a994632381da74739241d4"),
+    (group_ring([4]), 2, 3, "60f4837c921b0fdc36a5969c874f148dfe5754bf05766c585f3b516feca81808"),
+    (group_ring([2, 2]), 2, 5, "282817a9b436a78ba918a90cf0d6d70e0fa9348126a822d6c7f9fc6a8ead74a3"),
+    (group_ring([5]), 2, 2, "0fe985793cc176958b57beb095be24a1268fb8cc47aa27df485cd84e36276997"),
+    (fibonacci_ring(), 1, 1, "87c636dc8cdd87bb2abf7cc9e272ac62a453d78bd983c1666cc05b83aa8d20f1"),
+])
+def test_search_actions_are_pinned(data, cap_scale, count, digest):
+    # the raw search output, in search order and before deduplication by
+    # key, which would hide any change to that order
+    ring = validate_zplus_ring(data)
+    actions = list(zmodule._search_actions(ring, EnumerationBounds.for_ring(ring, cap_scale),
+                                           invertible_generators(ring)))
+    assert len(actions) == count
+    assert hashlib.sha256(repr(actions).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("data", [
