@@ -28,11 +28,10 @@ over all relabellings (``lex_min_key``), whose work is bounded by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 
 from . import pointed
 from .algebras import first_law_failure, nucleus_generators
-from .errors import SizeGuardExceeded, UsageError, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 
 # 3% above the largest admitted search, Z/2^3 -> Z/2^3 homs at 6,808,935 (see
 # the zmodule docstring); each search and each canonical key counts from 0
@@ -57,7 +56,7 @@ class NegativeConstant(ValidationError):
         super().__init__(f"negative integer in {where}")
 
 
-@dataclass(frozen=True)
+@record
 class BasedRingData:
     """Raw ring datum; validate with :func:`validate_zplus_ring`."""
 
@@ -179,7 +178,7 @@ def tau(ring: ValidatedRing, element) -> int:
     return sum(element[i] for i in ring.i0)
 
 
-@dataclass(frozen=True)
+@record
 class WeakBasedCertificate:
     """Witness that a validated ring is weak based."""
 
@@ -187,10 +186,10 @@ class WeakBasedCertificate:
     involution: tuple[int, ...]
     t_values: tuple[int, ...]
     i0_set: frozenset[int]
-    based: bool = dataclass_field(init=False, default=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "based", all(t == 1 for t in self.t_values))
+    @property
+    def based(self) -> bool:
+        return all(t == 1 for t in self.t_values)
 
     @property
     def rank(self) -> int:

@@ -34,16 +34,15 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from . import basedring, dy, fieldprofile, fields, fusion2, pointed, skeleton, zmodule
-from .errors import ModcatError, UsageError, ValidationError
+from .errors import ModcatError, UsageError, ValidationError, record
 
 
 _EXIT_CODES = {"ok": 0, "error": 1, "usage": 2}
 
 
-@dataclass
+@record
 class CommandResult:
     status: str                 # "ok", "error" or "usage"
     payload: dict
@@ -403,7 +402,7 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="modcat",
         description="Exact bookkeeping for based rings, module classes and fusion products.")
@@ -415,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for interface stability; output is always deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, subcommands) in _COMMANDS.items():
-        group = sub.add_parser(command, help=help_text).add_subparsers(
-            dest="subcommand", required=True)
+        family = sub.add_parser(command, help=help_text)
+        if command not in argv:
+            continue  # argparse cannot enter a family that argv does not name
+        group = family.add_subparsers(dest="subcommand", required=True)
         for name, (func, arguments) in subcommands.items():
             p = group.add_parser(name)
             for argument, keywords in arguments:
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> tuple[CommandResult, int]:
     """Parse and execute; returns the structured result and the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         result = args.func(args)
     except ModcatError as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

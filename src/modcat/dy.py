@@ -34,9 +34,8 @@ associator corrections for twisted gradings are deliberately out of scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import SizeGuardExceeded, UsageError, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 from .fields import Field
 from .linalg import Matrix, rank
 from .pointed import FiniteAbelianGroup, add_table
@@ -65,7 +64,7 @@ class ComplexShapeMismatch(ValidationError):
         self.degree = n
 
 
-@dataclass(frozen=True)
+@record
 class PointedFunctorData:
     """A homomorphism of grading groups with a coefficient field.
 
@@ -97,7 +96,7 @@ class PointedFunctorData:
                     f"of order {gen_order} does not have dividing order")
 
 
-@dataclass(frozen=True)
+@record
 class DYComplex:
     """Differentials up to degree n_max, checked for their shapes and d of d = 0."""
 
@@ -200,7 +199,7 @@ def dy_cohomology_dims(complex_: DYComplex) -> list[int]:
     return dims
 
 
-@dataclass(frozen=True)
+@record
 class SeparabilityDiagnostic:
     h2_dim: int
     h3_dim: int

@@ -35,3 +35,46 @@ class SizeGuardExceeded(GuardError):
         super().__init__(detail)
         self.size = size
         self.guard = guard
+
+
+def record(cls):
+    """A frozen record as ``dataclasses.dataclass`` makes it, without importing that: the
+    fields are the annotations in MRO order, class values their defaults; hashed as dataclass."""
+    names = tuple(dict.fromkeys(name for klass in reversed(cls.__mro__)
+                                for name in klass.__dict__.get("__annotations__", ())))
+    every = set(names)
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if not kwargs and len(args) == len(names):  # every field by position
+            kwargs = dict(zip(names, args))
+        elif args or kwargs.keys() != every:  # nor every field by name: merge
+            given = dict(zip(names, args))
+            values = {**defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != every:
+                raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}")
+            kwargs = values
+        for name in names:  # not through __dict__, which makes every attribute read slower
+            object.__setattr__(self, name, kwargs[name])
+        if post_init:
+            self.__post_init__()
+
+    def fields(self):
+        return tuple([getattr(self, name) for name in names])
+
+    for name, method in {
+            "__init__": __init__,
+            "__repr__": lambda self: f"{cls.__qualname__}(" + ", ".join(
+                f"{name}={getattr(self, name)!r}" for name in names) + ")",
+            "__eq__": lambda self, other: fields(self) == fields(other)
+            if other.__class__ is self.__class__ else NotImplemented,
+            "__hash__": lambda self: hash(fields(self)),
+            "__setattr__": _frozen, "__delattr__": _frozen}.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")

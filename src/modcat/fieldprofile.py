@@ -17,11 +17,10 @@ support only the closure classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import fields
-from .errors import ModcatError, UsageError
+from .errors import ModcatError, UsageError, record
 
 
 class FieldKind(Enum):
@@ -53,7 +52,7 @@ class NotInBrauerGroup(ModcatError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FieldProfile:
     kind: FieldKind
     char: int = 0
@@ -118,7 +117,7 @@ def profile_from_code(code: str) -> FieldProfile:
     raise UsageError(f"unknown field profile code: {code!r}")
 
 
-@dataclass(frozen=True)
+@record
 class DivisionAlgebraClass:
     label: DivisionLabel
     ext_degree: int = 1  # q for FINITE_EXT(q), 1 otherwise

@@ -32,11 +32,10 @@ square root of -1 is needed to split the sign-twisted part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from . import algebras, linalg, pointed
-from .errors import ModcatError, SizeGuardExceeded, UsageError, ValidationError
+from .errors import ModcatError, SizeGuardExceeded, UsageError, ValidationError, record
 from .fields import CyclotomicField, Field, PrimeField, QQ
 from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel,
                            brauer_add, finite_ext, real_closed)
@@ -61,7 +60,7 @@ class IdentificationAmbiguous(ModcatError):
     """A computed block matches no known module class; a defect for inputs in scope."""
 
 
-@dataclass(frozen=True)
+@record
 class GradedAlgebraObject:
     """A group-graded algebra: structure constants plus a degree per basis index."""
 
@@ -172,7 +171,7 @@ def braided_tensor_algebra(p: int, zeta: pointed.BraidingParam, a: GradedAlgebra
     return GradedAlgebraObject(group=a.group, degrees=degrees, algebra=algebra)
 
 
-@dataclass(frozen=True)
+@record
 class Fusion2Product:
     """A multiset of simple summands, as canonically sorted labels.
 

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from . import fields
-from .errors import ModcatError, SizeGuardExceeded, UsageError
+from .errors import ModcatError, SizeGuardExceeded, UsageError, record
 from .fieldprofile import FieldKind, FieldProfile
 
 # 3% above the boundary cases of `pointed classes`, end to end (Python 3.11,
@@ -66,7 +65,7 @@ class UnsupportedField(ModcatError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FiniteAbelianGroup:
     """Direct sum of cyclic groups, given by invariant factors n_1 | n_2 | ...
 
@@ -109,7 +108,7 @@ class FiniteAbelianGroup:
         return _product_label(self.cyclic_orders)
 
 
-@dataclass(frozen=True)
+@record
 class Subgroup:
     """A subgroup given by its elements in ambient coordinates."""
 
@@ -193,7 +192,7 @@ def subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     return result
 
 
-@dataclass(frozen=True)
+@record
 class H2Descriptor:
     """Isomorphism type of H^2(H; k*): a finite abelian group or an infinite
     marker for the rational square-class case."""
@@ -252,7 +251,7 @@ def h2_of_abelian(group, field: FieldProfile) -> H2Descriptor:
         f"(got {field.code} with orders {orders})")
 
 
-@dataclass(frozen=True)
+@record
 class ModuleClass:
     """One indecomposable module class: a subgroup plus a cohomology class."""
 
@@ -289,7 +288,7 @@ def module_classes(group: FiniteAbelianGroup, field: FieldProfile) -> list[Modul
             for sub, h2_order in zip(subs, h2_orders) for index in range(h2_order)]
 
 
-@dataclass(frozen=True)
+@record
 class PointedCatData:
     """Carrier for a pointed category datum: a finite abelian grading group,
     an associator class tag, and an optional braiding parameter.
@@ -310,7 +309,7 @@ class PointedCatData:
         return module_classes(self.group, field)
 
 
-@dataclass(frozen=True)
+@record
 class BraidingParam:
     """A braiding on Z/p-graded vector spaces: a p-th root of unity zeta^e."""
 

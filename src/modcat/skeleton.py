@@ -12,11 +12,10 @@ truncation depth: the compact-but-not-finite signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import fieldprofile, fields, pointed
-from .errors import SizeGuardExceeded, UsageError, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 
 # validate_skeleton's Schur check makes depth^3 steps on a family truncation;
 # admits depth 256 (16,777,216): about 1.2 s end to end from the CLI
@@ -47,7 +46,7 @@ class IndexOutOfRange(ValidationError):
         super().__init__(f"simple index {index} out of range for {count} simples")
 
 
-@dataclass(frozen=True)
+@record
 class TwoCatSkeleton:
     """Simple-object labels plus the nonzero-Hom relation.
 
@@ -137,7 +136,7 @@ def pi0(skeleton: ValidatedSkeleton) -> list[list[int]]:
     return components
 
 
-@dataclass(frozen=True)
+@record
 class CompactnessReport:
     num_components: int
     num_simples: int

@@ -42,12 +42,11 @@ after 0.7-1.4 s, Z/2^4 -> Z/2^4 homs after 0.9-1 s (in-process, Python
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .basedring import (SEARCH_WORK_BUDGET, ValidatedRing, WeakBasedCertificate, _ints,
                         _is_list, find_weak_based_involutions, lex_min_key)
-from .errors import SizeGuardExceeded, UsageError, ValidationError
+from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 
 
 class NegativeEntry(ValidationError):
@@ -72,7 +71,7 @@ class RingNotWeakBased(ValidationError):
         super().__init__("ring admits no weak based involution")
 
 
-@dataclass(frozen=True)
+@record
 class ZPlusModuleData:
     ring: ValidatedRing
     rank: int
@@ -210,7 +209,7 @@ def direct_sum(a: ValidatedModule, b: ValidatedModule) -> ValidatedModule:
     return validate_module(ZPlusModuleData.build(a.ring, action))
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationBounds:
     """Search caps, recomputed from the ring data (never user-supplied)."""
 
@@ -273,6 +272,19 @@ def invertible_generators(ring: ValidatedRing) -> frozenset[int]:
     return frozenset(i for i, plane in enumerate(ring.mult) if one in plane)
 
 
+def _search_width(b_squared: list[int], mult, n_max: int) -> int:
+    """Bits per field of the module search's packed rows, one int per row with a field
+    per column.  Row 0 is capped at n_max, and the lp = 0 budget equality with F >= 1
+    gives every row sum f_l <= sum_j F[0][j] f_j = sum_i n_i rowsum(A_i[0]) <= max(b^2)
+    n_max = M.  So a law's sum over a row is at most M^2 and its target at most M max(b^2)
+    <= M^2 or M max_ij sum_m c_ij^m; the fields hold these below a guard bit, no packed
+    sum carries between fields, and ((target | G) - partial) & G == G, G the guard bits,
+    holds exactly when no field of partial exceeds that of target."""
+    bound = max(b_squared) * n_max
+    c_sum = max(sum(cell.values()) for plane in mult for cell in plane)
+    return max(bound * bound, bound * c_sum).bit_length() + 1
+
+
 def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
                     invertible: frozenset[int]) -> list[list[tuple]]:
     """The module actions found by backtracking over the rows of all
@@ -323,17 +335,7 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
     ones = [1] * n_gen
     b_squared = ring.product(ones, ones)  # n_i coefficients
     cells = [[tuple(cell.items()) for cell in plane] for plane in ring.mult]
-    # Each filled row is also kept packed, as one int with a ``width``-bit
-    # field per column.  Row 0 is capped at n_max, and the lp = 0 budget
-    # equality with F >= 1 gives every row sum f_l <= sum_j F[0][j] f_j =
-    # sum_i n_i rowsum(A_i[0]) <= max(b^2) n_max = M.  So a law's sum over a
-    # row is at most M^2 and its target at most M max(b^2) or M max_ij sum_m
-    # c_ij^m; the fields hold these below a guard bit, no packed sum carries
-    # between fields, and ((target | G) - partial) & G == G, G the guard
-    # bits, holds exactly when no field of partial exceeds that of target.
-    bound = max(b_squared) * bounds.n_max
-    c_sum = max(sum(cell.values()) for plane in ring.mult for cell in plane)
-    width = max(bound * bound, bound * c_sum, bound * max(b_squared)).bit_length() + 1
+    width = _search_width(b_squared, ring.mult, bounds.n_max)  # each filled row is also kept packed
     field = (1 << width) - 1
     rows: list[list[list[int]]] = [[] for _ in range(n_gen)]  # rows[i][l] = row l of A_i
     packed: list[list[int]] = [[] for _ in range(n_gen)]      # packed[i][l] = row l of A_i
@@ -495,7 +497,7 @@ def _search_actions(ring: ValidatedRing, bounds: EnumerationBounds,
     return actions
 
 
-@dataclass(frozen=True)
+@record
 class RingHomCandidate:
     """A homomorphism of weak based rings in basis coordinates."""
 

@@ -60,3 +60,14 @@ def _eager_edges() -> dict:
 
 def test_names_are_imported_eagerly_only_along_the_listed_edges():
     assert _eager_edges() == EAGER
+
+
+def test_no_module_imports_dataclasses():
+    # it imports inspect and generates code for every class, several ms of
+    # each command's start-up; records come from errors.record
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name and name.split(".")[0] == "dataclasses" for name in names), \
+                path.name

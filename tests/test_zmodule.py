@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 import math
-from operator import mul
+from operator import le, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -181,6 +181,34 @@ def test_validate_module_matches_nested_sums(case):
         with pytest.raises(ActionLawFails) as info:
             validate_module(data)
         assert info.value.indices == failure
+
+
+@pytest.mark.parametrize("data, cap_scale", [(group_ring([2]), 1), (group_ring([2]), 2),
+                                             (group_ring([3]), 1), (group_ring([2, 2]), 1),
+                                             (fibonacci_ring(), 1), (fibonacci_ring(), 3)],
+                         ids=["Z2", "Z2-cap2", "Z3", "Z2xZ2", "Fib", "Fib-cap3"])
+def test_packed_search_compare_holds_at_the_proven_extremes(data, cap_scale):
+    # the module search compares a packed sum over a row against a packed
+    # target in one subtraction, ((target | G) - partial) & G == G; with
+    # M = max(b^2) n_max a sum is at most M^2 and a target at most
+    # M max(b^2) or M max_ij sum_m c_ij^m, and for every pair of rows with
+    # fields at and near those extremes the compare must be the entrywise one
+    ring = validate_zplus_ring(data)
+    n_max = EnumerationBounds.for_ring(ring, cap_scale).n_max
+    ones = [1] * ring.rank
+    b_squared = ring.product(ones, ones)
+    b_max = max(b_squared)
+    m = b_max * n_max
+    top = m * max(b_max, max(sum(cell.values()) for plane in ring.mult for cell in plane))
+    width = zmodule._search_width(b_squared, ring.mult, n_max)
+    guard = sum(1 << (k * width + width - 1) for k in range(3))
+    targets = sorted({0, 1, top // 2, top - 1, top})
+    sums = sorted(v for v in {*targets, top + 1, m * m // 2, m * m - 1, m * m} if v <= m * m)
+    for partial in itertools.product(sums, repeat=3):
+        packed = zmodule._pack(partial, width)
+        for target in itertools.product(targets, repeat=3):
+            fits = ((zmodule._pack(target, width) | guard) - packed) & guard == guard
+            assert fits == all(map(le, partial, target)), (partial, target)
 
 
 def test_regular_modules_are_irreducible(z2, z3):
