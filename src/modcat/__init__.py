@@ -15,7 +15,9 @@ a sibling, ``from . import poly``, and reads its names where it calls them,
 ``poly.factor_list(f)``; that runs poly only when the call is made.  A
 module-level ``from .poly import Poly`` is kept only where every command
 that runs the importer calls into poly (``tests/test_imports.py`` lists
-those edges).  So a CLI command runs only the modules it calls into.
+those edges).  So a CLI command runs only the modules it calls into, and as
+each CLI family's handlers are in their own module, ``modcat.cli.<family>``,
+it compiles no other family's code.
 """
 
 import importlib.util
@@ -41,9 +43,10 @@ _EXPORTS = {
     "skeleton": "CompactnessReport TwoCatSkeleton ValidatedSkeleton compactness_report "
                 "decompose_object mod_pointed_skeleton mod_real_skeleton pi0 "
                 "truncated_family_2vect_fp validate_skeleton",
-    "pointed": "BraidingParam FiniteAbelianGroup H2Descriptor ModuleClass PointedCatData "
-               "Subgroup braidings_on_cyclic h2_of_abelian module_classes "
-               "square_class_witnesses subgroups",
+    "groups": "FiniteAbelianGroup",
+    "pointed": "BraidingParam H2Descriptor ModuleClass PointedCatData Subgroup "
+               "braidings_on_cyclic h2_of_abelian module_classes square_class_witnesses "
+               "subgroups",
     "dy": "DYComplex PointedFunctorData SeparabilityDiagnostic build_dy_complex "
           "dy_cohomology_dims separability_diagnostic",
     "fusion2": "Fusion2Product GradedAlgebraObject braided_tensor_algebra "
@@ -60,8 +63,8 @@ _PUBLIC["AlgebraNotAssociative"] = ("algebras", "NotAssociative")
 __all__ = list(_PUBLIC)
 __version__ = "0.1.0"
 
-# every library submodule; poly exports no public name
-for _name in (*_EXPORTS, "poly"):
+# every library submodule; poly, laws and ints export no public name
+for _name in (*_EXPORTS, "poly", "laws", "ints"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

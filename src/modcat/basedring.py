@@ -6,9 +6,9 @@ a[i] >= 0 with 1 = sum_i a[i] b_i.  The datum holds the dense table, the
 input and file format; a validated ring keeps only the nonzero constants,
 the dict {k: c} of b_i b_j per basis pair, the layout of the algebra layer's
 ``StructureConstantAlgebra``.  Validation checks associativity and the
-two-sided unit law through the algebra layer's expansion over the nonzero
-constants (``algebras.first_law_failure``), with associativity on the rows
-of a nucleus generating set (``algebras.nucleus_generators``) only.
+two-sided unit law through the expansion over the nonzero constants that
+algebras share (``laws.first_law_failure``), with associativity on the rows
+of a nucleus generating set (``laws.nucleus_generators``) only.
 
 tau is the linear functional summing an element's coordinates over the unit
 support I0 = {i : a[i] != 0}.  A weak-based certificate records a basis
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 
-from . import pointed
-from .algebras import first_law_failure, nucleus_generators
+from . import groups
 from .errors import SizeGuardExceeded, UsageError, ValidationError, record
+from .laws import first_law_failure, nucleus_generators
 
 # 3% above the largest admitted search, Z/2^3 -> Z/2^3 homs at 6,808,935 (see
 # the zmodule docstring); each search and each canonical key counts from 0
@@ -243,7 +243,7 @@ def group_ring(orders: list[int]) -> BasedRingData:
         raise ValueError("orders must be non-empty")
     if any(n < 1 for n in orders):
         raise ValueError("orders must be positive")
-    table = pointed.add_table(orders)
+    table = groups.add_table(orders)
     rank = len(table)
     units = [tuple(int(k == s) for k in range(rank)) for s in range(rank)]
     mult = [[units[s] for s in row] for row in table]

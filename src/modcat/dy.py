@@ -37,8 +37,8 @@ import itertools
 
 from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 from .fields import Field
+from .groups import FiniteAbelianGroup, add_table
 from .linalg import Matrix, rank
-from .pointed import FiniteAbelianGroup, add_table
 
 # Charged one degree at a time, |G|^(n+1) rows times n + 2 for degree n: the
 # nonzero entries of the full integer differentials, a bound on the entries

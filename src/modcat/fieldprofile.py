@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from . import fields
+from . import ints
 from .errors import ModcatError, UsageError, record
 
 
@@ -60,10 +60,10 @@ class FieldProfile:
 
     def __post_init__(self):
         if self.kind == FieldKind.ALG_CLOSED:
-            if self.char != 0 and not fields._is_prime(self.char):
+            if self.char != 0 and not ints._is_prime(self.char):
                 raise UsageError("characteristic must be 0 or prime")
         elif self.kind == FieldKind.FINITE:
-            if not fields._is_prime(self.char):
+            if not ints._is_prime(self.char):
                 raise UsageError("finite profile needs a prime characteristic")
         elif self.kind in (FieldKind.REAL_CLOSED, FieldKind.RATIONALS):
             if self.char != 0:
@@ -105,11 +105,11 @@ def separably_closed_nonperfect(tag: str, char: int) -> FieldProfile:
 def profile_from_code(code: str) -> FieldProfile:
     """Parse profile codes: "ac0", "ac<p>", "rc", "fp<p>", "q", "sep:<tag>"."""
     if code.startswith("ac"):
-        return alg_closed(fields._code_int(code, "ac", "field profile code"))
+        return alg_closed(ints._code_int(code, "ac", "field profile code"))
     if code == "rc":
         return real_closed()
     if code.startswith("fp"):
-        return finite(fields._code_int(code, "fp", "field profile code"))
+        return finite(ints._code_int(code, "fp", "field profile code"))
     if code == "q":
         return rationals()
     if code.startswith("sep:"):

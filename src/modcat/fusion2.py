@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
-from . import algebras, linalg, pointed
+from . import algebras, groups, linalg, pointed
 from .errors import ModcatError, SizeGuardExceeded, UsageError, ValidationError, record
 from .fields import CyclotomicField, Field, PrimeField, QQ
 from .fieldprofile import (COMPLEXIFICATION, DivisionAlgebraClass, DivisionLabel,
@@ -64,7 +64,7 @@ class IdentificationAmbiguous(ModcatError):
 class GradedAlgebraObject:
     """A group-graded algebra: structure constants plus a degree per basis index."""
 
-    group: pointed.FiniteAbelianGroup
+    group: groups.FiniteAbelianGroup
     degrees: tuple[tuple[int, ...], ...]
     algebra: algebras.StructureConstantAlgebra
 
@@ -100,15 +100,15 @@ def coefficient_field(p: int) -> CyclotomicField:
 
 
 def unit_algebra_object(p: int, field: Field) -> GradedAlgebraObject:
-    group = pointed.FiniteAbelianGroup((p,))
+    group = groups.FiniteAbelianGroup((p,))
     algebra = algebras.StructureConstantAlgebra.from_int_constants(field, [[[1]]], [1],
                                                                    labels=["1"])
     return GradedAlgebraObject(group=group, degrees=((0,),), algebra=algebra)
 
 
 def graded_group_algebra(p: int, field: Field) -> GradedAlgebraObject:
-    group = pointed.FiniteAbelianGroup((p,))
-    mult = [[[int(k == s) for k in range(p)] for s in row] for row in pointed.add_table((p,))]
+    group = groups.FiniteAbelianGroup((p,))
+    mult = [[[int(k == s) for k in range(p)] for s in row] for row in groups.add_table((p,))]
     unit = [1] + [0] * (p - 1)
     algebra = algebras.StructureConstantAlgebra.from_int_constants(
         field, mult, unit, labels=[f"u^{a}" if a else "1" for a in range(p)])

@@ -23,13 +23,13 @@ distinct witnesses instead of a class list.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from math import gcd, lcm, prod
+from math import gcd, prod
 
-from . import fields
+from . import ints
 from .errors import ModcatError, SizeGuardExceeded, UsageError, record
 from .fieldprofile import FieldKind, FieldProfile
+from .groups import FiniteAbelianGroup, _product_label, add_table
 
 # 3% above the boundary cases of `pointed classes`, end to end (Python 3.11,
 # 2-CPU host): Z/2^3 x Z/4 x Z/8 does 1,322,269 units of subgroup work in 2 s;
@@ -41,71 +41,12 @@ MODULE_CLASS_GUARD = 156_000
 SQUARE_CLASS_GUARD = 10 ** 6
 
 
-def add_table(orders) -> list[list[int]]:
-    """``table[i][j]`` is the index of g_i + g_j in Z/n_1 + Z/n_2 + ..., for any
-    cyclic orders, 1s and non-chains too, the elements indexed in the order of
-    :meth:`FiniteAbelianGroup.elements`, so the identity is index 0."""
-    table = [[0]]
-    for n in orders:
-        table = [[t * n + (a + b) % n for t in row for b in range(n)]
-                 for row in table for a in range(n)]
-    return table
-
-
-def _product_label(orders) -> str:
-    """Z/n_1 x Z/n_2 x ..., or 1 for no factors."""
-    return " x ".join(f"Z/{n}" for n in orders) or "1"
-
-
 class UnsupportedFieldGroupPair(ModcatError):
     pass
 
 
 class UnsupportedField(ModcatError):
     pass
-
-
-@record
-class FiniteAbelianGroup:
-    """Direct sum of cyclic groups, given by invariant factors n_1 | n_2 | ...
-
-    The empty tuple is the trivial group.
-    """
-
-    cyclic_orders: tuple[int, ...]
-
-    def __init__(self, cyclic_orders):
-        orders = tuple(int(n) for n in cyclic_orders)
-        for n in orders:
-            if n < 2:
-                raise UsageError("cyclic orders must be at least 2")
-        for a, b in zip(orders, orders[1:]):
-            if b % a != 0:
-                raise UsageError("invariant factors must form a divisibility chain")
-        object.__setattr__(self, "cyclic_orders", orders)
-
-    @property
-    def order(self) -> int:
-        return prod(self.cyclic_orders)
-
-    @property
-    def exponent(self) -> int:
-        return self.cyclic_orders[-1] if self.cyclic_orders else 1
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(n) for n in self.cyclic_orders)))
-
-    def add(self, g, h) -> tuple[int, ...]:
-        return tuple((a + b) % n for a, b, n in zip(g, h, self.cyclic_orders))
-
-    def zero(self) -> tuple[int, ...]:
-        return tuple(0 for _ in self.cyclic_orders)
-
-    def element_order(self, g) -> int:
-        return lcm(*(n // gcd(n, a) for a, n in zip(g, self.cyclic_orders)))
-
-    def __str__(self) -> str:
-        return _product_label(self.cyclic_orders)
 
 
 @record
@@ -328,7 +269,7 @@ def braidings_on_cyclic(p: int, field: FieldProfile) -> list[BraidingParam]:
     unity; in characteristic p the only p-th root of unity is 1.  p must be
     prime (UsageError).
     """
-    if not fields._is_prime(p):
+    if not ints._is_prime(p):
         raise UsageError(f"{p} is not prime")
     if field.kind != FieldKind.ALG_CLOSED:
         raise UnsupportedField("braidings are enumerated over algebraically closed fields")

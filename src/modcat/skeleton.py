@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import fieldprofile, fields, pointed
+from . import fieldprofile, ints, pointed
 from .errors import SizeGuardExceeded, UsageError, ValidationError, record
 
 # validate_skeleton's Schur check makes depth^3 steps on a family truncation;
@@ -160,7 +160,7 @@ def truncated_family_2vect_fp(p: int, depth: int) -> ValidatedSkeleton:
     SizeGuardExceeded when depth^3 exceeds FAMILY_SIZE_GUARD or p exceeds
     the primality test's PRIME_TEST_GUARD.
     """
-    if not fields._is_prime(p):
+    if not ints._is_prime(p):
         raise UsageError(f"{p} is not prime")
     if depth < 1:
         raise UsageError("depth must be positive")

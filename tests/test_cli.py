@@ -383,12 +383,18 @@ PARSE_TOKENS = sorted({*cli._COMMANDS, *(name for _, subcommands in cli._COMMAND
                        "--bogus", "--"})
 
 
+def _full_parser():
+    """The parser with every family and subcommand: argv names every family,
+    and none in first place."""
+    return cli.build_parser(["--seedless", *cli._COMMANDS])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(argv=st.lists(st.sampled_from(PARSE_TOKENS), max_size=6))
 def test_the_parser_built_for_an_argv_parses_it_as_the_full_parser(argv):
     # only the families argv names get their subcommand parsers; arguments,
     # usage messages and help text must not change
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(list(cli._COMMANDS)), argv)
+    assert _parse(cli.build_parser(argv), argv) == _parse(_full_parser(), argv)
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["ring", "-h"], ["dy", "dims", "--help"],
@@ -396,7 +402,7 @@ def test_the_parser_built_for_an_argv_parses_it_as_the_full_parser(argv):
                                   *[case["argv"] for case in json.loads(
                                       (DATA.parent / "perfbench" / "cli_golden.json").read_text())]])
 def test_the_parser_built_for_a_known_argv_parses_it_as_the_full_parser(argv):
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(list(cli._COMMANDS)), argv)
+    assert _parse(cli.build_parser(argv), argv) == _parse(_full_parser(), argv)
 
 
 def test_render_json_is_sorted_and_exact():
@@ -556,6 +562,21 @@ def test_format_accepted_in_either_position(capsys, argv):
     assert capsys.readouterr()[0] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fo", "md", "pointed", "squareclasses", "--bound", "6"],
+    ["--form", "md", "pointed", "squareclasses", "--bound", "6"],
+    ["--forma", "md", "pointed", "squareclasses", "--bound", "6"],
+    ["--form=md", "pointed", "squareclasses", "--bound", "6"],
+])
+def test_abbreviated_format_renders_as_format(capsys, argv):
+    # argparse accepts a prefix of --format; the output follows what it parsed
+    assert main(["--format", "md", "pointed", "squareclasses", "--bound", "6"]) == 0
+    expected, _ = capsys.readouterr()
+    assert expected == "5 square classes up to 6: [1, 2, 3, 5, 6]\n"
+    assert main(argv) == 0
+    assert capsys.readouterr()[0] == expected
+
+
 def test_guard_error_reports_size_and_guard():
     result, code = invoke(["fusion2", "ffield", "2", "2", "40"])
     assert code == 1
@@ -668,30 +689,32 @@ def test_family_prime_beyond_the_primality_guard_reports_size_and_guard(capsys):
 
 # modcat modules whose bodies a command never runs; a module registered by
 # LazyLoader keeps its lazy class until its first attribute access
-# each perfbench/cli_golden.json command, in its order, with the library
-# modules it executes: those it calls into, and no other
-_RING = {"cli", "errors", "basedring", "algebras"}
-_POINTED = {"cli", "errors", "fieldprofile", "pointed"}
-_FUSION2 = {"cli", "errors", "fields", "fieldprofile", "fusion2", "poly"}
+# each perfbench/cli_golden.json command, in its order, with the modcat modules
+# it executes: those it calls into, and no other; cli.<family> is the CLI module
+# of its own family only
+_RING = {"cli", "cli.ring", "errors", "basedring", "laws"}
+_ZMOD = {"cli", "cli.zmod", "errors", "basedring", "laws", "zmodule"}
+_TWOCAT = {"cli", "cli.twocat", "errors", "skeleton"}
+_POINTED = {"cli", "cli.pointed", "errors", "fieldprofile", "groups", "pointed"}
+_DY = {"cli", "cli.dy", "errors", "fields", "groups", "ints", "linalg", "dy"}
+_FUSION2 = {"cli", "cli.fusion2", "errors", "fields", "fieldprofile", "fusion2", "ints", "poly"}
 EXECUTED = [
     (["ring", "validate", "data/fib.ring.json"], _RING),
     (["ring", "involutions", "data/z3.ring.json"], _RING),
     (["ring", "homs", "data/z2.ring.json", "data/z2.ring.json"], _RING | {"zmodule"}),
-    (["zmod", "validate", "data/regular_z2.module.json"], _RING | {"zmodule"}),
-    (["zmod", "enumerate", "data/z2.ring.json"], _RING | {"zmodule"}),
-    (["twocat", "pi0", "data/mod_real.skeleton.json"], {"cli", "errors", "skeleton"}),
-    (["twocat", "family", "--p", "2", "--depth", "8"], {"cli", "errors", "fields", "skeleton"}),
-    (["pointed", "classes", "--group", "2,2", "--field", "ac0"], _POINTED | {"fields"}),
-    (["pointed", "braidings", "--p", "3"], _POINTED | {"fields"}),
+    (["zmod", "validate", "data/regular_z2.module.json"], _ZMOD),
+    (["zmod", "enumerate", "data/z2.ring.json"], _ZMOD),
+    (["twocat", "pi0", "data/mod_real.skeleton.json"], _TWOCAT),
+    (["twocat", "family", "--p", "2", "--depth", "8"], _TWOCAT | {"ints"}),
+    (["pointed", "classes", "--group", "2,2", "--field", "ac0"], _POINTED | {"ints"}),
+    (["pointed", "braidings", "--p", "3"], _POINTED | {"ints"}),
     (["pointed", "squareclasses", "--bound", "10"], _POINTED),
-    (["dy", "dims", "--group", "3", "--coeff", "fp3", "--nmax", "4"],
-     _POINTED | {"fields", "linalg", "dy"}),
-    (["dy", "diagnostic", "--group", "2", "--coeff", "fp2"],
-     _POINTED | {"fields", "linalg", "dy"}),
-    (["fusion2", "real"], _FUSION2 | {"algebras", "linalg"}),
+    (["dy", "dims", "--group", "3", "--coeff", "fp3", "--nmax", "4"], _DY),
+    (["dy", "diagnostic", "--group", "2", "--coeff", "fp2"], _DY),
+    (["fusion2", "real"], _FUSION2 | {"algebras", "laws", "linalg"}),
     (["fusion2", "ffield", "2", "3", "2"], _FUSION2),
     (["fusion2", "pointed", "--p", "3", "--zeta", "1"],
-     _FUSION2 | {"algebras", "linalg", "pointed"}),
+     _FUSION2 | {"algebras", "laws", "linalg", "groups", "pointed"}),
 ]
 
 
@@ -708,9 +731,10 @@ def test_a_command_runs_only_the_modules_it_calls(argv, executed):
         "import modcat.cli\n"
         f"code = modcat.cli.run({argv!r})[1]\n"
         "print(json.dumps({'code': code,\n"
-        "                  'loaded': [n for n in ('sympy', 'dataclasses', 'inspect')\n"
+        "                  'loaded': [n for n in ('sympy', 'dataclasses', 'inspect',\n"
+        "                                         'fractions', 'decimal')\n"
         "                             if n in sys.modules],\n"
-        "                  'executed': [n.split('.')[1] for n, m in sys.modules.items()\n"
+        "                  'executed': [n.split('.', 1)[1] for n, m in sys.modules.items()\n"
         "                               if n.startswith('modcat.')\n"
         "                               and type(m) is types.ModuleType]}))\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -718,7 +742,9 @@ def test_a_command_runs_only_the_modules_it_calls(argv, executed):
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout)
     assert seen["code"] == 0
-    assert seen["loaded"] == []  # each costs start-up time and no command needs it
+    # each costs start-up time and no command needs it; fractions (and decimal,
+    # which it imports) only the commands that run the field layer
+    assert seen["loaded"] == ([] if "fields" not in executed else ["fractions", "decimal"])
     assert set(seen["executed"]) == executed
 
 

@@ -17,12 +17,17 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "modcat"
 # always allowed
 EAGER = {
     "__main__": {"cli"},
-    "basedring": {"algebras"},
-    "dy": {"fields", "linalg", "pointed"},
+    "algebras": {"laws"},
+    "basedring": {"laws"},
+    "dy": {"fields", "groups", "linalg"},
+    "fields": {"ints"},
     "fusion2": {"fields", "fieldprofile", "poly"},
     "linalg": {"fields"},
-    "pointed": {"fieldprofile"},
+    "pointed": {"fieldprofile", "groups"},
     "zmodule": {"basedring"},
+    # each CLI family's module imports its shared helpers from the package
+    **{f"cli.{family}": {"cli"} for family in ("ring", "zmod", "twocat", "pointed", "dy",
+                                                "fusion2")},
 }
 
 
@@ -37,24 +42,39 @@ def _run_at_import(body):
             yield from _run_at_import(getattr(node, field, []))
 
 
+def _module_name(path) -> str:
+    """A module's name below modcat: poly, cli, cli.ring."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def _eager_edges() -> dict:
-    siblings = {path.stem for path in SRC.glob("*.py")}
+    paths = sorted(SRC.rglob("*.py"))
+    modules = {_module_name(path) for path in paths}
     edges = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
+        name, package = _module_name(path), list(path.parent.relative_to(SRC).parts)
         for node in _run_at_import(ast.parse(path.read_text()).body):
             if not isinstance(node, ast.ImportFrom):
                 continue
-            if node.level == 1 and node.module is None:
-                assert {alias.name for alias in node.names} <= siblings, path.name
-                continue  # from . import poly: a module reference
-            if node.level == 1:
-                sibling = node.module
+            if node.level:
+                base = package[:len(package) - node.level + 1]
+                if node.module is None:
+                    targets = [".".join([*base, alias.name]) for alias in node.names]
+                    if all(target in modules for target in targets):
+                        continue  # from . import poly: a module reference
+                    # from . import CommandResult: names of the package itself
+                    targets = [".".join(base)]
+                else:
+                    targets = [".".join([*base, node.module])]
             elif node.module.startswith("modcat."):
-                sibling = node.module.split(".", 1)[1]
+                targets = [node.module.split(".", 1)[1]]
             else:
                 continue
-            if sibling != "errors":
-                edges.setdefault(path.stem, set()).add(sibling)
+            for target in targets:
+                assert target in modules, (path, target)
+                if target != "errors":
+                    edges.setdefault(name, set()).add(target)
     return edges
 
 
@@ -65,7 +85,7 @@ def test_names_are_imported_eagerly_only_along_the_listed_edges():
 def test_no_module_imports_dataclasses():
     # it imports inspect and generates code for every class, several ms of
     # each command's start-up; records come from errors.record
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
