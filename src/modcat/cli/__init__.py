@@ -224,16 +224,24 @@ def render(result: CommandResult, fmt: str) -> str:
     return json.dumps(body, indent=2, sort_keys=True)
 
 
+def _is_format(name: str) -> bool:
+    """Whether argparse reads the option name as --format: the whole name, or
+    a prefix of it from --fo on (--f is also a prefix of --field)."""
+    return len(name) >= 4 and "--format".startswith(name)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --format is global but argparse wants it before the subcommand; accept both
-    # positions, and the --format=md spelling, by moving it to the front.  The
-    # format scanned here renders a usage error met while parsing; otherwise the
-    # parsed one is used, which argparse also accepts abbreviated (--fo md)
-    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--format=") else [a])]
+    # --format is global but argparse wants it before the subcommand; accept it
+    # anywhere, in every spelling argparse takes (--fo md, --form=md, ...), by
+    # moving one to the front: the first literal --format, else the first
+    # prefix.  The format scanned here renders a usage error met while parsing;
+    # otherwise the parsed one is used
+    argv = [t for a in argv for t in (a.split("=", 1) if _is_format(a.split("=")[0]) else [a])]
+    named = [i for i, a in enumerate(argv) if _is_format(a)]
     fmt = "json"
-    if "--format" in argv:
-        i = argv.index("--format")
+    if named:
+        i = argv.index("--format") if "--format" in argv else named[0]
         if i + 1 < len(argv):
             fmt = argv[i + 1]
             argv = argv[i:i + 2] + argv[:i] + argv[i + 2:]

@@ -12,7 +12,9 @@ representation:
   a tuple of ints, from the factors x^d - 1 of x^n - 1; it is monic with
   integer coefficients, so sums and products are int arithmetic reduced
   modulo Phi_n, followed by one gcd when the denominator is not 1.  The
-  ``Fraction`` coefficients are derived on demand.
+  ``Fraction`` coefficients are derived on demand.  The inverse of an
+  irrational element is its other Galois conjugates over its norm; a
+  rational a / den inverts to den / a directly.
 
 All arithmetic is exact; there is no floating point anywhere.  Every
 element is false exactly when it is zero, so sparse code can test entries by
@@ -295,11 +297,15 @@ class CycElem:
         return CycElem(self.n, conj, self.den)
 
     def inverse(self) -> "CycElem":
-        # num times its other Galois conjugates zeta -> zeta^k is the norm of
-        # num(zeta), an int that is nonzero because Phi_n is irreducible over Q
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        if any(self.num[1:]) and len(self.num) > CYCLOTOMIC_INVERSE_GUARD:
+        if not any(self.num[1:]):
+            # a rational a / den inverts to den / a, in lowest terms already
+            a = self.num[0]
+            return _normal(self.n, (self.den if a > 0 else -self.den,) + self.num[1:], abs(a))
+        # num times its other Galois conjugates zeta -> zeta^k is the norm of
+        # num(zeta), an int that is nonzero because Phi_n is irreducible over Q
+        if len(self.num) > CYCLOTOMIC_INVERSE_GUARD:
             raise SizeGuardExceeded(len(self.num), CYCLOTOMIC_INVERSE_GUARD)
         n = self.n
         num = CycElem(n, self.num)

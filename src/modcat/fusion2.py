@@ -21,7 +21,13 @@ Each product is computed honestly from algebra objects:
 
 The first two families share one path: :func:`tensor_algebra`, then the
 (degree-zero) center, then :func:`_central_blocks`, which splits the center
-and returns each block's idempotent and echelon basis.
+and returns each block's idempotent and echelon basis.  The class algebras
+they tensor, :func:`unit_algebra_object`, :func:`graded_group_algebra` and
+:func:`rational_division_algebra`, are built and validated once per process
+and argument; every product reads them and none alters them.  A braided
+block's degree-zero simple count is the number of blocks that
+``split_commutative_algebra`` finds in the center of its degree-zero part,
+one primitive central idempotent per simple summand.
 
 The coefficient field for the braided family is the smallest cyclotomic
 field that both contains the braiding root of unity and splits the twisted
@@ -32,6 +38,7 @@ square root of -1 is needed to split the sign-twisted part.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import gcd, isqrt
 
 from . import algebras, groups, linalg, pointed
@@ -99,6 +106,7 @@ def coefficient_field(p: int) -> CyclotomicField:
     return CyclotomicField(4 if p == 2 else p)
 
 
+@lru_cache(maxsize=None)
 def unit_algebra_object(p: int, field: Field) -> GradedAlgebraObject:
     group = groups.FiniteAbelianGroup((p,))
     algebra = algebras.StructureConstantAlgebra.from_int_constants(field, [[[1]]], [1],
@@ -106,6 +114,7 @@ def unit_algebra_object(p: int, field: Field) -> GradedAlgebraObject:
     return GradedAlgebraObject(group=group, degrees=((0,),), algebra=algebra)
 
 
+@lru_cache(maxsize=None)
 def graded_group_algebra(p: int, field: Field) -> GradedAlgebraObject:
     group = groups.FiniteAbelianGroup((p,))
     mult = [[[int(k == s) for k in range(p)] for s in row] for row in groups.add_table((p,))]
@@ -231,7 +240,9 @@ def _block_degree_zero_simple_count(obj: GradedAlgebraObject, idempotent: list,
     deg0_basis = [vec for vec in block_basis
                   if all(obj.degrees[k] == zero_deg for k, c in enumerate(vec) if c != zero)]
     deg0 = _subalgebra_on(obj.algebra, deg0_basis, idempotent)
-    return len(_central_blocks(deg0, deg0.center_basis()))
+    # one primitive idempotent of the center per simple summand
+    center = _subalgebra_on(deg0, deg0.center_basis(), deg0.unit)
+    return len(algebras.split_commutative_algebra(center))
 
 
 def realize_module_class(cls: pointed.ModuleClass, field: Field) -> GradedAlgebraObject:
@@ -316,6 +327,7 @@ def _division_algebra_constants(label: DivisionLabel):
     raise ValueError(f"no rational model for {label}")
 
 
+@lru_cache(maxsize=None)
 def rational_division_algebra(cls: DivisionAlgebraClass) -> algebras.StructureConstantAlgebra:
     """Rational structure-constant model of a real division algebra class."""
     mult, unit, labels = _division_algebra_constants(cls.label)

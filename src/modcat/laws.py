@@ -24,13 +24,22 @@ only.
 
 
 def _combine(terms) -> dict:
-    """Nonzero entries of sum coeff * cell over the (coeff, cell) terms."""
+    """Nonzero entries of sum coeff * cell over the (coeff, cell) terms.
+
+    Every coeff and every constant in the cells must be nonzero, field
+    elements or ints: a product of two is then nonzero, so only a key that
+    received two terms can cancel, and with none the filter is skipped."""
     out = {}
+    merged = False
     for coeff, cell in terms:
         for k, c in cell.items():
             t = coeff * c
-            out[k] = out[k] + t if k in out else t
-    return {k: c for k, c in out.items() if c}
+            if k in out:
+                out[k] += t
+                merged = True
+            else:
+                out[k] = t
+    return {k: c for k, c in out.items() if c} if merged else out
 
 
 def nucleus_generators(mult, unit) -> list[int]:

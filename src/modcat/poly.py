@@ -15,7 +15,9 @@ library and no floats:
 * Q(zeta_n): Trager's norm method (SYMSAC 1976).  f(x - s zeta) is shifted
   until its norm to Q, the product of its Galois conjugates, is squarefree;
   the norm is factored over Q, and each of its factors h gives the factor
-  gcd(f(x - s zeta), h)(x + s zeta) of f.
+  gcd(f(x - s zeta), h)(x + s zeta) of f.  An f with rational coefficients
+  is factored over Q first, and each factor of degree at least 2 takes its
+  own norm, from s = 1: unshifted, the norm of a rational h is h^phi(n).
 
 Every factor is accepted by exact arithmetic, so the random choices of the
 equal-degree splitting and the choice of primes affect the running time,
@@ -502,17 +504,34 @@ NORM_TEST_MOD_P_SHIFTS = 3
 
 
 def _split_cyclo(f: Poly) -> list[Poly]:
-    """Irreducible monic factors of a monic squarefree f over Q(zeta_n)."""
+    """Irreducible monic factors of a monic squarefree f over Q(zeta_n).
+
+    An f with rational coefficients is factored over Q first, and only its
+    factors of degree at least 2 go through Trager's norm, from s = 1: at
+    s = 0 the norm of a rational h is h^phi(n), not squarefree when
+    phi(n) > 1."""
     if f.degree == 1:
         return [f]
     field = f.field
+    if any(a for c in f.coeffs for a in c.num[1:]):
+        return _trager(f, 0)
+    over_q = _split_q(Poly(fields.QQ, [Fraction(c.num[0], c.den) for c in f.coeffs]))
+    factors = [Poly(field, [field.from_fractions([c]) for c in h.coeffs]) for h in over_q]
+    return [g for h in factors for g in (_trager(h, 1) if h.degree > 1 else [h])]
+
+
+def _trager(f: Poly, start: int) -> list[Poly]:
+    """Irreducible monic factors of a monic squarefree f over Q(zeta_n), of
+    degree at least 2, by the norms of f(x - s zeta) for s = start, start + 1, ..."""
+    field = f.field
     zeta = field.zeta()
-    for s in count():
+    for s in count(start):
         # the norm of f(x - s zeta) is squarefree for all but finitely many s
         shifted = _shift(f, field.from_int(-s) * zeta)
         norm = _norm(shifted)
         if (_squarefree_mod_q(norm)
-                or (s >= NORM_TEST_MOD_P_SHIFTS and gcd(norm, norm.derivative()).degree == 0)):
+                or (s - start >= NORM_TEST_MOD_P_SHIFTS
+                    and gcd(norm, norm.derivative()).degree == 0)):
             break
     factors = _split_q(norm)
     if len(factors) == 1:

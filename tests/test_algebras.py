@@ -13,6 +13,7 @@ from modcat.fieldprofile import QUATERNION
 from modcat.fields import CyclotomicField, PrimeField, QQ
 from modcat.fusion2 import (braided_tensor_algebra, graded_group_algebra,
                             rational_division_algebra, tensor_algebra)
+from modcat.laws import _combine
 from modcat.linalg import Matrix, kernel_basis
 from modcat.pointed import BraidingParam
 
@@ -396,6 +397,23 @@ def test_two_term_products_reach_nothing():
     sparse = [[{k: QQ.from_int(c) for k, c in enumerate(cell) if c} for cell in row]
               for row in mult]
     assert nucleus_generators(sparse, unit) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("conv", [int, QQ.from_int, PrimeField(5).from_int,
+                                  CyclotomicField(3).from_int],
+                         ids=["int", "Fraction", "FpElem", "CycElem"])
+def test_combine_drops_exactly_the_cancelled_keys(conv):
+    one, two, three = conv(1), conv(2), conv(3)
+    minus_one = conv(-1)
+    # key 0 cancels, key 1 receives two terms that add up, key 2 one term
+    terms = [(one, {0: two, 1: one}), (minus_one, {0: two, 2: three}), (two, {1: one})]
+    assert _combine(terms) == {1: three, 2: minus_one * three}
+    assert list(_combine(terms)) == [1, 2]
+    # with no key met twice every product is kept, nonzero as both factors are
+    assert _combine([(two, {0: three, 2: one}), (minus_one, {1: two})]) == \
+        {0: two * three, 2: two, 1: minus_one * two}
+    assert _combine([(one, {0: one}), (minus_one, {0: one})]) == {}
+    assert _combine([]) == {}
 
 
 @pytest.mark.parametrize("name,field,build", PRODUCTS, ids=PRODUCT_IDS)

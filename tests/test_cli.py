@@ -567,14 +567,35 @@ def test_format_accepted_in_either_position(capsys, argv):
     ["--form", "md", "pointed", "squareclasses", "--bound", "6"],
     ["--forma", "md", "pointed", "squareclasses", "--bound", "6"],
     ["--form=md", "pointed", "squareclasses", "--bound", "6"],
+    ["pointed", "squareclasses", "--bound", "6", "--fo", "md"],
+    ["pointed", "squareclasses", "--bound", "6", "--for", "md"],
+    ["pointed", "squareclasses", "--bound", "6", "--form", "md"],
+    ["pointed", "squareclasses", "--bound", "6", "--forma", "md"],
+    ["pointed", "squareclasses", "--fo=md", "--bound", "6"],
+    ["pointed", "--for=md", "squareclasses", "--bound", "6"],
+    ["pointed", "squareclasses", "--bound", "6", "--form=md"],
+    ["pointed", "squareclasses", "--bound", "6", "--forma=md"],
 ])
 def test_abbreviated_format_renders_as_format(capsys, argv):
-    # argparse accepts a prefix of --format; the output follows what it parsed
+    # argparse accepts a prefix of --format before the subcommand, and main
+    # moves it there from any position; the output follows what it parsed
     assert main(["--format", "md", "pointed", "squareclasses", "--bound", "6"]) == 0
     expected, _ = capsys.readouterr()
     assert expected == "5 square classes up to 6: [1, 2, 3, 5, 6]\n"
     assert main(argv) == 0
     assert capsys.readouterr()[0] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f", "md", "pointed", "squareclasses", "--bound", "6"],
+    ["pointed", "squareclasses", "--bound", "6", "--f", "md"],
+    ["pointed", "squareclasses", "--bound", "6", "--f=md"],
+])
+def test_format_prefix_shared_with_field_is_a_usage_error(capsys, argv):
+    # --f is a prefix of both --format and --field
+    assert main(argv) == 2
+    out = json.loads(capsys.readouterr()[0])
+    assert out["status"] == "usage" and "ambiguous option" in out["error"]["message"]
 
 
 def test_guard_error_reports_size_and_guard():

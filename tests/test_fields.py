@@ -252,6 +252,32 @@ def test_inverse_guard_refuses_an_irrational_element_past_the_bound():
     assert rational * rational.inverse() == CyclotomicField(997).one()
 
 
+def _conjugate_product_inverse(x):
+    """den times the product of the Galois conjugates zeta -> zeta^k, k > 1
+    prime to n, of num(zeta), over the norm: the inverse of any nonzero x."""
+    n = x.n
+    num = CycElem(n, x.num)
+    others = CycElem(n, [1])
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            others = others * num.conjugate(k)
+    return CycElem(n, [a * x.den for a in others.num], (num * others).num[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 211])
+@pytest.mark.parametrize("a,den", [(-3, 4), (-1, 7), (5, 6), (1, 2), (-12, 1), (7, 1)])
+def test_rational_inverse_matches_the_conjugate_product(n, a, den):
+    # phi(211) = 210 is past CYCLOTOMIC_INVERSE_GUARD, which bounds only the
+    # inversion of an irrational element
+    field = CyclotomicField(n)
+    x = field.from_fractions([Fraction(a, den)])
+    inverse = x.inverse()
+    assert x * inverse == field.one()
+    assert inverse == _conjugate_product_inverse(x)
+    assert inverse.coeffs == (Fraction(den, a),) + (Fraction(0),) * (field.degree - 1)
+    assert_normal(field, inverse)
+
+
 def test_degree_is_the_number_of_units_mod_n():
     for n in range(1, 61):
         units = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)

@@ -1,5 +1,6 @@
 """Fusion product tables for the three worked families."""
 
+import copy
 import itertools
 from math import gcd
 
@@ -9,7 +10,7 @@ from modcat.algebras import StructureConstantAlgebra
 from modcat.errors import SizeGuardExceeded
 from modcat.fieldprofile import (BASE, COMPLEXIFICATION, QUATERNION, alg_closed,
                                  finite_ext)
-from modcat.fields import QQ
+from modcat.fields import QQ, CyclotomicField
 from modcat.fusion2 import (GradingMismatch, UnsupportedPrime, _center_block_is_imaginary,
                             braided_tensor_algebra, coefficient_field,
                             finite_field_tensor, graded_group_algebra,
@@ -157,6 +158,42 @@ def test_nontrivial_cocycle_index_rejected():
     fake = type(vect)(subgroup=vect.subgroup, cocycle_class_index=1, separable=True)
     with pytest.raises(Exception):
         realize_module_class(fake, coefficient_field(3))
+
+
+# -- class algebras, built once ------------------------------------------------
+
+def test_class_algebras_are_built_once_per_argument():
+    assert graded_group_algebra(3, CyclotomicField(3)) is graded_group_algebra(3, CyclotomicField(3))
+    assert unit_algebra_object(3, CyclotomicField(3)) is unit_algebra_object(3, CyclotomicField(3))
+    assert rational_division_algebra(QUATERNION) is rational_division_algebra(QUATERNION)
+    assert graded_group_algebra(3, CyclotomicField(3)) is not graded_group_algebra(3, QQ)
+    assert graded_group_algebra(2, CyclotomicField(4)) is not graded_group_algebra(4, CyclotomicField(4))
+
+
+def _state(obj):
+    """Everything a product reads of a class algebra, copied."""
+    algebra = getattr(obj, "algebra", obj)
+    return copy.deepcopy((getattr(obj, "degrees", None), algebra.mult, algebra.unit,
+                          algebra.labels, algebra.generators))
+
+
+def test_tables_computed_twice_agree_and_leave_the_class_algebras_as_built():
+    def tables():
+        out = []
+        for p in (2, 3, 5):
+            classes = classes_for(p)
+            out += [pointed_braided_product(p, BraidingParam(p, e), x, y)
+                    for e in range(p) for x in classes for y in classes]
+        real = (BASE, COMPLEXIFICATION, QUATERNION)
+        return out + [real_division_tensor(d, e) for d in real for e in real]
+
+    first = tables()
+    cached = [f(p, coefficient_field(p)) for p in (2, 3, 5)
+              for f in (unit_algebra_object, graded_group_algebra)]
+    cached += [rational_division_algebra(d) for d in (BASE, COMPLEXIFICATION, QUATERNION)]
+    before = [_state(obj) for obj in cached]
+    assert tables() == first
+    assert [_state(obj) for obj in cached] == before
 
 
 # -- real closed family -------------------------------------------------------

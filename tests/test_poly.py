@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.polyclasses import ANP
 
 from modcat.fields import QQ, CyclotomicField, CycElem, PrimeField, cyclotomic_polynomial
+from modcat import poly as poly_module
 from modcat.poly import NORM_TEST_PRIME, Poly, _split_q, _test_prime, factor_list
 
 X = sympy.symbols("x")
@@ -122,6 +123,52 @@ def test_factor_list_matches_sympy_over_q(poly):
 def test_factor_list_matches_sympy_over_cyclotomic_fields(n, data):
     poly = data.draw(products(CyclotomicField(n), 2, 2, 2), label="poly")
     assert factor_list(poly) == sympy_factor_list(poly)
+
+
+def _over(field, poly):
+    """A polynomial over Q read into Q(zeta_n)."""
+    return Poly(field, [field.from_fractions([c]) for c in poly.coeffs])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_rational_polynomials_over_cyclotomic_fields_match_sympy(n, data):
+    # all-rational coefficients take the branch that factors over Q first
+    poly = _over(CyclotomicField(n), data.draw(products(QQ, 3, 3, 2), label="poly"))
+    assert factor_list(poly) == sympy_factor_list(poly)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 12])
+def test_x_to_the_m_minus_one_over_q_zeta_3_and_q_i_matches_sympy(n, m):
+    field = CyclotomicField(n)
+    poly = Poly(field, [field.from_int(-1)] + [field.zero()] * (m - 1) + [field.one()])
+    assert factor_list(poly) == sympy_factor_list(poly)
+
+
+def test_rational_product_with_a_repeated_factor_over_q_zeta_3(monkeypatch):
+    field = CyclotomicField(3)
+    z, one = field.zeta(), field.one()
+    # (x^2 + x + 1)^2 (x - 1/2)^3 (x^2 + 1) x over Q: Phi_3 = (x - zeta)(x - zeta^2)
+    # splits, while x^2 + 1 stays irreducible since i is not in Q(zeta_3)
+    factors = [(_linear(field, z), 2), (_linear(field, z * z), 2),
+               (_linear(field, field.from_fractions([Fraction(1, 2)])), 3),
+               (_linear(field, field.zero()), 1),
+               (Poly(field, [one, field.zero(), one]), 1)]
+    poly = _product(field, factors) * Poly(field, [field.from_fractions([Fraction(-3, 4)])])
+    norms = []
+    monkeypatch.setattr(poly_module, "_norm", lambda f, norm=poly_module._norm: norms.append(f)
+                        or norm(f))
+    assert factor_list(poly) == _canonical(field, factors) == sympy_factor_list(poly)
+    # only the quadratics over Q go through a norm, and never unshifted: at
+    # s = 0 the norm of a rational h is h^2, which is not squarefree
+    assert norms and all(any(a for c in f.coeffs for a in c.num[1:]) for f in norms)
+    # a product of linear factors over Q takes no norm at all
+    norms.clear()
+    linears = _over(field, Poly.from_ints(QQ, [2, -3, 1]) * Poly.from_ints(QQ, [-5, 1]))
+    assert [f.degree for f, _ in factor_list(linears)] == [1, 1, 1]
+    assert norms == []
 
 
 def test_swinnerton_dyer_polynomials_split_mod_every_prime_but_not_over_q():
